@@ -127,13 +127,6 @@ saferegion::RectSafeRegion ShardedServer::compute_rect_region(
       .server.compute_rect_region(s, position, heading, model, options);
 }
 
-saferegion::RectSafeRegion ShardedServer::compute_corner_baseline_region(
-    alarms::SubscriberId s, geo::Point position, double heading,
-    const saferegion::MotionModel& model) {
-  return contact(s, position)
-      .server.compute_corner_baseline_region(s, position, heading, model);
-}
-
 saferegion::PyramidBitmap ShardedServer::compute_pyramid_region(
     alarms::SubscriberId s, geo::Point position,
     const saferegion::PyramidConfig& config) {

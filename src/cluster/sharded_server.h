@@ -1,12 +1,14 @@
-// Spatially sharded alarm-processing cluster behind the ServerApi facade.
+// Spatially sharded alarm-processing cluster: the one server surface.
 //
 // N shards each own one stripe of the universe (cluster/shard_map.h) and
-// run a full monolithic sim::Server over a slice of the global alarm set:
+// run a per-shard sim::Server engine over a slice of the global alarm set:
 // every alarm whose region (closed) intersects the shard extent, under its
 // original global id (alarms/alarm_store.h sparse ids). Because safe
 // regions are computed within a single grid cell and cells never span
-// shards, each shard answers its cell queries exactly as the monolithic
-// server would — the strategies run unchanged and remain 100% accurate.
+// shards, each shard answers its cell queries exactly as one server
+// holding every alarm would — the strategies run unchanged and remain
+// 100% accurate. net::ClientLink (and through it every strategy) talks to
+// this class directly; every run, single-node included, goes through it.
 //
 // Border-spanning alarms are replicated to every overlapping shard, so a
 // trigger must be deduplicated across shards: each subscriber session
@@ -26,7 +28,7 @@
 // stable shard order, so metrics and trigger logs are bit-identical for
 // any thread count. Single-node operation is shard_count = 1: one slice
 // holding every alarm, no handoffs, an infinite escape distance — the
-// per-shard sim::Server then behaves exactly like the paper's monolithic
+// one shard's sim::Server then behaves exactly like the paper's single
 // evaluation server.
 #pragma once
 
@@ -43,11 +45,10 @@
 #include "saferegion/wire_format.h"
 #include "sim/metrics.h"
 #include "sim/server.h"
-#include "sim/server_api.h"
 
 namespace salarm::cluster {
 
-class ShardedServer final : public sim::ServerApi {
+class ShardedServer {
  public:
   /// Builds `shard_count` shards (clamped to the grid's stripe count) over
   /// slices of the given global alarm set. `subscriber_count` bounds the
@@ -57,38 +58,34 @@ class ShardedServer final : public sim::ServerApi {
                 const grid::GridOverlay& grid, std::size_t shard_count,
                 std::size_t subscriber_count);
 
-  // ---- ServerApi (all position-taking calls route to the owning shard,
-  // which must be the active shard of the calling thread) ----
+  // ---- Client-facing calls (all position-taking calls route to the
+  // owning shard, which must be the active shard of the calling thread;
+  // see sim::Server for what each computes and charges) ----
   std::vector<alarms::AlarmId> handle_position_update(
-      alarms::SubscriberId s, geo::Point position,
-      std::uint64_t tick) override;
+      alarms::SubscriberId s, geo::Point position, std::uint64_t tick);
   /// Temporal evaluation of an outage-buffered report (DESIGN.md §9).
   /// Serial phase only: claims the owning shard itself (the flush runs on
   /// the main thread between ticks), routes through the session handoff
   /// like any contact, and evaluates against the shard's alarm lifetimes.
   std::vector<alarms::AlarmId> handle_buffered_update(
       alarms::SubscriberId s, geo::Point position,
-      std::uint64_t stamp_tick) override;
+      std::uint64_t stamp_tick);
   saferegion::RectSafeRegion compute_rect_region(
       alarms::SubscriberId s, geo::Point position, double heading,
       const saferegion::MotionModel& model,
-      const saferegion::MwpsrOptions& options) override;
-  saferegion::RectSafeRegion compute_corner_baseline_region(
-      alarms::SubscriberId s, geo::Point position, double heading,
-      const saferegion::MotionModel& model) override;
+      const saferegion::MwpsrOptions& options);
   saferegion::PyramidBitmap compute_pyramid_region(
       alarms::SubscriberId s, geo::Point position,
-      const saferegion::PyramidConfig& config) override;
-  void enable_public_bitmap_cache(
-      const saferegion::PyramidConfig& config) override;
+      const saferegion::PyramidConfig& config);
+  void enable_public_bitmap_cache(const saferegion::PyramidConfig& config);
   /// Safe period with the grant capped at the shard's escape distance: the
   /// shard knows nothing about alarms beyond its extent, so the granted
   /// travel distance must not outrun its spatial authority.
   double compute_safe_period(alarms::SubscriberId s, geo::Point position,
                              double max_speed_mps,
-                             double tick_seconds) override;
+                             double tick_seconds);
   std::vector<const alarms::SpatialAlarm*> push_alarms(
-      alarms::SubscriberId s, geo::Point position) override;
+      alarms::SubscriberId s, geo::Point position);
   /// Drains the subscriber's mailboxes across all shards in stable shard
   /// order. A subscriber's grant always lives in the shard it last
   /// contacted (grants never outgrow a shard's extent), but stale entries
@@ -97,11 +94,11 @@ class ShardedServer final : public sim::ServerApi {
   /// processed by exactly one thread per tick, mailboxes are pre-sized by
   /// enable_dynamics, and installs only run in the serial churn phase.
   std::vector<dynamics::InvalidationPush> take_invalidations(
-      alarms::SubscriberId s) override;
-  const grid::GridOverlay& grid() const override { return grid_; }
+      alarms::SubscriberId s);
+  const grid::GridOverlay& grid() const { return grid_; }
   /// Metrics of the calling thread's active shard: client-side work is
   /// charged to the shard hosting the subscriber this tick.
-  sim::Metrics& metrics() override;
+  sim::Metrics& metrics();
 
   // ---- Dynamics tier (DESIGN.md §8; all three are serial-phase only) ----
   /// Enables dynamics on every shard, pre-sizing all mailboxes so no
@@ -152,8 +149,8 @@ class ShardedServer final : public sim::ServerApi {
 
   // ---- Cluster control / inspection ----
   /// Declares which shard the calling thread is processing; every
-  /// subsequent ServerApi call on this thread must target it. The sharded
-  /// run mode calls this once per (thread, shard group).
+  /// subsequent client-facing call on this thread must target it. The
+  /// sharded run mode calls this once per (thread, shard group).
   void set_active_shard(std::size_t shard);
 
   std::size_t shard_count() const { return shards_.size(); }

@@ -138,12 +138,9 @@ sim::Simulation::StrategyFactory Experiment::rect(
 
 sim::Simulation::StrategyFactory Experiment::rect_corner_baseline(
     saferegion::MotionModel model) const {
-  const std::size_t subscribers = config_.vehicles;
-  return [subscribers, model](net::ClientLink& link) {
-    return std::make_unique<strategies::RectRegionStrategy>(
-        link, subscribers, model, saferegion::MwpsrOptions{},
-        /*corner_baseline=*/true);
-  };
+  saferegion::MwpsrOptions options;
+  options.corner_baseline = true;
+  return rect(model, options);
 }
 
 sim::Simulation::StrategyFactory Experiment::bitmap(

@@ -28,7 +28,7 @@ alarms::AlarmId SpatialAlarmService::install(
   SALARM_REQUIRE(config_.universe.contains(region),
                  "alarm region outside the universe");
   alarms::SpatialAlarm alarm;
-  alarm.id = next_id_++;
+  alarm.id = next_id_;
   alarm.scope = scope;
   alarm.owner = owner;
   alarm.region = region;
@@ -36,9 +36,9 @@ alarms::AlarmId SpatialAlarmService::install(
     subscribers = {owner};
   }
   alarm.subscribers = std::move(subscribers);
-  store_.install(std::move(alarm));
+  store_.install(std::move(alarm));  // throws on a rejected alarm
   ++installed_count_;
-  return next_id_ - 1;
+  return next_id_++;
 }
 
 bool SpatialAlarmService::uninstall(alarms::AlarmId id) {

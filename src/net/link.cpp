@@ -17,8 +17,9 @@ constexpr std::uint64_t kMaxExchangeRounds = 64;
 
 }  // namespace
 
-ClientLink::ClientLink(sim::ServerApi& server, const ChannelConfig& config,
-                       std::uint64_t seed, std::size_t subscriber_count)
+ClientLink::ClientLink(cluster::ShardedServer& server,
+                       const ChannelConfig& config, std::uint64_t seed,
+                       std::size_t subscriber_count)
     : server_(server),
       config_(config),
       channel_(config, seed, subscriber_count),
@@ -170,75 +171,51 @@ std::vector<alarms::AlarmId> ClientLink::report(alarms::SubscriberId s,
   return fired;
 }
 
+template <typename Fn>
+auto ClientLink::request(alarms::SubscriberId s, geo::Point position,
+                         Fn&& call)
+    -> std::optional<std::invoke_result_t<Fn&>> {
+  const SubscriberState& st = state(s);
+  if (degraded(st, position, current_tick_)) return std::nullopt;
+  if (config_.faulty() && st.outage_remaining > 0) return std::nullopt;
+  // The request piggybacks on the report the client just delivered
+  // reliably; only the best-effort response can be lost in flight.
+  std::optional<std::invoke_result_t<Fn&>> response = call();
+  if (config_.faulty() && channel_.lose_downlink(s)) return std::nullopt;
+  return response;
+}
+
 std::optional<saferegion::RectSafeRegion> ClientLink::request_rect_region(
     alarms::SubscriberId s, geo::Point position, double heading,
     const saferegion::MotionModel& model,
     const saferegion::MwpsrOptions& options) {
-  if (degraded(state(s), position, current_tick_)) return std::nullopt;
-  if (!config_.faulty()) {
+  return request(s, position, [&] {
     return server_.compute_rect_region(s, position, heading, model, options);
-  }
-  if (state(s).outage_remaining > 0) return std::nullopt;
-  // The request piggybacks on the report the client just delivered
-  // reliably; only the best-effort response can be lost in flight.
-  auto region = server_.compute_rect_region(s, position, heading, model,
-                                            options);
-  if (channel_.lose_downlink(s)) return std::nullopt;
-  return region;
-}
-
-std::optional<saferegion::RectSafeRegion>
-ClientLink::request_corner_baseline_region(alarms::SubscriberId s,
-                                           geo::Point position, double heading,
-                                           const saferegion::MotionModel& model) {
-  if (degraded(state(s), position, current_tick_)) return std::nullopt;
-  if (!config_.faulty()) {
-    return server_.compute_corner_baseline_region(s, position, heading, model);
-  }
-  if (state(s).outage_remaining > 0) return std::nullopt;
-  auto region = server_.compute_corner_baseline_region(s, position, heading,
-                                                       model);
-  if (channel_.lose_downlink(s)) return std::nullopt;
-  return region;
+  });
 }
 
 std::optional<saferegion::PyramidBitmap> ClientLink::request_pyramid_region(
     alarms::SubscriberId s, geo::Point position,
     const saferegion::PyramidConfig& config) {
-  if (degraded(state(s), position, current_tick_)) return std::nullopt;
-  if (!config_.faulty()) {
+  return request(s, position, [&] {
     return server_.compute_pyramid_region(s, position, config);
-  }
-  if (state(s).outage_remaining > 0) return std::nullopt;
-  auto bitmap = server_.compute_pyramid_region(s, position, config);
-  if (channel_.lose_downlink(s)) return std::nullopt;
-  return bitmap;
+  });
 }
 
 std::optional<double> ClientLink::request_safe_period(alarms::SubscriberId s,
                                                       geo::Point position,
                                                       double max_speed_mps,
                                                       double tick_seconds) {
-  if (degraded(state(s), position, current_tick_)) return std::nullopt;
-  if (!config_.faulty()) {
+  return request(s, position, [&] {
     return server_.compute_safe_period(s, position, max_speed_mps,
                                        tick_seconds);
-  }
-  if (state(s).outage_remaining > 0) return std::nullopt;
-  const double period =
-      server_.compute_safe_period(s, position, max_speed_mps, tick_seconds);
-  if (channel_.lose_downlink(s)) return std::nullopt;
-  return period;
+  });
 }
 
 std::optional<std::vector<const alarms::SpatialAlarm*>>
 ClientLink::request_alarms(alarms::SubscriberId s, geo::Point position) {
-  if (degraded(state(s), position, current_tick_)) return std::nullopt;
-  if (!config_.faulty()) return server_.push_alarms(s, position);
-  if (state(s).outage_remaining > 0) return std::nullopt;
-  auto alarms = server_.push_alarms(s, position);
-  if (channel_.lose_downlink(s)) return std::nullopt;
-  return alarms;
+  return request(s, position,
+                 [&] { return server_.push_alarms(s, position); });
 }
 
 std::vector<dynamics::InvalidationPush> ClientLink::take_invalidations(

@@ -2,8 +2,8 @@
 // program against (DESIGN.md §9).
 //
 // ClientLink interposes between the client half of a processing strategy
-// and a sim::ServerApi (monolithic Server or cluster::ShardedServer) and
-// runs the reliability protocol over a net::FaultyChannel:
+// and the cluster::ShardedServer (one shard on single-node runs) and runs
+// the reliability protocol over a net::FaultyChannel:
 //
 //  * Uplink position reports carry per-session sequence numbers and are
 //    ACKed; a lost report or lost ACK triggers timeout + exponential-
@@ -23,7 +23,7 @@
 //    conservatively voids its grant the moment the carrier drops (modelled
 //    as a synthetic revoke) and buffers a position report every tick; on
 //    reconnect the buffered reports are flushed through server-side
-//    checking (ServerApi::handle_buffered_update) against the alarm set
+//    checking (ShardedServer::handle_buffered_update) against the alarm set
 //    that was live at each report's original tick. Every uncovered tick is
 //    counted as net_lease_fallback_ticks.
 //
@@ -52,13 +52,14 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/shard_map.h"
+#include "cluster/sharded_server.h"
 #include "failover/crash_plan.h"
 #include "mobility/trace.h"
 #include "net/channel.h"
-#include "sim/server_api.h"
 
 namespace salarm::net {
 
@@ -66,7 +67,7 @@ namespace salarm::net {
 /// by all subscribers (state is per-subscriber internally).
 class ClientLink {
  public:
-  ClientLink(sim::ServerApi& server, const ChannelConfig& config,
+  ClientLink(cluster::ShardedServer& server, const ChannelConfig& config,
              std::uint64_t seed, std::size_t subscriber_count);
 
   /// Arms degraded-mode handling for a sharded crash-recovery run: the map
@@ -99,16 +100,13 @@ class ClientLink {
   std::vector<alarms::AlarmId> report(alarms::SubscriberId s,
                                       geo::Point position, std::uint64_t tick);
 
-  /// Best-effort grant requests: nullopt when the client is disconnected
-  /// or the response is lost in flight. A client holding no grant reports
-  /// every tick, which is always sound.
+  /// Best-effort grant requests: nullopt when the client is disconnected,
+  /// its shard is down, or the response is lost in flight. A client
+  /// holding no grant reports every tick, which is always sound.
   std::optional<saferegion::RectSafeRegion> request_rect_region(
       alarms::SubscriberId s, geo::Point position, double heading,
       const saferegion::MotionModel& model,
       const saferegion::MwpsrOptions& options);
-  std::optional<saferegion::RectSafeRegion> request_corner_baseline_region(
-      alarms::SubscriberId s, geo::Point position, double heading,
-      const saferegion::MotionModel& model);
   std::optional<saferegion::PyramidBitmap> request_pyramid_region(
       alarms::SubscriberId s, geo::Point position,
       const saferegion::PyramidConfig& config);
@@ -178,6 +176,13 @@ class ClientLink {
   std::uint64_t reliable_exchange(alarms::SubscriberId s, bool uplink,
                                   std::size_t payload_bytes, sim::Metrics& m);
 
+  /// The gate every request_* shares: degraded mode, then channel outage,
+  /// then `call` (the server computation), then downlink loss of its
+  /// response. On a perfect channel without failover it is exactly `call`.
+  template <typename Fn>
+  auto request(alarms::SubscriberId s, geo::Point position, Fn&& call)
+      -> std::optional<std::invoke_result_t<Fn&>>;
+
   /// Flushes a subscriber's buffered reports through server-side checking
   /// at reconnect (or end of run). Serial phase only.
   void flush_buffer(alarms::SubscriberId s);
@@ -192,7 +197,7 @@ class ClientLink {
   bool degraded(const SubscriberState& st, geo::Point position,
                 std::uint64_t tick) const;
 
-  sim::ServerApi& server_;
+  cluster::ShardedServer& server_;
   ChannelConfig config_;
   FaultyChannel channel_;
   std::vector<SubscriberState> states_;

@@ -43,7 +43,7 @@ struct Metrics {
   /// accesses).
   std::uint64_t server_region_ops = 0;
 
-  // ---- Cluster tier (inter-shard traffic; zero on monolithic runs) ----
+  // ---- Cluster tier (inter-shard traffic; zero on one-shard runs) ----
   /// Subscriber session handoffs between spatial shards: emitted when a
   /// subscriber's first contact after crossing a shard boundary transfers
   /// its session (including globally spent alarms) to the new owner.

@@ -1,12 +1,11 @@
 #include "sim/server.h"
 
-#include "saferegion/corner_baseline.h"
-
 #include <algorithm>
-#include <limits>
+#include <cmath>
 #include <utility>
 
 #include "common/error.h"
+#include "saferegion/corner_baseline.h"
 
 namespace salarm::sim {
 
@@ -94,26 +93,13 @@ saferegion::RectSafeRegion Server::compute_rect_region(
   const auto relevant = charged(&Metrics::server_region_ops, [&] {
     return store_.relevant_in_window(cell, s);
   });
-  const auto region = saferegion::compute_mwpsr(
-      position, heading, cell, regions_of(relevant), model, options);
-  metrics_.server_region_ops += region.ops;
-  ++metrics_.safe_region_recomputes;
-  const std::size_t bytes = wire::rect_message_size();
-  metrics_.downstream_region_bytes += bytes;
-  metrics_.region_payload_bytes.add(static_cast<double>(bytes));
-  record_grant(s, dynamics::GrantKind::kRect, region.rect);
-  return region;
-}
-
-saferegion::RectSafeRegion Server::compute_corner_baseline_region(
-    alarms::SubscriberId s, geo::Point position, double heading,
-    const saferegion::MotionModel& model) {
-  const geo::Rect cell = grid_.cell_rect(grid_.cell_of(position));
-  const auto relevant = charged(&Metrics::server_region_ops, [&] {
-    return store_.relevant_in_window(cell, s);
-  });
-  const auto region = saferegion::compute_corner_baseline(
-      position, heading, cell, regions_of(relevant), model);
+  const auto regions = regions_of(relevant);
+  const auto region =
+      options.corner_baseline
+          ? saferegion::compute_corner_baseline(position, heading, cell,
+                                                regions, model)
+          : saferegion::compute_mwpsr(position, heading, cell, regions,
+                                      model, options);
   metrics_.server_region_ops += region.ops;
   ++metrics_.safe_region_recomputes;
   const std::size_t bytes = wire::rect_message_size();
@@ -203,13 +189,6 @@ saferegion::PyramidBitmap Server::compute_pyramid_region(
                                                  config, &build_ops);
   metrics_.server_region_ops += build_ops;
   return finish(std::move(bitmap));
-}
-
-double Server::compute_safe_period(alarms::SubscriberId s,
-                                   geo::Point position, double max_speed_mps,
-                                   double tick_seconds) {
-  return compute_safe_period(s, position, max_speed_mps, tick_seconds,
-                             std::numeric_limits<double>::infinity());
 }
 
 double Server::compute_safe_period(alarms::SubscriberId s,

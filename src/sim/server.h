@@ -1,16 +1,20 @@
-// The alarm-processing server.
+// The per-shard alarm-processing engine.
 //
-// One Server instance plays the paper's server role for a whole run: it
-// receives position reports, evaluates them against the R*-tree alarm
-// index, and computes whatever the active strategy ships back (rectangular
-// safe regions, pyramid bitmaps, safe periods, or OPT alarm pushes). All
-// events are attributed to the Metrics object: R*-tree node accesses from
-// alarm processing land in server_alarm_ops, everything spent on safe
-// region / safe period computation in server_region_ops, and downstream
-// payload sizes (from the real wire formats) in downstream_region_bytes.
+// One Server instance plays the paper's server role for one shard of a
+// cluster::ShardedServer (the whole universe on a one-shard run): it
+// receives position reports, evaluates them against the shard's R*-tree
+// alarm index, and computes whatever the active strategy ships back
+// (rectangular safe regions, pyramid bitmaps, safe periods, or OPT alarm
+// pushes). Clients reach it only through the cluster, which routes each
+// call to the owning shard. All events are attributed to the Metrics
+// object: R*-tree node accesses from alarm processing land in
+// server_alarm_ops, everything spent on safe region / safe period
+// computation in server_region_ops, and downstream payload sizes (from
+// the real wire formats) in downstream_region_bytes.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -24,7 +28,6 @@
 #include "saferegion/pyramid.h"
 #include "saferegion/wire_format.h"
 #include "sim/metrics.h"
-#include "sim/server_api.h"
 
 namespace salarm::sim {
 
@@ -42,7 +45,7 @@ inline constexpr std::uint64_t kOpsPerNodeAccess = 16;
 inline constexpr std::uint64_t kOpsPerUpdateOverhead = 25;
 inline constexpr std::uint64_t kOpsPerDuplicateDrop = 5;
 
-class Server final : public ServerApi {
+class Server {
  public:
   /// The store, grid and metrics must outlive the server.
   Server(alarms::AlarmStore& store, const grid::GridOverlay& grid,
@@ -54,7 +57,7 @@ class Server final : public ServerApi {
   /// the downstream notice counter and events appended to the trigger log.
   std::vector<alarms::AlarmId> handle_position_update(
       alarms::SubscriberId s, geo::Point position,
-      std::uint64_t tick) override;
+      std::uint64_t tick);
 
   /// Temporal evaluation of an outage-buffered report (DESIGN.md §9): the
   /// live index is consulted under an installed-at-stamp filter, and the
@@ -63,21 +66,16 @@ class Server final : public ServerApi {
   /// degenerate to plain alarm processing.
   std::vector<alarms::AlarmId> handle_buffered_update(
       alarms::SubscriberId s, geo::Point position,
-      std::uint64_t stamp_tick) override;
+      std::uint64_t stamp_tick);
 
   /// Computes a rectangular (MWPSR) safe region for the subscriber at the
-  /// given position/heading and charges its wire size downstream.
+  /// given position/heading and charges its wire size downstream. With
+  /// options.corner_baseline set, the unsound corner-candidate baseline
+  /// (saferegion/corner_baseline.h) computes the region instead.
   saferegion::RectSafeRegion compute_rect_region(
       alarms::SubscriberId s, geo::Point position, double heading,
       const saferegion::MotionModel& model,
-      const saferegion::MwpsrOptions& options) override;
-
-  /// Computes the unsound Hu et al. [10]-style corner-candidate baseline
-  /// region (see saferegion/corner_baseline.h); used only by the ablation
-  /// reproducing the paper's alarm-miss claim.
-  saferegion::RectSafeRegion compute_corner_baseline_region(
-      alarms::SubscriberId s, geo::Point position, double heading,
-      const saferegion::MotionModel& model) override;
+      const saferegion::MwpsrOptions& options);
 
   /// Computes a pyramid bitmap over the subscriber's current base cell and
   /// charges its wire size downstream. With the public-bitmap cache
@@ -88,33 +86,28 @@ class Server final : public ServerApi {
   /// be needlessly conservative there).
   saferegion::PyramidBitmap compute_pyramid_region(
       alarms::SubscriberId s, geo::Point position,
-      const saferegion::PyramidConfig& config) override;
+      const saferegion::PyramidConfig& config);
 
   /// Enables the precomputed public-alarm bitmap cache for the given
   /// pyramid configuration (one configuration per run).
-  void enable_public_bitmap_cache(
-      const saferegion::PyramidConfig& config) override;
+  void enable_public_bitmap_cache(const saferegion::PyramidConfig& config);
 
   /// Computes the safe-period grant: distance to the nearest relevant
-  /// alarm region over the worst-case speed bound, clamped below by one
-  /// tick. Returns infinity when no relevant alarm remains.
-  double compute_safe_period(alarms::SubscriberId s, geo::Point position,
-                             double max_speed_mps,
-                             double tick_seconds) override;
-
-  /// As above, but the granted distance is additionally capped at
-  /// `distance_bound` (meters). The cluster tier uses the bound to keep a
-  /// shard from granting a period that outruns its own spatial authority:
-  /// a shard knows nothing about alarms beyond its extent, so the grant
-  /// must not exceed the distance to its internal boundary.
-  double compute_safe_period(alarms::SubscriberId s, geo::Point position,
-                             double max_speed_mps, double tick_seconds,
-                             double distance_bound);
+  /// alarm region, capped at `distance_bound` (meters), over the
+  /// worst-case speed bound, clamped below by one tick. Returns infinity
+  /// when no relevant alarm remains and the bound is infinite. The cluster
+  /// passes the shard's escape distance as the bound: a shard knows
+  /// nothing about alarms beyond its extent, so the grant must not exceed
+  /// the distance to its internal boundary.
+  double compute_safe_period(
+      alarms::SubscriberId s, geo::Point position, double max_speed_mps,
+      double tick_seconds,
+      double distance_bound = std::numeric_limits<double>::infinity());
 
   /// OPT: all relevant alarms intersecting the subscriber's current cell,
   /// charged downstream at the alarm-push wire size.
   std::vector<const alarms::SpatialAlarm*> push_alarms(
-      alarms::SubscriberId s, geo::Point position) override;
+      alarms::SubscriberId s, geo::Point position);
 
   /// Switches on the dynamics tier (DESIGN.md §8): every grant handed out
   /// from here on is recorded in a SessionIndex, and online installs push
@@ -138,8 +131,11 @@ class Server final : public ServerApi {
   /// it. Returns false if absent.
   bool remove_alarm(alarms::AlarmId id, std::uint64_t tick);
 
+  /// Drains the subscriber's invalidation mailbox: pushes queued by alarm
+  /// installs since the subscriber's previous tick (always empty on static
+  /// runs).
   std::vector<dynamics::InvalidationPush> take_invalidations(
-      alarms::SubscriberId s) override;
+      alarms::SubscriberId s);
 
   // ---- Failover tier (DESIGN.md §10; every call is serial-phase only) ----
 
@@ -190,9 +186,9 @@ class Server final : public ServerApi {
   /// number of tombs dropped.
   std::size_t compact_graveyard(std::uint64_t watermark);
 
-  const grid::GridOverlay& grid() const override { return grid_; }
+  const grid::GridOverlay& grid() const { return grid_; }
   alarms::AlarmStore& store() { return store_; }
-  Metrics& metrics() override { return metrics_; }
+  Metrics& metrics() { return metrics_; }
   const std::vector<alarms::TriggerEvent>& trigger_log() const {
     return trigger_log_;
   }

@@ -95,16 +95,11 @@ void Simulation::rewind_store() {
 }
 
 RunResult Simulation::run(const StrategyFactory& factory) {
-  return run_impl(factory, 1, 1);
+  return run_sharded(factory, {.shards = 1, .threads = 1});
 }
 
 RunResult Simulation::run_sharded(const StrategyFactory& factory,
                                   const ShardedRunOptions& options) {
-  return run_impl(factory, options.shards, options.threads);
-}
-
-RunResult Simulation::run_impl(const StrategyFactory& factory,
-                               std::size_t shards, std::size_t threads) {
   const auto& expected = oracle();  // ensure cached before timing the run
 
   rewind_store();  // before slicing: shards replicate the initial set
@@ -117,7 +112,7 @@ RunResult Simulation::run_impl(const StrategyFactory& factory,
   result.subscribers = source_.vehicle_count();
   result.duration_s = duration_s();
 
-  cluster::ShardedServer server(store_, grid_, shards,
+  cluster::ShardedServer server(store_, grid_, options.shards,
                                 source_.vehicle_count());
   if (scheduler_.has_value()) {
     server.enable_dynamics(source_.vehicle_count());
@@ -138,7 +133,8 @@ RunResult Simulation::run_impl(const StrategyFactory& factory,
   const auto strategy = factory(link);
   result.strategy = std::string(strategy->name());
 
-  TickPipeline pipeline(source_, server, link, *strategy, ticks_, threads,
+  TickPipeline pipeline(source_, server, link, *strategy, ticks_,
+                        options.threads,
                         scheduler_.has_value() ? &*scheduler_ : nullptr,
                         crash_plan.has_value() ? &*crash_plan : nullptr,
                         phase_observer_);

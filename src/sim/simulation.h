@@ -3,8 +3,8 @@
 // A Simulation owns one (network, alarms, trace, grid) workload and runs
 // any number of processing strategies against the *identical* motion
 // pattern — the paper's methodology for comparing PRD, SP, MWPSR, GBSR/
-// PBSR and OPT. Each run gets a fresh Server and Metrics; the ground-truth
-// oracle is computed once and every run is scored against it.
+// PBSR and OPT. Each run gets a fresh cluster::ShardedServer; the
+// ground-truth oracle is computed once and every run is scored against it.
 #pragma once
 
 #include <functional>
@@ -62,10 +62,10 @@ class Simulation {
              const grid::GridOverlay& grid, std::size_t ticks);
 
   /// Builds a strategy against the given client link; called once per run.
-  /// The same factory drives both run modes — strategies are written
-  /// against net::ClientLink, which wraps either server implementation
-  /// behind the reliability protocol, so they cannot tell a monolithic
-  /// server from a cluster, nor a perfect channel from a faulty one.
+  /// The same factory drives every shard count — strategies are written
+  /// against net::ClientLink, which wraps the cluster behind the
+  /// reliability protocol, so they cannot tell one shard from many, nor a
+  /// perfect channel from a faulty one.
   using StrategyFactory = std::function<
       std::unique_ptr<strategies::ProcessingStrategy>(net::ClientLink&)>;
 
@@ -73,16 +73,16 @@ class Simulation {
   /// returns its metrics and accuracy against the oracle. Shorthand for
   /// run_sharded with {shards = 1, threads = 1}: single-node operation is
   /// the one-shard degenerate case of the same TickPipeline (DESIGN.md
-  /// §11), bit-identical to the historical monolithic loop (the golden
+  /// §11), bit-identical to the historical single-server loop (the golden
   /// test in tests/pipeline_test.cpp pins this).
   RunResult run(const StrategyFactory& factory);
 
-  /// Processes the trace on a cluster::ShardedServer through the unified
-  /// TickPipeline: subscribers are grouped by owning shard each tick and
-  /// the groups fan out over a fixed thread pool. Metrics are the
-  /// stable-order merge of the per-shard metrics; results are
-  /// bit-identical for any thread count. Accuracy against the oracle is
-  /// still enforced by the caller's tests — sharding is exact (see
+  /// The one run path. Processes the trace on a cluster::ShardedServer
+  /// through the unified TickPipeline: subscribers are grouped by owning
+  /// shard each tick and the groups fan out over a fixed thread pool.
+  /// Metrics are the stable-order merge of the per-shard metrics; results
+  /// are bit-identical for any thread count. Accuracy against the oracle
+  /// is still enforced by the caller's tests — sharding is exact (see
   /// cluster/sharded_server.h).
   RunResult run_sharded(const StrategyFactory& factory,
                         const ShardedRunOptions& options);
@@ -93,7 +93,7 @@ class Simulation {
   /// Enables alarm churn (DESIGN.md §8): snapshots the store's current
   /// alarm set as the initial state, precomputes a deterministic
   /// install/remove/expiry timeline for ticks [1, ticks), and invalidates
-  /// the cached oracle. Every subsequent run — monolithic or sharded — and
+  /// the cached oracle. Every subsequent run — at any shard count — and
   /// the oracle replay the identical timeline; the store is rewound to the
   /// snapshot at the start of each replay, so runs stay independent.
   void set_churn(const dynamics::ChurnConfig& config, std::uint64_t seed);
@@ -139,11 +139,6 @@ class Simulation {
  private:
   /// Rewinds the store to the churn snapshot (no-op without churn).
   void rewind_store();
-  /// The one run path: builds a `shards`-shard cluster over the store,
-  /// wires the link and strategy, and replays the trace through the
-  /// TickPipeline.
-  RunResult run_impl(const StrategyFactory& factory, std::size_t shards,
-                     std::size_t threads);
 
   mobility::PositionSource& source_;
   alarms::AlarmStore& store_;

@@ -1,12 +1,12 @@
 // The one tick loop (DESIGN.md §11).
 //
 // TickPipeline owns the ordered serial phases that run between parallel
-// ticks and the per-shard subscriber fan-out. Every execution mode runs
-// through it: Simulation::run is the {shards = 1, threads = 1} degenerate
-// case (a one-shard cluster over the same per-shard sim::Server engine)
-// and Simulation::run_sharded is the general one — there is no separate
-// monolithic loop, so every tier added here (and every future one) works
-// in both modes by construction.
+// ticks and the per-shard subscriber fan-out. Every run goes through it:
+// Simulation::run_sharded drives it over a cluster::ShardedServer, and
+// Simulation::run is the {shards = 1, threads = 1} case (a one-shard
+// cluster over the same per-shard sim::Server engine) — there is no
+// separate single-server loop, so every tier added here (and every future
+// one) works at any shard count by construction.
 //
 // Serial phase order per tick, after the trace steps (each phase only runs
 // when its tier is armed):

@@ -7,21 +7,17 @@ namespace salarm::strategies {
 RectRegionStrategy::RectRegionStrategy(net::ClientLink& link,
                                        std::size_t subscriber_count,
                                        saferegion::MotionModel model,
-                                       saferegion::MwpsrOptions options,
-                                       bool corner_baseline)
+                                       saferegion::MwpsrOptions options)
     : link_(link), model_(model), options_(options),
-      corner_baseline_(corner_baseline), regions_(subscriber_count) {}
+      regions_(subscriber_count) {}
 
 void RectRegionStrategy::report_and_refresh(
     alarms::SubscriberId s, const mobility::VehicleSample& sample,
     std::uint64_t tick) {
   (void)link_.report(s, sample.pos, tick);
-  const auto region =
-      corner_baseline_
-          ? link_.request_corner_baseline_region(s, sample.pos,
-                                                 sample.heading, model_)
-          : link_.request_rect_region(s, sample.pos, sample.heading, model_,
-                                      options_);
+  const auto region = link_.request_rect_region(s, sample.pos,
+                                                sample.heading, model_,
+                                                options_);
   // nullopt: the response was lost or the client is in an outage. The
   // previous region (if any) is still sound; without one the client
   // reports again next tick.

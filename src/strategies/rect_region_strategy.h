@@ -27,16 +27,14 @@ namespace salarm::strategies {
 
 class RectRegionStrategy final : public ProcessingStrategy {
  public:
-  /// `corner_baseline` selects the unsound Hu et al. [10]-style region
-  /// computation instead of MWPSR — ablation only; it misses alarms by
-  /// design (the paper's claim about [10]).
+  /// `options.corner_baseline` selects the ablation-only [10] baseline
+  /// region (see saferegion::MwpsrOptions).
   RectRegionStrategy(net::ClientLink& link, std::size_t subscriber_count,
                      saferegion::MotionModel model,
-                     saferegion::MwpsrOptions options = {},
-                     bool corner_baseline = false);
+                     saferegion::MwpsrOptions options = {});
 
   std::string_view name() const override {
-    if (corner_baseline_) return "RECT[10]";
+    if (options_.corner_baseline) return "RECT[10]";
     return options_.weighted ? "MWPSR" : "RECT";
   }
 
@@ -53,7 +51,6 @@ class RectRegionStrategy final : public ProcessingStrategy {
   net::ClientLink& link_;
   saferegion::MotionModel model_;
   saferegion::MwpsrOptions options_;
-  bool corner_baseline_;
   std::vector<std::optional<geo::Rect>> regions_;
 };
 

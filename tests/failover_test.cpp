@@ -733,17 +733,30 @@ TEST(SingleShardFailoverTest, MonolithicRedoRecoveryStaysOracleExact) {
 // ClientLink retransmission backoff: property sweep (satellite).
 // ---------------------------------------------------------------------------
 
-/// 4 km x 4 km world with one public alarm, mirroring net_test.cpp.
-struct LinkWorld {
-  LinkWorld()
-      : grid(Rect(0, 0, 4000, 4000), 4, 4), server(store, grid, metrics) {
-    store.install(crash_world_alarm(0, Rect(1400, 400, 1700, 700)));
-  }
-
+/// The one public alarm of the link and engine worlds below.
+alarms::AlarmStore link_world_alarms() {
   alarms::AlarmStore store;
-  grid::GridOverlay grid;
+  store.install(crash_world_alarm(0, Rect(1400, 400, 1700, 700)));
+  return store;
+}
+
+/// 4 km x 4 km world with one public alarm served by a one-shard cluster,
+/// mirroring net_test.cpp.
+struct LinkWorld {
+  LinkWorld() { server.set_active_shard(0); }
+
+  grid::GridOverlay grid{Rect(0, 0, 4000, 4000), 4, 4};
+  cluster::ShardedServer server{link_world_alarms(), grid, /*shard_count=*/1,
+                                /*subscriber_count=*/1};
+};
+
+/// The same world as a bare per-shard engine, for the graveyard tests that
+/// drive sim::Server directly.
+struct EngineWorld {
+  alarms::AlarmStore store = link_world_alarms();
+  grid::GridOverlay grid{Rect(0, 0, 4000, 4000), 4, 4};
   sim::Metrics metrics;
-  sim::Server server;
+  sim::Server server{store, grid, metrics};
 };
 
 TEST(ClientLinkBackoffTest, BackoffDoublesPerRoundAndResetsAfterEveryAck) {
@@ -782,7 +795,7 @@ TEST(ClientLinkBackoffTest, BackoffDoublesPerRoundAndResetsAfterEveryAck) {
 // ---------------------------------------------------------------------------
 
 TEST(AlarmStoreGraveyardTest, CompactionKeepsTombsObservableByPendingStamps) {
-  LinkWorld w;
+  EngineWorld w;
   w.server.enable_dynamics(1);
   ASSERT_TRUE(w.server.remove_alarm(0, /*tick=*/10));
   ASSERT_EQ(w.server.graveyard().size(), 1u);
@@ -801,7 +814,7 @@ TEST(AlarmStoreGraveyardTest, CompactionKeepsTombsObservableByPendingStamps) {
 }
 
 TEST(AlarmStoreGraveyardTest, GraveyardStaysBoundedUnderSustainedChurn) {
-  LinkWorld w;
+  EngineWorld w;
   w.server.enable_dynamics(1);
   std::size_t high_water = 0;
   for (std::uint64_t t = 1; t <= 600; ++t) {

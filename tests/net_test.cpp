@@ -3,6 +3,7 @@
 // every strategy stays oracle-exact under arbitrary loss / delay /
 // duplication / outage schedules, monolithic and sharded alike.
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -10,10 +11,13 @@
 #include <gtest/gtest.h>
 
 #include "alarms/alarm_store.h"
+#include "cluster/sharded_server.h"
 #include "core/experiment.h"
+#include "failover/crash_plan.h"
 #include "grid/grid_overlay.h"
 #include "net/channel.h"
 #include "net/link.h"
+#include "saferegion/wire_format.h"
 #include "sim/server.h"
 
 namespace salarm {
@@ -130,21 +134,41 @@ TEST(FaultyChannelTest, OutageDurationsHaveAtLeastOneTick) {
 // ClientLink protocol behaviour against a hand-built world.
 // ---------------------------------------------------------------------------
 
-/// 4 km x 4 km world with one public alarm, mirroring strategies_test.cpp.
+/// One public alarm in the middle of the first cell's east neighbor,
+/// mirroring strategies_test.cpp.
+alarms::AlarmStore one_alarm_store() {
+  alarms::AlarmStore store;
+  alarms::SpatialAlarm alarm;
+  alarm.id = 0;
+  alarm.scope = alarms::AlarmScope::kPublic;
+  alarm.region = Rect(1400, 400, 1700, 700);
+  alarm.message = "test alert";
+  store.install(std::move(alarm));
+  return store;
+}
+
+/// 4 km x 4 km world with one public alarm served by a one-shard cluster,
+/// the server surface every ClientLink talks to.
 struct NetWorld {
-  NetWorld() : grid(Rect(0, 0, 4000, 4000), 4, 4), server(store, grid, metrics) {
-    alarms::SpatialAlarm alarm;
-    alarm.id = 0;
-    alarm.scope = alarms::AlarmScope::kPublic;
-    alarm.region = Rect(1400, 400, 1700, 700);
-    alarm.message = "test alert";
-    store.install(std::move(alarm));
+  NetWorld() { server.set_active_shard(0); }
+
+  const std::vector<alarms::TriggerEvent>& trigger_log() const {
+    return server.shard_server(0).trigger_log();
   }
 
-  alarms::AlarmStore store;
-  grid::GridOverlay grid;
+  grid::GridOverlay grid{Rect(0, 0, 4000, 4000), 4, 4};
+  cluster::ShardedServer server{one_alarm_store(), grid, /*shard_count=*/1,
+                                /*subscriber_count=*/2};
+  const sim::Metrics& metrics = server.shard_metrics(0);
+};
+
+/// The same world as a bare per-shard engine, for the engine-level tests
+/// that drive sim::Server directly.
+struct EngineWorld {
+  alarms::AlarmStore store = one_alarm_store();
+  grid::GridOverlay grid{Rect(0, 0, 4000, 4000), 4, 4};
   sim::Metrics metrics;
-  sim::Server server;
+  sim::Server server{store, grid, metrics};
 };
 
 TEST(ClientLinkTest, PerfectChannelIsPurePassThrough) {
@@ -242,20 +266,171 @@ TEST(ClientLinkTest, OutageBuffersReportsAndFlushFiresAtStampTicks) {
   link.finish();
   EXPECT_EQ(link.uplink_seq(0), 2u);
   EXPECT_EQ(w.metrics.uplink_messages, 2u);
-  ASSERT_EQ(w.server.trigger_log().size(), 1u);
-  EXPECT_EQ(w.server.trigger_log()[0].alarm, 0u);
-  EXPECT_EQ(w.server.trigger_log()[0].subscriber, 0u);
-  EXPECT_EQ(w.server.trigger_log()[0].tick, t);
+  ASSERT_EQ(w.trigger_log().size(), 1u);
+  EXPECT_EQ(w.trigger_log()[0].alarm, 0u);
+  EXPECT_EQ(w.trigger_log()[0].subscriber, 0u);
+  EXPECT_EQ(w.trigger_log()[0].tick, t);
   EXPECT_GT(link.link_metrics().net_lease_fallback_ticks, 0u);
   EXPECT_EQ(link.link_metrics().net_outages, 1u);
 }
+
+// ---------------------------------------------------------------------------
+// The request gate every ClientLink::request_* shares: outage, degraded
+// mode, and pure pass-through on a perfect channel.
+// ---------------------------------------------------------------------------
+
+enum class RequestKind { kRect, kRectCornerBaseline, kPyramid, kSafePeriod,
+                         kAlarmList };
+
+/// Inside the alarm's cell, so every kind of grant has an alarm to avoid.
+constexpr Point kGatePos{1100, 550};
+
+saferegion::MwpsrOptions gate_options(RequestKind kind) {
+  saferegion::MwpsrOptions options;
+  options.corner_baseline = kind == RequestKind::kRectCornerBaseline;
+  return options;
+}
+
+saferegion::PyramidConfig gate_pyramid() {
+  saferegion::PyramidConfig config;
+  config.height = 3;
+  return config;
+}
+
+/// A response flattened to exactly comparable numbers.
+using Response = std::optional<std::vector<double>>;
+
+std::vector<double> flatten(const saferegion::RectSafeRegion& r) {
+  return {r.rect.lo().x, r.rect.lo().y, r.rect.hi().x, r.rect.hi().y,
+          static_cast<double>(r.ops), r.inside_alarm ? 1.0 : 0.0};
+}
+std::vector<double> flatten(const saferegion::PyramidBitmap& b) {
+  const auto bytes = wire::encode(wire::PyramidSafeRegionMsg::from(b));
+  return std::vector<double>(bytes.begin(), bytes.end());
+}
+std::vector<double> flatten(double period) { return {period}; }
+std::vector<double> flatten(const std::vector<const alarms::SpatialAlarm*>& l) {
+  std::vector<double> ids;
+  for (const alarms::SpatialAlarm* a : l) ids.push_back(a->id);
+  return ids;
+}
+template <typename T>
+Response flatten(const std::optional<T>& r) {
+  if (!r.has_value()) return std::nullopt;
+  return flatten(*r);
+}
+
+Response request_through(net::ClientLink& link, RequestKind kind) {
+  switch (kind) {
+    case RequestKind::kRect:
+    case RequestKind::kRectCornerBaseline:
+      return flatten(link.request_rect_region(
+          0, kGatePos, 0.0, saferegion::MotionModel::uniform(),
+          gate_options(kind)));
+    case RequestKind::kPyramid:
+      return flatten(link.request_pyramid_region(0, kGatePos, gate_pyramid()));
+    case RequestKind::kSafePeriod:
+      return flatten(link.request_safe_period(0, kGatePos, 20.0, 1.0));
+    case RequestKind::kAlarmList:
+      return flatten(link.request_alarms(0, kGatePos));
+  }
+  return std::nullopt;
+}
+
+Response request_direct(cluster::ShardedServer& server, RequestKind kind) {
+  switch (kind) {
+    case RequestKind::kRect:
+    case RequestKind::kRectCornerBaseline:
+      return flatten(server.compute_rect_region(
+          0, kGatePos, 0.0, saferegion::MotionModel::uniform(),
+          gate_options(kind)));
+    case RequestKind::kPyramid:
+      return flatten(server.compute_pyramid_region(0, kGatePos,
+                                                   gate_pyramid()));
+    case RequestKind::kSafePeriod:
+      return flatten(server.compute_safe_period(0, kGatePos, 20.0, 1.0));
+    case RequestKind::kAlarmList:
+      return flatten(server.push_alarms(0, kGatePos));
+  }
+  return std::nullopt;
+}
+
+/// Every counter and distribution moment a grant request can touch.
+std::string metrics_fingerprint(const sim::Metrics& m) {
+  return m.to_string() + " uplink_bytes=" + std::to_string(m.uplink_bytes) +
+         " notice_bytes=" + std::to_string(m.downstream_notice_bytes) +
+         " payloads=" + std::to_string(m.region_payload_bytes.count()) +
+         " payload_sum=" + std::to_string(m.region_payload_bytes.sum());
+}
+
+class RequestGateTest : public ::testing::TestWithParam<RequestKind> {};
+
+TEST_P(RequestGateTest, ChannelOutageReturnsNullopt) {
+  NetWorld w;
+  net::ChannelConfig c;
+  c.outage_start_per_tick = 0.9;
+  c.outage_mean_ticks = 50.0;
+  net::ClientLink link(w.server, c, 19, 1);
+  for (std::uint64_t t = 1; t < 100 && !link.in_outage(0); ++t) {
+    link.begin_tick(t);
+  }
+  ASSERT_TRUE(link.in_outage(0));
+  EXPECT_FALSE(request_through(link, GetParam()).has_value());
+}
+
+TEST_P(RequestGateTest, DownShardReturnsNulloptAndChargesNoServerWork) {
+  NetWorld w;
+  const failover::CrashPlan plan(
+      std::vector<std::vector<failover::CrashWindow>>{{{2, 5}}}, 10);
+  w.server.enable_failover(failover::FailoverConfig{}, plan);
+  net::ClientLink link(w.server, net::ChannelConfig{}, 1, 1);
+  link.attach_failover(w.server.map(), plan);
+  w.server.begin_failover_tick(2);
+  ASSERT_TRUE(w.server.shard_down(0));
+  const std::vector<mobility::VehicleSample> samples{{kGatePos, 0.0, 0.0}};
+  link.begin_tick(2, samples);
+
+  const std::string before = metrics_fingerprint(w.metrics);
+  EXPECT_FALSE(request_through(link, GetParam()).has_value());
+  EXPECT_EQ(metrics_fingerprint(w.metrics), before);
+}
+
+TEST_P(RequestGateTest, PerfectChannelReturnsExactlyTheDirectCall) {
+  NetWorld via_link;
+  NetWorld direct;
+  net::ClientLink link(via_link.server, net::ChannelConfig{}, 1, 1);
+  const Response got = request_through(link, GetParam());
+  const Response want = request_direct(direct.server, GetParam());
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(via_link.metrics.safe_region_recomputes, 1u);
+  EXPECT_EQ(metrics_fingerprint(via_link.metrics),
+            metrics_fingerprint(direct.metrics));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllRequestKinds, RequestGateTest,
+    ::testing::Values(RequestKind::kRect, RequestKind::kRectCornerBaseline,
+                      RequestKind::kPyramid, RequestKind::kSafePeriod,
+                      RequestKind::kAlarmList),
+    [](const ::testing::TestParamInfo<RequestKind>& info) {
+      switch (info.param) {
+        case RequestKind::kRect: return std::string("Rect");
+        case RequestKind::kRectCornerBaseline:
+          return std::string("RectCornerBaseline");
+        case RequestKind::kPyramid: return std::string("Pyramid");
+        case RequestKind::kSafePeriod: return std::string("SafePeriod");
+        case RequestKind::kAlarmList: return std::string("AlarmList");
+      }
+      return std::string("Unknown");
+    });
 
 // ---------------------------------------------------------------------------
 // Temporal evaluation of buffered reports against alarm churn.
 // ---------------------------------------------------------------------------
 
 TEST(BufferedUpdateTest, IgnoresAlarmsInstalledAfterTheStamp) {
-  NetWorld w;
+  EngineWorld w;
   w.server.enable_dynamics(1);
   alarms::SpatialAlarm late;
   late.id = 9;
@@ -273,7 +448,7 @@ TEST(BufferedUpdateTest, IgnoresAlarmsInstalledAfterTheStamp) {
 }
 
 TEST(BufferedUpdateTest, RemovedAlarmStillFiresFromTheGraveyard) {
-  NetWorld w;
+  EngineWorld w;
   w.server.enable_dynamics(1);
   ASSERT_TRUE(w.server.remove_alarm(0, /*tick=*/5));
 

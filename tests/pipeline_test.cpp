@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "alarms/alarm_store.h"
+#include "cluster/sharded_server.h"
 #include "core/experiment.h"
 #include "dynamics/churn.h"
 #include "grid/grid_overlay.h"
@@ -88,10 +89,11 @@ struct GoldenWorkload {
 };
 
 /// The pre-pipeline Simulation::run body, preserved verbatim (modulo the
-/// oracle scoring, which the caller does not need): one monolithic
-/// sim::Server, a serial churn + graveyard + channel prologue per tick,
-/// then the in-order subscriber loop. This is the behavioral baseline the
-/// unified pipeline must reproduce bit-for-bit.
+/// oracle scoring, which the caller does not need): a serial churn +
+/// graveyard + channel prologue per tick, then the in-order subscriber
+/// loop, driving a one-shard cluster::ShardedServer (the only server a
+/// ClientLink accepts). This is the behavioral baseline the unified
+/// pipeline must reproduce bit-for-bit.
 sim::RunResult reference_monolithic_run(
     mobility::PositionSource& source, alarms::AlarmStore& store,
     const grid::GridOverlay& grid, std::size_t ticks,
@@ -103,7 +105,9 @@ sim::RunResult reference_monolithic_run(
   source.reset();
 
   sim::RunResult result;
-  sim::Server server(store, grid, result.metrics);
+  cluster::ShardedServer server(store, grid, /*shard_count=*/1,
+                                source.vehicle_count());
+  server.set_active_shard(0);
   if (churn != nullptr) {
     server.enable_dynamics(source.vehicle_count());
     churn->reset();
@@ -127,7 +131,7 @@ sim::RunResult reference_monolithic_run(
               (void)server.remove_alarm(e.id, t);
             }
           });
-      (void)server.compact_graveyard(link.min_pending_stamp(t));
+      (void)server.compact_graveyards(link.min_pending_stamp(t));
     }
     link.begin_tick(t);
     const auto& samples = source.samples();
@@ -137,8 +141,9 @@ sim::RunResult reference_monolithic_run(
   }
   link.finish();
 
+  result.metrics = server.shard_metrics(0);
   result.metrics.merge(link.link_metrics());
-  result.trigger_log = server.trigger_log();
+  result.trigger_log = server.shard_server(0).trigger_log();
   std::sort(result.trigger_log.begin(), result.trigger_log.end());
   store.reset_triggers();
   return result;

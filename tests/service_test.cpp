@@ -33,6 +33,25 @@ TEST(SpatialAlarmServiceTest, InstallAssignsDenseIds) {
   EXPECT_EQ(service.alarm_count(), 1u);
 }
 
+TEST(SpatialAlarmServiceTest, RejectedInstallDoesNotConsumeAnId) {
+  SpatialAlarmService service(test_config());
+  const auto a = service.install(alarms::AlarmScope::kPublic, 0,
+                                 Rect(100, 100, 300, 300));
+  // Zero-area region inside the universe: the store rejects it.
+  EXPECT_THROW(service.install(alarms::AlarmScope::kPublic, 0,
+                               Rect(500, 500, 500, 700)),
+               PreconditionError);
+  // A public alarm may not carry a subscriber list.
+  EXPECT_THROW(service.install(alarms::AlarmScope::kPublic, 0,
+                               Rect(500, 500, 700, 700), {1, 2}),
+               PreconditionError);
+  const auto b = service.install(alarms::AlarmScope::kPublic, 0,
+                                 Rect(500, 500, 700, 700));
+  EXPECT_EQ(a, 0u);
+  EXPECT_EQ(b, 1u);  // the next dense id
+  EXPECT_EQ(service.alarm_count(), 2u);
+}
+
 TEST(SpatialAlarmServiceTest, RejectsOutOfUniverseInput) {
   SpatialAlarmService service(test_config());
   EXPECT_THROW(service.install(alarms::AlarmScope::kPublic, 0,

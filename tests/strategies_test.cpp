@@ -1,13 +1,14 @@
 // Behavioral unit tests of the five processing strategies against a
-// hand-built world (store + grid + server behind a perfect link), independent of the trace
-// generator: exactly when does each strategy talk to the server, what does
-// it cost, and how does it react to triggers.
+// hand-built world (alarms + grid + one-shard cluster behind a perfect
+// link), independent of the trace generator: exactly when does each
+// strategy talk to the server, what does it cost, and how does it react to
+// triggers.
 #include <gtest/gtest.h>
 
 #include "alarms/alarm_store.h"
+#include "cluster/sharded_server.h"
 #include "grid/grid_overlay.h"
 #include "net/link.h"
-#include "sim/server.h"
 #include "strategies/bitmap_region_strategy.h"
 #include "strategies/optimal.h"
 #include "strategies/periodic.h"
@@ -20,26 +21,35 @@ namespace {
 using geo::Point;
 using geo::Rect;
 
-/// A 4 km x 4 km world with 1 km cells and one public alarm in the middle
-/// of the first cell's east neighbor.
+/// The world's one public alarm, in the middle of the first cell's east
+/// neighbor.
+alarms::AlarmStore one_alarm_store() {
+  alarms::AlarmStore store;
+  alarms::SpatialAlarm alarm;
+  alarm.id = 0;
+  alarm.scope = alarms::AlarmScope::kPublic;
+  alarm.region = Rect(1400, 400, 1700, 700);
+  alarm.message = "test alert";
+  store.install(std::move(alarm));
+  return store;
+}
+
+/// A 4 km x 4 km world with 1 km cells served by a one-shard cluster over
+/// `alarms` (installed before the cluster slices them).
 struct World {
-  World() : grid(Rect(0, 0, 4000, 4000), 4, 4), server(store, grid, metrics) {
-    alarms::SpatialAlarm alarm;
-    alarm.id = 0;
-    alarm.scope = alarms::AlarmScope::kPublic;
-    alarm.region = Rect(1400, 400, 1700, 700);
-    alarm.message = "test alert";
-    store.install(std::move(alarm));
+  explicit World(const alarms::AlarmStore& alarms = one_alarm_store())
+      : server(alarms, grid, /*shard_count=*/1, /*subscriber_count=*/8) {
+    server.set_active_shard(0);
   }
 
   mobility::VehicleSample at(double x, double y, double heading = 0.0) {
     return {{x, y}, heading, 15.0};
   }
 
-  alarms::AlarmStore store;
-  grid::GridOverlay grid;
-  sim::Metrics metrics;
-  sim::Server server;
+  grid::GridOverlay grid{Rect(0, 0, 4000, 4000), 4, 4};
+  cluster::ShardedServer server;
+  const sim::Metrics& metrics = server.shard_metrics(0);
+  const alarms::AlarmStore& store = server.shard_store(0);
   /// Perfect pass-through link (all-zero ChannelConfig): these tests pin
   /// down strategy behaviour; the faulty-channel behaviour lives in
   /// net_test.cpp.
@@ -79,8 +89,7 @@ TEST(SafePeriodStrategyTest, StaysSilentUntilExpiry) {
 }
 
 TEST(SafePeriodStrategyTest, NoRelevantAlarmsMeansOneMessageEver) {
-  World w;
-  w.store.mark_spent(0, 0);  // the only alarm is spent for subscriber 0
+  World w{alarms::AlarmStore{}};  // no alarm relevant to subscriber 0
   SafePeriodStrategy sp(w.link, 1, 20.0, 1.0);
   sp.initialize(0, w.at(100, 100));
   for (std::uint64_t t = 1; t <= 500; ++t) {
@@ -232,8 +241,11 @@ TEST(StrategyNamesTest, ReportCorrectly) {
                                non_weighted)
                 .name(),
             "RECT");
+  saferegion::MwpsrOptions corner_baseline;
+  corner_baseline.corner_baseline = true;
   EXPECT_EQ(RectRegionStrategy(w.link, 1,
-                               saferegion::MotionModel::uniform(), {}, true)
+                               saferegion::MotionModel::uniform(),
+                               corner_baseline)
                 .name(),
             "RECT[10]");
   saferegion::PyramidConfig gbsr;
