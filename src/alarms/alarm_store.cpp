@@ -135,22 +135,27 @@ std::vector<const SpatialAlarm*> AlarmStore::public_in_window(
   return out;
 }
 
-std::vector<AlarmId> AlarmStore::process_position(
-    SubscriberId s, geo::Point p, std::uint64_t tick,
-    std::vector<TriggerEvent>* log,
-    const std::function<bool(AlarmId)>& filter) {
-  std::vector<AlarmId> fired;
-  tree_.visit(geo::Rect(p, p), [&](const index::Entry& e) {
+std::uint64_t AlarmStore::probe_position(SubscriberId s, geo::Point p,
+                                         std::vector<AlarmId>& fired) const {
+  return tree_.probe(p, [&](const index::Entry& e) {
     const SpatialAlarm& a = alarms_[slot_of_[static_cast<AlarmId>(e.id)]];
-    if (filter && !filter(a.id)) return true;
     // Open-interior trigger semantics: the alarm fires when the subscriber
     // enters the interior of the region; merely touching the boundary does
     // not (and safe regions may legally share that boundary).
     if (relevant(a, s) && a.region.interior_contains(p)) fired.push_back(a.id);
     return true;
   });
+}
+
+std::vector<AlarmId> AlarmStore::process_position(
+    SubscriberId s, geo::Point p, std::uint64_t tick,
+    std::vector<TriggerEvent>* log,
+    const std::function<bool(AlarmId)>& filter) {
+  std::vector<AlarmId> fired;
+  tree_.add_node_accesses(probe_position(s, p, fired));
+  if (filter) std::erase_if(fired, [&](AlarmId id) { return !filter(id); });
   for (const AlarmId id : fired) {
-    spent_.insert(spend_key(id, s));
+    mark_spent(id, s);
     if (log != nullptr) log->push_back({id, s, tick});
   }
   return fired;

@@ -112,13 +112,22 @@ class AlarmStore {
   std::vector<const SpatialAlarm*> public_in_window(
       const geo::Rect& window) const;
 
-  /// Server-side alarm processing of one position update: fires every
-  /// relevant alarm whose region contains p, marks the pairs spent, and
-  /// returns the fired alarm ids (empty in the common case). A non-empty
-  /// `filter` restricts evaluation to alarms it accepts — the buffered-
-  /// report path (sim/server.h handle_buffered_update) uses it to evaluate
-  /// a late report only against alarms already installed at its original
-  /// tick.
+  /// The read-only half of alarm processing: appends to `fired` the id of
+  /// every alarm relevant to s whose region interior contains p, in index
+  /// visit order, and returns the R*-tree node accesses the probe made.
+  /// Neither the trigger state nor index_node_accesses() changes, so
+  /// threads may probe a store that no thread mutates concurrently (the
+  /// parallel oracle, sim/oracle.h); the caller accounts the accesses
+  /// (add_index_node_accesses). Allocates only when `fired` must grow.
+  std::uint64_t probe_position(SubscriberId s, geo::Point p,
+                               std::vector<AlarmId>& fired) const;
+
+  /// Server-side alarm processing of one position update: probe_position,
+  /// then marks the fired pairs spent and returns their alarm ids (empty
+  /// in the common case, which allocates nothing). A non-empty `filter`
+  /// restricts evaluation to alarms it accepts — the buffered-report path
+  /// (sim/server.h handle_buffered_update) uses it to evaluate a late
+  /// report only against alarms already installed at its original tick.
   std::vector<AlarmId> process_position(
       SubscriberId s, geo::Point p, std::uint64_t tick,
       std::vector<TriggerEvent>* log,
@@ -151,6 +160,7 @@ class AlarmStore {
   /// cost model reads and resets this.
   std::uint64_t index_node_accesses() const { return tree_.node_accesses(); }
   void reset_index_node_accesses() { tree_.reset_node_accesses(); }
+  void add_index_node_accesses(std::uint64_t n) { tree_.add_node_accesses(n); }
 
  private:
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);

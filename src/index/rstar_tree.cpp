@@ -1,6 +1,7 @@
 #include "index/rstar_tree.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <queue>
@@ -604,24 +605,39 @@ void RStarTree::condense(Node* leaf) {
 // Queries
 // ---------------------------------------------------------------------------
 
-void RStarTree::visit(const geo::Rect& window,
-                      const std::function<bool(const Entry&)>& visitor) const {
-  if (size_ == 0) return;
-  std::vector<const Node*> stack{root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    ++node_accesses_;
+template <class Hit>
+std::uint64_t RStarTree::descend(const Hit& hit, EntryVisitor visitor) const {
+  if (size_ == 0) return 0;
+  SALARM_ASSERT(height() * capacity_ <= kTraversalStack,
+                "tree too tall for the fixed traversal stack");
+  std::array<const Node*, kTraversalStack> stack;  // only [0, top) is read
+  std::size_t top = 0;
+  stack[top++] = root_.get();
+  std::uint64_t accesses = 0;
+  while (top > 0) {
+    const Node* node = stack[--top];
+    ++accesses;
     if (node->leaf()) {
       for (const Entry& e : node->entries) {
-        if (e.rect.intersects(window) && !visitor(e)) return;
+        if (hit(e.rect) && !visitor(e)) return accesses;
       }
     } else {
       for (const auto& child : node->children) {
-        if (child->mbr.intersects(window)) stack.push_back(child.get());
+        if (hit(child->mbr)) stack[top++] = child.get();
       }
     }
   }
+  return accesses;
+}
+
+void RStarTree::visit(const geo::Rect& window, EntryVisitor visitor) const {
+  node_accesses_ += descend(
+      [&window](const geo::Rect& r) { return r.intersects(window); },
+      visitor);
+}
+
+std::uint64_t RStarTree::probe(geo::Point p, EntryVisitor visitor) const {
+  return descend([p](const geo::Rect& r) { return r.contains(p); }, visitor);
 }
 
 std::vector<Entry> RStarTree::search(const geo::Rect& window) const {

@@ -14,11 +14,19 @@
 //
 // Every node visit increments an accesses counter; the simulator's server
 // cost model is built on these counts, so they are part of the public API.
+//
+// Window visits and point probes share one heap-free traversal: a LIFO
+// descent over a fixed on-stack node stack (bounded by height × node
+// capacity) that reports hits through a non-owning EntryVisitor, so the
+// hot server and oracle paths allocate nothing. probe() is const in the
+// strong sense — it returns its node accesses instead of counting them —
+// so threads may probe a tree nobody mutates concurrently.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "geometry/point.h"
@@ -36,6 +44,28 @@ struct Entry {
 struct Neighbor {
   Entry entry;
   double distance = 0.0;  ///< Euclidean distance from query point to rect.
+};
+
+/// Non-owning, allocation-free reference to a `bool(const Entry&)`
+/// callable (the visitor of RStarTree::visit/probe). It must not outlive
+/// the callable; passing a lambda straight into the call is the intended
+/// use.
+class EntryVisitor {
+ public:
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, EntryVisitor> &&
+             std::is_invocable_r_v<bool, F&, const Entry&>)
+  EntryVisitor(F&& f) noexcept
+      : object_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* object, const Entry& e) -> bool {
+          return (*static_cast<std::remove_reference_t<F>*>(object))(e);
+        }) {}
+
+  bool operator()(const Entry& e) const { return call_(object_, e); }
+
+ private:
+  void* object_;
+  bool (*call_)(void*, const Entry&);
 };
 
 /// R*-tree over rectangle entries.
@@ -80,9 +110,17 @@ class RStarTree {
   std::vector<Entry> search(geo::Point p) const;
 
   /// Visits entries intersecting the window; the visitor returns false to
-  /// stop early. Avoids allocation on the hot server path.
-  void visit(const geo::Rect& window,
-             const std::function<bool(const Entry&)>& visitor) const;
+  /// stop early. Allocates nothing; the nodes read are added to
+  /// node_accesses().
+  void visit(const geo::Rect& window, EntryVisitor visitor) const;
+
+  /// Point probe: visits the entries whose rect (closed) contains p, in the
+  /// same node order as visit(Rect(p, p)), and returns the number of nodes
+  /// read — exactly what that visit would add to node_accesses(). The
+  /// counter itself is left alone, so concurrent probes of a tree that no
+  /// thread mutates are race-free; the caller accounts the returned count
+  /// (add_node_accesses). Allocates nothing.
+  std::uint64_t probe(geo::Point p, EntryVisitor visitor) const;
 
   /// The k nearest entries to p by rectangle distance, closest first
   /// (best-first search over the tree). Fewer than k when the tree is
@@ -102,6 +140,7 @@ class RStarTree {
   /// paths). Mutable statistics, not part of logical state.
   std::uint64_t node_accesses() const { return node_accesses_; }
   void reset_node_accesses() { node_accesses_ = 0; }
+  void add_node_accesses(std::uint64_t n) { node_accesses_ += n; }
 
   /// Verifies structural invariants (MBR correctness, fill factors, uniform
   /// leaf depth). Throws InvariantError on violation. Test hook.
@@ -109,6 +148,17 @@ class RStarTree {
 
  private:
   struct Node;
+
+  /// Fixed depth of the on-stack traversal stack. A LIFO descent holds at
+  /// most node-capacity entries per level, so height() × capacity must fit
+  /// (asserted per traversal).
+  static constexpr std::size_t kTraversalStack = 1024;
+
+  /// The shared visit/probe traversal: descends into every node whose MBR
+  /// `hit` accepts, reports accepted leaf entries to the visitor (false
+  /// stops), and returns the number of nodes read.
+  template <class Hit>
+  std::uint64_t descend(const Hit& hit, EntryVisitor visitor) const;
 
   void insert_entry(const Entry& entry, std::size_t target_level,
                     std::vector<bool>& reinserted);

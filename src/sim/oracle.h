@@ -6,6 +6,18 @@
 // position of every tick against the full relevant alarm set, producing
 // the reference trigger sequence each strategy must reproduce exactly
 // (100% accuracy requirement).
+//
+// Each tick runs in three steps. The calling thread steps the trace and
+// applies churn (serial). Fixed 512-subscriber chunks are then probed in
+// parallel on a cluster::ParallelTickExecutor sized min(usable cores,
+// chunks): each task runs the read-only AlarmStore::probe_position into
+// buffers sized by the calling thread and counts node accesses per chunk,
+// allocating nothing. Finally the calling thread merges the chunks in
+// subscriber order, marking each fired pair spent and logging it. Triggers
+// are one-shot per (alarm, subscriber) and every subscriber is probed once
+// per tick, so no probe can observe another probe's spend: the events
+// (in (tick, subscriber, visit) order) and the node-access total are
+// bit-identical to a serial process_position loop at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +56,7 @@ struct AccuracyReport {
   std::size_t expected = 0;
   std::size_t observed = 0;
   std::size_t missed = 0;    ///< in oracle, not in strategy
-  std::size_t spurious = 0;  ///< in strategy, not in oracle
+  std::size_t spurious = 0;  ///< in strategy, not in oracle; or a repeat
   std::size_t late = 0;      ///< right pair, later tick
 
   bool perfect() const { return missed == 0 && spurious == 0 && late == 0; }

@@ -42,6 +42,18 @@ TEST(CompareTriggersTest, DetectsSpurious) {
   EXPECT_EQ(report.missed, 0u);
 }
 
+TEST(CompareTriggersTest, DetectsDuplicateFire) {
+  // Triggers are one-shot per (alarm, subscriber): a strategy that fires a
+  // pair twice is wrong even though the first fire matches the oracle.
+  const std::vector<TriggerEvent> expected{{1, 2, 10}, {3, 4, 20}};
+  const std::vector<TriggerEvent> observed{{1, 2, 10}, {3, 4, 20}, {1, 2, 15}};
+  const auto report = compare_triggers(expected, observed);
+  EXPECT_FALSE(report.perfect());
+  EXPECT_EQ(report.spurious, 1u);
+  EXPECT_EQ(report.missed, 0u);
+  EXPECT_EQ(report.late, 0u);
+}
+
 TEST(CompareTriggersTest, DetectsLate) {
   const std::vector<TriggerEvent> expected{{1, 2, 10}};
   const std::vector<TriggerEvent> observed{{1, 2, 12}};
