@@ -1,6 +1,10 @@
 #include "saferegion/wire_format.h"
 
-#include <cstring>
+#include <bit>
+#include <concepts>
+#include <limits>
+#include <type_traits>
+#include <utility>
 
 #include "common/error.h"
 
@@ -8,266 +12,482 @@ namespace salarm::wire {
 
 namespace {
 
-/// Little-endian byte writer.
-class ByteWriter {
+// Every layout below is written once, as a `fields(io, m)` list. Three
+// visitors walk the lists: Writer appends the bytes, Reader parses them
+// back with bounds checks, Sizer counts them. Lists take `m` as const for
+// Writer and Sizer and as mutable for Reader.
+//
+// Visitor operations:
+//   type(t)                  leading message-type byte
+//   num<W>(v)                v as a little-endian W (double = IEEE-754 bits)
+//   text(s)                  u16 length, then the bytes of s
+//   seq<W>(v, item_fields)   W item count, then each item's fields
+//   payload(bytes, n)        exactly n raw bytes
+//   check(ok, what)          decode-time value check (no-op on encode)
+
+/// Counts the bytes Writer would append.
+class Sizer {
  public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u16(std::uint16_t v) {
-    for (int i = 0; i < 2; ++i) bytes_.push_back((v >> (8 * i)) & 0xFF);
+  void type(MessageType) { size_ += 1; }
+  template <class W, class T>
+  void num(const T&) {
+    size_ += sizeof(W);
   }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) bytes_.push_back((v >> (8 * i)) & 0xFF);
+  void text(const std::string& s) { size_ += 2 + s.size(); }
+  template <class W, class V, class F>
+  void seq(const V& v, F item_fields) {
+    size_ += sizeof(W);
+    for (const auto& item : v) item_fields(*this, item);
   }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) bytes_.push_back((v >> (8 * i)) & 0xFF);
+  void payload(const std::vector<std::uint8_t>& bytes, std::size_t) {
+    size_ += bytes.size();
   }
-  void f64(double v) {
-    std::uint64_t raw;
-    std::memcpy(&raw, &v, sizeof(raw));
-    for (int i = 0; i < 8; ++i) bytes_.push_back((raw >> (8 * i)) & 0xFF);
+  void check(bool, const char*) {}
+
+  std::size_t size() const { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+};
+
+/// Appends little-endian fields to a buffer reserved to the exact size.
+class Writer {
+ public:
+  explicit Writer(std::size_t size) { bytes_.reserve(size); }
+
+  void type(MessageType t) { put(static_cast<std::uint8_t>(t)); }
+  template <class W, class T>
+  void num(const T& v) {
+    put(static_cast<W>(v));
   }
-  void raw(std::span<const std::uint8_t> data) {
-    bytes_.insert(bytes_.end(), data.begin(), data.end());
+  void text(const std::string& s) {
+    count<std::uint16_t>(s.size());
+    bytes_.insert(bytes_.end(), s.begin(), s.end());
   }
+  template <class W, class V, class F>
+  void seq(const V& v, F item_fields) {
+    count<W>(v.size());
+    for (const auto& item : v) item_fields(*this, item);
+  }
+  void payload(const std::vector<std::uint8_t>& bytes, std::size_t n) {
+    SALARM_REQUIRE(bytes.size() == n, "payload size does not match its count");
+    bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
+  }
+  void check(bool, const char*) {}
+
   std::vector<std::uint8_t> take() && { return std::move(bytes_); }
 
  private:
+  template <class W>
+  void count(std::size_t n) {
+    SALARM_REQUIRE(n <= std::numeric_limits<W>::max(),
+                   "list too long for its count field");
+    put(static_cast<W>(n));
+  }
+  template <class W>
+  void put(W v) {
+    std::uint64_t raw;
+    if constexpr (std::is_same_v<W, double>) {
+      raw = std::bit_cast<std::uint64_t>(v);
+    } else {
+      raw = v;
+    }
+    for (std::size_t i = 0; i < sizeof(W); ++i) {
+      bytes_.push_back(static_cast<std::uint8_t>(raw >> (8 * i)));
+    }
+  }
+
   std::vector<std::uint8_t> bytes_;
 };
 
-/// Little-endian byte reader with bounds checking.
-class ByteReader {
+/// Parses little-endian fields with bounds checking; malformed input throws
+/// PreconditionError.
+class Reader {
  public:
-  explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
-  std::uint8_t u8() {
-    SALARM_REQUIRE(pos_ + 1 <= bytes_.size(), "message truncated");
-    return bytes_[pos_++];
+  void type(MessageType t) {
+    SALARM_REQUIRE(get<std::uint8_t>() == static_cast<std::uint8_t>(t),
+                   "unexpected message type");
   }
-  std::uint16_t u16() {
-    SALARM_REQUIRE(pos_ + 2 <= bytes_.size(), "message truncated");
-    const auto v = static_cast<std::uint16_t>(
-        bytes_[pos_] | (static_cast<std::uint16_t>(bytes_[pos_ + 1]) << 8));
-    pos_ += 2;
-    return v;
+  template <class W, class T>
+  void num(T& v) {
+    v = static_cast<T>(get<W>());
   }
-  std::uint32_t u32() {
-    SALARM_REQUIRE(pos_ + 4 <= bytes_.size(), "message truncated");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return v;
+  void text(std::string& s) {
+    const auto src = take(count<std::uint16_t>(1));
+    s.assign(src.begin(), src.end());
   }
-  std::uint64_t u64() {
-    SALARM_REQUIRE(pos_ + 8 <= bytes_.size(), "message truncated");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return v;
+  /// A corrupted (or hostile) count is rejected before the resize: no
+  /// item encodes in fewer bytes than a default-constructed one.
+  template <class W, class V, class F>
+  void seq(V& v, F item_fields) {
+    const typename V::value_type smallest{};
+    Sizer min_item;
+    item_fields(min_item, smallest);
+    v.resize(count<W>(min_item.size()));
+    for (auto& item : v) item_fields(*this, item);
   }
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-  double f64() {
-    SALARM_REQUIRE(pos_ + 8 <= bytes_.size(), "message truncated");
-    std::uint64_t raw = 0;
-    for (int i = 0; i < 8; ++i) {
-      raw |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    double v;
-    std::memcpy(&v, &raw, sizeof(v));
-    return v;
+  void payload(std::vector<std::uint8_t>& bytes, std::size_t n) {
+    const auto src = take(n);
+    bytes.assign(src.begin(), src.end());
   }
-  std::vector<std::uint8_t> raw(std::size_t n) {
-    SALARM_REQUIRE(pos_ + n <= bytes_.size(), "message truncated");
-    std::vector<std::uint8_t> out(bytes_.begin() + static_cast<long>(pos_),
-                                  bytes_.begin() + static_cast<long>(pos_ + n));
-    pos_ += n;
-    return out;
-  }
+  void check(bool ok, const char* what) { SALARM_REQUIRE(ok, what); }
+
   void expect_done() const {
     SALARM_REQUIRE(pos_ == bytes_.size(), "trailing bytes in message");
   }
 
  private:
+  template <class W>
+  std::size_t count(std::size_t min_item_bytes) {
+    const std::size_t n = get<W>();
+    SALARM_REQUIRE(n <= (bytes_.size() - pos_) / min_item_bytes,
+                   "list count exceeds payload");
+    return n;
+  }
+  std::span<const std::uint8_t> take(std::size_t n) {
+    SALARM_REQUIRE(n <= bytes_.size() - pos_, "message truncated");
+    const auto out = bytes_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
+  template <class W>
+  W get() {
+    const auto src = take(sizeof(W));
+    std::uint64_t raw = 0;
+    for (std::size_t i = 0; i < sizeof(W); ++i) {
+      raw |= static_cast<std::uint64_t>(src[i]) << (8 * i);
+    }
+    if constexpr (std::is_same_v<W, double>) {
+      return std::bit_cast<double>(raw);
+    } else {
+      return static_cast<W>(raw);
+    }
+  }
+
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
 };
 
-void write_string(ByteWriter& w, const std::string& s) {
-  SALARM_REQUIRE(s.size() <= 0xFFFF, "message string too long");
-  w.u16(static_cast<std::uint16_t>(s.size()));
-  w.raw({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+template <class IO, class T>
+void u8(IO& io, T& v) {
+  io.template num<std::uint8_t>(v);
+}
+template <class IO, class T>
+void u32(IO& io, T& v) {
+  io.template num<std::uint32_t>(v);
+}
+template <class IO, class T>
+void u64(IO& io, T& v) {
+  io.template num<std::uint64_t>(v);
+}
+template <class IO, class T>
+void f64(IO& io, T& v) {
+  io.template num<double>(v);
+}
+template <class W, class IO, class V, class F>
+void seq(IO& io, V& v, F item_fields) {
+  io.template seq<W>(v, item_fields);
 }
 
-std::string read_string(ByteReader& r) {
-  const std::uint16_t n = r.u16();
-  const auto bytes = r.raw(n);
-  return std::string(bytes.begin(), bytes.end());
+/// `M` is `T` or `const T`.
+template <class M, class T>
+concept Of = std::same_as<std::remove_const_t<M>, T>;
+
+// --------------------------------------------------------------------------
+// Nested records.
+// --------------------------------------------------------------------------
+
+template <class IO, Of<geo::Rect> R>
+void fields(IO& io, R& r) {
+  double c[] = {r.lo().x, r.lo().y, r.hi().x, r.hi().y};
+  for (double& v : c) f64(io, v);
+  if constexpr (!std::is_const_v<R>) r = geo::Rect(c[0], c[1], c[2], c[3]);
 }
 
-void write_rect(ByteWriter& w, const geo::Rect& r) {
-  w.f64(r.lo().x);
-  w.f64(r.lo().y);
-  w.f64(r.hi().x);
-  w.f64(r.hi().y);
+/// Full alarm descriptor inside checkpoint and journal records.
+template <class IO, Of<alarms::SpatialAlarm> M>
+void fields(IO& io, M& a) {
+  u32(io, a.id);
+  u8(io, a.scope);
+  io.check(a.scope <= alarms::AlarmScope::kPublic, "unknown alarm scope");
+  u32(io, a.owner);
+  fields(io, a.region);
+  seq<std::uint16_t>(io, a.subscribers, [](auto& io, auto& s) { u32(io, s); });
+  io.text(a.message);
 }
 
-geo::Rect read_rect(ByteReader& r) {
-  const double lx = r.f64();
-  const double ly = r.f64();
-  const double hx = r.f64();
-  const double hy = r.f64();
-  return geo::Rect(lx, ly, hx, hy);
+template <class IO, Of<AlarmPushMsg::Item> M>
+void fields(IO& io, M& m) {
+  u32(io, m.id);
+  fields(io, m.region);
+  io.text(m.message);
 }
 
-void check_type(ByteReader& r, MessageType expected) {
-  SALARM_REQUIRE(r.u8() == static_cast<std::uint8_t>(expected),
-                 "unexpected message type");
+template <class IO, Of<ShardCheckpointMsg::AlarmRec> M>
+void fields(IO& io, M& m) {
+  fields(io, m.alarm);
+  u64(io, m.installed_at);
 }
 
-constexpr std::size_t kRectBytes = 4 * 8;
-
-// Full alarm descriptor inside checkpoint / journal records:
-// id(4) scope(1) owner(4) rect(32) sub-count(2) subscribers(4 each)
-// msg-len(2) message. At least 45 bytes.
-constexpr std::size_t kMinAlarmBytes = 4 + 1 + 4 + kRectBytes + 2 + 2;
-
-void write_alarm(ByteWriter& w, const alarms::SpatialAlarm& a) {
-  w.u32(a.id);
-  w.u8(static_cast<std::uint8_t>(a.scope));
-  w.u32(a.owner);
-  write_rect(w, a.region);
-  SALARM_REQUIRE(a.subscribers.size() <= 0xFFFF,
-                 "alarm subscriber list too long");
-  w.u16(static_cast<std::uint16_t>(a.subscribers.size()));
-  for (const alarms::SubscriberId s : a.subscribers) w.u32(s);
-  write_string(w, a.message);
+template <class IO, Of<ShardCheckpointMsg::TombRec> M>
+void fields(IO& io, M& m) {
+  fields(io, m.alarm);
+  u64(io, m.installed_at);
+  u64(io, m.removed_at);
+  io.check(m.removed_at > m.installed_at, "checkpoint tomb lifetime is empty");
 }
 
-alarms::SpatialAlarm read_alarm(ByteReader& r) {
-  alarms::SpatialAlarm a;
-  a.id = r.u32();
-  const std::uint8_t scope = r.u8();
-  SALARM_REQUIRE(scope <= 2, "unknown alarm scope");
-  a.scope = static_cast<alarms::AlarmScope>(scope);
-  a.owner = r.u32();
-  a.region = read_rect(r);
-  const std::uint16_t count = r.u16();
-  SALARM_REQUIRE(static_cast<std::size_t>(count) * 4 <= r.remaining(),
-                 "alarm subscriber list exceeds payload");
-  a.subscribers.reserve(count);
-  for (std::uint16_t i = 0; i < count; ++i) a.subscribers.push_back(r.u32());
-  a.message = read_string(r);
-  return a;
+template <class IO, Of<ShardCheckpointMsg::SpentRec> M>
+void fields(IO& io, M& m) {
+  u32(io, m.alarm);
+  u32(io, m.subscriber);
 }
 
-std::size_t alarm_size(const alarms::SpatialAlarm& a) {
-  return kMinAlarmBytes + 4 * a.subscribers.size() + a.message.size();
+template <class IO, Of<ShardCheckpointMsg::GrantRec> M>
+void fields(IO& io, M& m) {
+  u32(io, m.subscriber);
+  u8(io, m.kind);
+  io.check(m.kind <= 3, "unknown grant kind");
+  fields(io, m.bounds);
+}
+
+/// Item visitor for list fields whose items have a field list of their own.
+constexpr auto record = [](auto& io, auto& item) { fields(io, item); };
+
+// --------------------------------------------------------------------------
+// Messages.
+// --------------------------------------------------------------------------
+
+template <class IO, Of<PositionUpdate> M>
+void fields(IO& io, M& m) {
+  io.type(MessageType::kPositionUpdate);
+  u32(io, m.subscriber);
+  u32(io, m.seq);
+  f64(io, m.position.x);
+  f64(io, m.position.y);
+  f64(io, m.time_s);
+}
+
+template <class IO, Of<RectSafeRegionMsg> M>
+void fields(IO& io, M& m) {
+  io.type(MessageType::kRectSafeRegion);
+  fields(io, m.rect);
+}
+
+template <class IO, Of<PyramidSafeRegionMsg> M>
+void fields(IO& io, M& m) {
+  io.type(MessageType::kPyramidSafeRegion);
+  fields(io, m.cell);
+  u8(io, m.config.fanout_u);
+  u8(io, m.config.fanout_v);
+  u8(io, m.config.height);
+  u32(io, m.bit_count);
+  io.payload(m.bits, (std::size_t{m.bit_count} + 7) / 8);
+}
+
+template <class IO, Of<AlarmPushMsg> M>
+void fields(IO& io, M& m) {
+  io.type(MessageType::kAlarmPush);
+  fields(io, m.cell);
+  seq<std::uint32_t>(io, m.alarms, record);
+}
+
+template <class IO, Of<SafePeriodMsg> M>
+void fields(IO& io, M& m) {
+  io.type(MessageType::kSafePeriod);
+  f64(io, m.period_s);
+}
+
+template <class IO, Of<TriggerNoticeMsg> M>
+void fields(IO& io, M& m) {
+  io.type(MessageType::kTriggerNotice);
+  u32(io, m.alarm);
+  io.text(m.message);
+}
+
+template <class IO, Of<InvalidationMsg> M>
+void fields(IO& io, M& m) {
+  io.type(MessageType::kInvalidation);
+  u8(io, m.action);
+  io.check(m.action <= 2, "unknown invalidation action");
+  u32(io, m.seq);
+  u32(io, m.alarm);
+  fields(io, m.region);
+  io.text(m.message);
+}
+
+template <class IO, Of<AckMsg> M>
+void fields(IO& io, M& m) {
+  io.type(MessageType::kAck);
+  u32(io, m.subscriber);
+  u32(io, m.seq);
+}
+
+template <class IO, Of<ShardCheckpointMsg> M>
+void fields(IO& io, M& m) {
+  io.type(MessageType::kShardCheckpoint);
+  u32(io, m.shard);
+  u64(io, m.tick);
+  seq<std::uint32_t>(io, m.alarms, record);
+  seq<std::uint32_t>(io, m.graveyard, record);
+  seq<std::uint32_t>(io, m.spent, record);
+  seq<std::uint32_t>(io, m.grants, record);
+}
+
+/// Install records carry the full alarm; remove and spent records only ids.
+template <class IO, Of<JournalRecordMsg> M>
+void fields(IO& io, M& m) {
+  io.type(MessageType::kJournalRecord);
+  u8(io, m.kind);
+  io.check(m.kind <= JournalRecordMsg::Kind::kSpent,
+           "unknown journal record kind");
+  u64(io, m.tick);
+  switch (m.kind) {
+    case JournalRecordMsg::Kind::kInstall:
+      fields(io, m.alarm);
+      // The id travels inside the alarm.
+      if constexpr (!std::is_const_v<M>) m.alarm_id = m.alarm.id;
+      break;
+    case JournalRecordMsg::Kind::kRemove:
+      u32(io, m.alarm_id);
+      break;
+    case JournalRecordMsg::Kind::kSpent:
+      u32(io, m.alarm_id);
+      u32(io, m.subscriber);
+      break;
+  }
+}
+
+// --------------------------------------------------------------------------
+// The three generic entry points.
+// --------------------------------------------------------------------------
+
+template <class M>
+std::size_t size_of(const M& m) {
+  Sizer s;
+  fields(s, m);
+  return s.size();
+}
+
+template <class M>
+std::vector<std::uint8_t> to_bytes(const M& m) {
+  Writer w(size_of(m));
+  fields(w, m);
+  return std::move(w).take();
+}
+
+template <class M>
+M from_bytes(std::span<const std::uint8_t> bytes) {
+  Reader r(bytes);
+  M m;
+  fields(r, m);
+  r.expect_done();
+  return m;
 }
 
 }  // namespace
 
-// --------------------------------------------------------------------------
-// PositionUpdate: type(1) subscriber(4) seq(4) x(8) y(8) time(8) = 33 bytes
-// --------------------------------------------------------------------------
-
 std::vector<std::uint8_t> encode(const PositionUpdate& m) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MessageType::kPositionUpdate));
-  w.u32(m.subscriber);
-  w.u32(m.seq);
-  w.f64(m.position.x);
-  w.f64(m.position.y);
-  w.f64(m.time_s);
-  return std::move(w).take();
+  return to_bytes(m);
+}
+std::vector<std::uint8_t> encode(const RectSafeRegionMsg& m) {
+  return to_bytes(m);
+}
+std::vector<std::uint8_t> encode(const PyramidSafeRegionMsg& m) {
+  return to_bytes(m);
+}
+std::vector<std::uint8_t> encode(const AlarmPushMsg& m) { return to_bytes(m); }
+std::vector<std::uint8_t> encode(const SafePeriodMsg& m) { return to_bytes(m); }
+std::vector<std::uint8_t> encode(const TriggerNoticeMsg& m) {
+  return to_bytes(m);
+}
+std::vector<std::uint8_t> encode(const InvalidationMsg& m) {
+  return to_bytes(m);
+}
+std::vector<std::uint8_t> encode(const AckMsg& m) { return to_bytes(m); }
+std::vector<std::uint8_t> encode(const ShardCheckpointMsg& m) {
+  return to_bytes(m);
+}
+std::vector<std::uint8_t> encode(const JournalRecordMsg& m) {
+  return to_bytes(m);
 }
 
 PositionUpdate decode_position_update(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  check_type(r, MessageType::kPositionUpdate);
-  PositionUpdate m;
-  m.subscriber = r.u32();
-  m.seq = r.u32();
-  m.position.x = r.f64();
-  m.position.y = r.f64();
-  m.time_s = r.f64();
-  r.expect_done();
-  return m;
+  return from_bytes<PositionUpdate>(bytes);
 }
-
-std::size_t encoded_size(const PositionUpdate&) { return 1 + 4 + 4 + 3 * 8; }
-
-// --------------------------------------------------------------------------
-// RectSafeRegionMsg: type(1) rect(32) = 33 bytes
-// --------------------------------------------------------------------------
-
-std::vector<std::uint8_t> encode(const RectSafeRegionMsg& m) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MessageType::kRectSafeRegion));
-  write_rect(w, m.rect);
-  return std::move(w).take();
-}
-
 RectSafeRegionMsg decode_rect_safe_region(
     std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  check_type(r, MessageType::kRectSafeRegion);
-  RectSafeRegionMsg m;
-  m.rect = read_rect(r);
-  r.expect_done();
-  return m;
+  return from_bytes<RectSafeRegionMsg>(bytes);
 }
-
-std::size_t encoded_size(const RectSafeRegionMsg&) { return 1 + kRectBytes; }
-
-std::size_t rect_message_size() {
-  return encoded_size(RectSafeRegionMsg{});
-}
-
-// --------------------------------------------------------------------------
-// PyramidSafeRegionMsg:
-//   type(1) cell(32) u(1) v(1) h(1) bit_count(4) payload(ceil(bits/8))
-// --------------------------------------------------------------------------
-
-std::vector<std::uint8_t> encode(const PyramidSafeRegionMsg& m) {
-  SALARM_REQUIRE(m.bits.size() == (m.bit_count + 7) / 8,
-                 "payload size does not match bit count");
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MessageType::kPyramidSafeRegion));
-  write_rect(w, m.cell);
-  w.u8(static_cast<std::uint8_t>(m.config.fanout_u));
-  w.u8(static_cast<std::uint8_t>(m.config.fanout_v));
-  w.u8(static_cast<std::uint8_t>(m.config.height));
-  w.u32(m.bit_count);
-  w.raw(m.bits);
-  return std::move(w).take();
-}
-
 PyramidSafeRegionMsg decode_pyramid_safe_region(
     std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  check_type(r, MessageType::kPyramidSafeRegion);
-  PyramidSafeRegionMsg m;
-  m.cell = read_rect(r);
-  m.config.fanout_u = r.u8();
-  m.config.fanout_v = r.u8();
-  m.config.height = r.u8();
-  m.bit_count = r.u32();
-  m.bits = r.raw((m.bit_count + 7) / 8);
-  r.expect_done();
-  return m;
+  return from_bytes<PyramidSafeRegionMsg>(bytes);
+}
+AlarmPushMsg decode_alarm_push(std::span<const std::uint8_t> bytes) {
+  return from_bytes<AlarmPushMsg>(bytes);
+}
+SafePeriodMsg decode_safe_period(std::span<const std::uint8_t> bytes) {
+  return from_bytes<SafePeriodMsg>(bytes);
+}
+TriggerNoticeMsg decode_trigger_notice(std::span<const std::uint8_t> bytes) {
+  return from_bytes<TriggerNoticeMsg>(bytes);
+}
+InvalidationMsg decode_invalidation(std::span<const std::uint8_t> bytes) {
+  return from_bytes<InvalidationMsg>(bytes);
+}
+AckMsg decode_ack(std::span<const std::uint8_t> bytes) {
+  return from_bytes<AckMsg>(bytes);
+}
+ShardCheckpointMsg decode_shard_checkpoint(
+    std::span<const std::uint8_t> bytes) {
+  return from_bytes<ShardCheckpointMsg>(bytes);
+}
+JournalRecordMsg decode_journal_record(std::span<const std::uint8_t> bytes) {
+  return from_bytes<JournalRecordMsg>(bytes);
 }
 
-std::size_t encoded_size(const PyramidSafeRegionMsg& m) {
-  return pyramid_message_size(m.bit_count);
-}
+std::size_t encoded_size(const PositionUpdate& m) { return size_of(m); }
+std::size_t encoded_size(const RectSafeRegionMsg& m) { return size_of(m); }
+std::size_t encoded_size(const PyramidSafeRegionMsg& m) { return size_of(m); }
+std::size_t encoded_size(const AlarmPushMsg& m) { return size_of(m); }
+std::size_t encoded_size(const SafePeriodMsg& m) { return size_of(m); }
+std::size_t encoded_size(const TriggerNoticeMsg& m) { return size_of(m); }
+std::size_t encoded_size(const InvalidationMsg& m) { return size_of(m); }
+std::size_t encoded_size(const ShardCheckpointMsg& m) { return size_of(m); }
+std::size_t encoded_size(const JournalRecordMsg& m) { return size_of(m); }
+
+// Size helpers: the fixed part comes from the field list (the size of the
+// default message), the variable part from the arguments.
 
 std::size_t pyramid_message_size(std::size_t bit_count) {
-  return 1 + kRectBytes + 3 + 4 + (bit_count + 7) / 8;
+  return size_of(PyramidSafeRegionMsg{}) + (bit_count + 7) / 8;
+}
+
+std::size_t alarm_push_size(std::size_t alarm_count,
+                            std::size_t total_message_bytes) {
+  return size_of(AlarmPushMsg{}) +
+         alarm_count * size_of(AlarmPushMsg::Item{}) + total_message_bytes;
+}
+
+std::size_t trigger_notice_size(std::size_t message_bytes) {
+  return size_of(TriggerNoticeMsg{}) + message_bytes;
+}
+
+std::size_t rect_message_size() { return size_of(RectSafeRegionMsg{}); }
+
+std::size_t invalidation_message_size(std::size_t message_bytes) {
+  return size_of(InvalidationMsg{}) + message_bytes;
+}
+
+std::size_t ack_message_size() { return size_of(AckMsg{}); }
+
+// ShardHandoff is counted, never materialized, so it has no field list:
+// type(1) subscriber(4) position(16) time(8) uplink seq(4) downlink seq(4)
+// lease flag(1) count(4) spent ids(4 each).
+std::size_t handoff_message_size(std::size_t spent_alarms) {
+  return 1 + 4 + 16 + 8 + 4 + 4 + 1 + 4 + spent_alarms * 4;
 }
 
 saferegion::PyramidBitmap PyramidSafeRegionMsg::decode() const {
@@ -283,360 +503,6 @@ PyramidSafeRegionMsg PyramidSafeRegionMsg::from(
   m.bit_count = static_cast<std::uint32_t>(bitmap.bit_size());
   m.bits = bitmap.serialize();
   return m;
-}
-
-// --------------------------------------------------------------------------
-// AlarmPushMsg: type(1) cell(32) count(4) then per alarm
-//   id(4) rect(32) len(2) message
-// --------------------------------------------------------------------------
-
-std::vector<std::uint8_t> encode(const AlarmPushMsg& m) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MessageType::kAlarmPush));
-  write_rect(w, m.cell);
-  w.u32(static_cast<std::uint32_t>(m.alarms.size()));
-  for (const AlarmPushMsg::Item& item : m.alarms) {
-    w.u32(item.id);
-    write_rect(w, item.region);
-    write_string(w, item.message);
-  }
-  return std::move(w).take();
-}
-
-AlarmPushMsg decode_alarm_push(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  check_type(r, MessageType::kAlarmPush);
-  AlarmPushMsg m;
-  m.cell = read_rect(r);
-  const std::uint32_t count = r.u32();
-  // Each item is at least 4 + 32 + 2 bytes; a count the remaining payload
-  // cannot possibly hold is corruption, and must be rejected *before* the
-  // reserve so a hostile count cannot drive a huge allocation.
-  SALARM_REQUIRE(count <= (bytes.size() - 1 - kRectBytes - 4) / 38,
-                 "alarm push count exceeds payload");
-  m.alarms.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    AlarmPushMsg::Item item;
-    item.id = r.u32();
-    item.region = read_rect(r);
-    item.message = read_string(r);
-    m.alarms.push_back(std::move(item));
-  }
-  r.expect_done();
-  return m;
-}
-
-std::size_t encoded_size(const AlarmPushMsg& m) {
-  std::size_t message_bytes = 0;
-  for (const AlarmPushMsg::Item& item : m.alarms) {
-    message_bytes += item.message.size();
-  }
-  return alarm_push_size(m.alarms.size(), message_bytes);
-}
-
-std::size_t alarm_push_size(std::size_t alarm_count,
-                            std::size_t total_message_bytes) {
-  return 1 + kRectBytes + 4 + alarm_count * (4 + kRectBytes + 2) +
-         total_message_bytes;
-}
-
-// --------------------------------------------------------------------------
-// SafePeriodMsg: type(1) period(8) = 9 bytes
-// --------------------------------------------------------------------------
-
-std::vector<std::uint8_t> encode(const SafePeriodMsg& m) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MessageType::kSafePeriod));
-  w.f64(m.period_s);
-  return std::move(w).take();
-}
-
-SafePeriodMsg decode_safe_period(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  check_type(r, MessageType::kSafePeriod);
-  SafePeriodMsg m;
-  m.period_s = r.f64();
-  r.expect_done();
-  return m;
-}
-
-std::size_t encoded_size(const SafePeriodMsg&) { return 1 + 8; }
-
-// --------------------------------------------------------------------------
-// TriggerNoticeMsg: type(1) alarm(4) len(2) message = 7+len bytes
-// --------------------------------------------------------------------------
-
-std::vector<std::uint8_t> encode(const TriggerNoticeMsg& m) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MessageType::kTriggerNotice));
-  w.u32(m.alarm);
-  write_string(w, m.message);
-  return std::move(w).take();
-}
-
-TriggerNoticeMsg decode_trigger_notice(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  check_type(r, MessageType::kTriggerNotice);
-  TriggerNoticeMsg m;
-  m.alarm = r.u32();
-  m.message = read_string(r);
-  r.expect_done();
-  return m;
-}
-
-std::size_t encoded_size(const TriggerNoticeMsg& m) {
-  return trigger_notice_size(m.message.size());
-}
-
-std::size_t trigger_notice_size(std::size_t message_bytes) {
-  return 1 + 4 + 2 + message_bytes;
-}
-
-// --------------------------------------------------------------------------
-// InvalidationMsg: type(1) action(1) seq(4) alarm(4) rect(32) len(2)
-//                  message = 44+len bytes
-// --------------------------------------------------------------------------
-
-std::vector<std::uint8_t> encode(const InvalidationMsg& m) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MessageType::kInvalidation));
-  w.u8(m.action);
-  w.u32(m.seq);
-  w.u32(m.alarm);
-  write_rect(w, m.region);
-  write_string(w, m.message);
-  return std::move(w).take();
-}
-
-InvalidationMsg decode_invalidation(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  check_type(r, MessageType::kInvalidation);
-  InvalidationMsg m;
-  m.action = r.u8();
-  SALARM_REQUIRE(m.action <= 2, "unknown invalidation action");
-  m.seq = r.u32();
-  m.alarm = r.u32();
-  m.region = read_rect(r);
-  m.message = read_string(r);
-  r.expect_done();
-  return m;
-}
-
-std::size_t encoded_size(const InvalidationMsg& m) {
-  return invalidation_message_size(m.message.size());
-}
-
-std::size_t invalidation_message_size(std::size_t message_bytes) {
-  return 1 + 1 + 4 + 4 + kRectBytes + 2 + message_bytes;
-}
-
-// --------------------------------------------------------------------------
-// AckMsg: type(1) subscriber(4) seq(4) = 9 bytes
-// --------------------------------------------------------------------------
-
-std::vector<std::uint8_t> encode(const AckMsg& m) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MessageType::kAck));
-  w.u32(m.subscriber);
-  w.u32(m.seq);
-  return std::move(w).take();
-}
-
-AckMsg decode_ack(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  check_type(r, MessageType::kAck);
-  AckMsg m;
-  m.subscriber = r.u32();
-  m.seq = r.u32();
-  r.expect_done();
-  return m;
-}
-
-std::size_t ack_message_size() { return 1 + 4 + 4; }
-
-// --------------------------------------------------------------------------
-// ShardHandoff: type(1) subscriber(4) position(16) time(8) uplink seq(4)
-//               downlink seq(4) lease flag(1) count(4) spent ids(4 each)
-// --------------------------------------------------------------------------
-
-std::size_t handoff_message_size(std::size_t spent_alarms) {
-  return 1 + 4 + 16 + 8 + 4 + 4 + 1 + 4 + spent_alarms * 4;
-}
-
-// --------------------------------------------------------------------------
-// ShardCheckpointMsg: type(1) shard(4) tick(8)
-//   alarm-count(4)  [alarm, installed_at(8)] ...
-//   tomb-count(4)   [alarm, installed_at(8), removed_at(8)] ...
-//   spent-count(4)  [alarm(4), subscriber(4)] ...
-//   grant-count(4)  [subscriber(4), kind(1), rect(32)] ...
-// Every count is validated against the remaining payload *before* the
-// reserve, so a corrupted (or hostile) count cannot drive an allocation.
-// --------------------------------------------------------------------------
-
-std::vector<std::uint8_t> encode(const ShardCheckpointMsg& m) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MessageType::kShardCheckpoint));
-  w.u32(m.shard);
-  w.u64(m.tick);
-  w.u32(static_cast<std::uint32_t>(m.alarms.size()));
-  for (const ShardCheckpointMsg::AlarmRec& rec : m.alarms) {
-    write_alarm(w, rec.alarm);
-    w.u64(rec.installed_at);
-  }
-  w.u32(static_cast<std::uint32_t>(m.graveyard.size()));
-  for (const ShardCheckpointMsg::TombRec& rec : m.graveyard) {
-    write_alarm(w, rec.alarm);
-    w.u64(rec.installed_at);
-    w.u64(rec.removed_at);
-  }
-  w.u32(static_cast<std::uint32_t>(m.spent.size()));
-  for (const ShardCheckpointMsg::SpentRec& rec : m.spent) {
-    w.u32(rec.alarm);
-    w.u32(rec.subscriber);
-  }
-  w.u32(static_cast<std::uint32_t>(m.grants.size()));
-  for (const ShardCheckpointMsg::GrantRec& rec : m.grants) {
-    w.u32(rec.subscriber);
-    w.u8(rec.kind);
-    write_rect(w, rec.bounds);
-  }
-  return std::move(w).take();
-}
-
-ShardCheckpointMsg decode_shard_checkpoint(
-    std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  check_type(r, MessageType::kShardCheckpoint);
-  ShardCheckpointMsg m;
-  m.shard = r.u32();
-  m.tick = r.u64();
-
-  const std::uint32_t alarm_count = r.u32();
-  SALARM_REQUIRE(alarm_count <= r.remaining() / (kMinAlarmBytes + 8),
-                 "checkpoint alarm count exceeds payload");
-  m.alarms.reserve(alarm_count);
-  for (std::uint32_t i = 0; i < alarm_count; ++i) {
-    ShardCheckpointMsg::AlarmRec rec;
-    rec.alarm = read_alarm(r);
-    rec.installed_at = r.u64();
-    m.alarms.push_back(std::move(rec));
-  }
-
-  const std::uint32_t tomb_count = r.u32();
-  SALARM_REQUIRE(tomb_count <= r.remaining() / (kMinAlarmBytes + 16),
-                 "checkpoint tomb count exceeds payload");
-  m.graveyard.reserve(tomb_count);
-  for (std::uint32_t i = 0; i < tomb_count; ++i) {
-    ShardCheckpointMsg::TombRec rec;
-    rec.alarm = read_alarm(r);
-    rec.installed_at = r.u64();
-    rec.removed_at = r.u64();
-    SALARM_REQUIRE(rec.removed_at > rec.installed_at,
-                   "checkpoint tomb lifetime is empty");
-    m.graveyard.push_back(std::move(rec));
-  }
-
-  const std::uint32_t spent_count = r.u32();
-  SALARM_REQUIRE(spent_count <= r.remaining() / 8,
-                 "checkpoint spent count exceeds payload");
-  m.spent.reserve(spent_count);
-  for (std::uint32_t i = 0; i < spent_count; ++i) {
-    ShardCheckpointMsg::SpentRec rec;
-    rec.alarm = r.u32();
-    rec.subscriber = r.u32();
-    m.spent.push_back(rec);
-  }
-
-  const std::uint32_t grant_count = r.u32();
-  SALARM_REQUIRE(grant_count <= r.remaining() / (4 + 1 + kRectBytes),
-                 "checkpoint grant count exceeds payload");
-  m.grants.reserve(grant_count);
-  for (std::uint32_t i = 0; i < grant_count; ++i) {
-    ShardCheckpointMsg::GrantRec rec;
-    rec.subscriber = r.u32();
-    rec.kind = r.u8();
-    SALARM_REQUIRE(rec.kind <= 3, "unknown grant kind");
-    rec.bounds = read_rect(r);
-    m.grants.push_back(rec);
-  }
-  r.expect_done();
-  return m;
-}
-
-std::size_t encoded_size(const ShardCheckpointMsg& m) {
-  std::size_t size = 1 + 4 + 8 + 4 + 4 + 4 + 4;
-  for (const ShardCheckpointMsg::AlarmRec& rec : m.alarms) {
-    size += alarm_size(rec.alarm) + 8;
-  }
-  for (const ShardCheckpointMsg::TombRec& rec : m.graveyard) {
-    size += alarm_size(rec.alarm) + 16;
-  }
-  size += m.spent.size() * 8;
-  size += m.grants.size() * (4 + 1 + kRectBytes);
-  return size;
-}
-
-// --------------------------------------------------------------------------
-// JournalRecordMsg: type(1) kind(1) tick(8) then
-//   kInstall: alarm | kRemove: id(4) | kSpent: id(4) subscriber(4)
-// --------------------------------------------------------------------------
-
-std::vector<std::uint8_t> encode(const JournalRecordMsg& m) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MessageType::kJournalRecord));
-  w.u8(static_cast<std::uint8_t>(m.kind));
-  w.u64(m.tick);
-  switch (m.kind) {
-    case JournalRecordMsg::Kind::kInstall:
-      write_alarm(w, m.alarm);
-      break;
-    case JournalRecordMsg::Kind::kRemove:
-      w.u32(m.alarm_id);
-      break;
-    case JournalRecordMsg::Kind::kSpent:
-      w.u32(m.alarm_id);
-      w.u32(m.subscriber);
-      break;
-  }
-  return std::move(w).take();
-}
-
-JournalRecordMsg decode_journal_record(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  check_type(r, MessageType::kJournalRecord);
-  JournalRecordMsg m;
-  const std::uint8_t kind = r.u8();
-  SALARM_REQUIRE(kind <= 2, "unknown journal record kind");
-  m.kind = static_cast<JournalRecordMsg::Kind>(kind);
-  m.tick = r.u64();
-  switch (m.kind) {
-    case JournalRecordMsg::Kind::kInstall:
-      m.alarm = read_alarm(r);
-      m.alarm_id = m.alarm.id;
-      break;
-    case JournalRecordMsg::Kind::kRemove:
-      m.alarm_id = r.u32();
-      break;
-    case JournalRecordMsg::Kind::kSpent:
-      m.alarm_id = r.u32();
-      m.subscriber = r.u32();
-      break;
-  }
-  r.expect_done();
-  return m;
-}
-
-std::size_t encoded_size(const JournalRecordMsg& m) {
-  const std::size_t header = 1 + 1 + 8;
-  switch (m.kind) {
-    case JournalRecordMsg::Kind::kInstall:
-      return header + alarm_size(m.alarm);
-    case JournalRecordMsg::Kind::kRemove:
-      return header + 4;
-    case JournalRecordMsg::Kind::kSpent:
-      return header + 4 + 4;
-  }
-  return header;
 }
 
 }  // namespace salarm::wire

@@ -9,7 +9,9 @@
 // than estimates.
 //
 // Encoding conventions: little-endian fixed-width integers, IEEE-754
-// doubles, one leading message-type byte.
+// doubles, one leading message-type byte. Each layout is defined once, by
+// a field list in wire_format.cpp that drives encode, decode and
+// encoded_size alike, so sizes cannot drift from the bytes.
 #pragma once
 
 #include <cstdint>

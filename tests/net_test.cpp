@@ -544,7 +544,9 @@ TEST_P(ChaosAccuracyTest, StrategyStaysOracleExactUnderChaos) {
   EXPECT_GT(run.metrics.net_lease_fallback_ticks, 0u) << name;
   EXPECT_GT(run.metrics.net_duplicates_dropped, 0u) << name;
   EXPECT_GT(run.metrics.net_delivery_latency_ms.count(), 0u) << name;
-  if (loss_pct > 0) EXPECT_GT(run.metrics.net_retransmissions, 0u) << name;
+  if (loss_pct > 0) {
+    EXPECT_GT(run.metrics.net_retransmissions, 0u) << name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

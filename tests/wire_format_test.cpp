@@ -1,4 +1,12 @@
+#include <cstdint>
+#include <exception>
+#include <functional>
+#include <iterator>
+#include <random>
 #include <span>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -288,6 +296,291 @@ TEST(WireFormatTest, AlarmPushRejectsReserveBomb) {
   bytes[35] = 0xFF;
   bytes[36] = 0xFF;
   EXPECT_THROW(decode_alarm_push(bytes), salarm::PreconditionError);
+}
+
+TEST(WireFormatTest, PyramidBitCountNearMaxIsRejected) {
+  // A bit count near 2^32 must not wrap the payload length to zero bytes.
+  PyramidSafeRegionMsg huge;
+  huge.cell = Rect(0, 0, 1, 1);
+  huge.bit_count = 0xFFFFFFFF;
+  EXPECT_THROW(encode(huge), salarm::PreconditionError);
+
+  PyramidSafeRegionMsg empty;
+  empty.cell = Rect(0, 0, 1, 1);
+  auto bytes = encode(empty);
+  // Layout: type(1) + cell rect(32) + u/v/h(3) + bit_count(4); patch the
+  // bit count and leave the payload empty.
+  ASSERT_EQ(bytes.size(), 40u);
+  for (std::size_t i = 36; i < 40; ++i) bytes[i] = 0xFF;
+  EXPECT_THROW(decode_pyramid_safe_region(bytes), salarm::PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// Golden messages: one per message type and per journal record kind, with
+// distinct field values so that a reordered or resized field changes the
+// bytes. GoldenBytes pins their encodings; WireFuzzTest mutates them.
+// ---------------------------------------------------------------------------
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+/// The encoding and encoded size of a decoded message.
+struct Reencoded {
+  std::vector<std::uint8_t> bytes;
+  std::size_t size = 0;
+};
+
+struct GoldenCase {
+  std::string name;
+  std::vector<std::uint8_t> bytes;
+  /// Decodes bytes as this case's message type (throwing on malformed
+  /// input) and re-encodes what it decoded.
+  std::function<Reencoded(std::span<const std::uint8_t>)> reencode;
+};
+
+std::size_t size_of(const AckMsg&) { return ack_message_size(); }
+template <typename M>
+std::size_t size_of(const M& m) {
+  return encoded_size(m);
+}
+
+template <typename M, typename Decoder>
+GoldenCase golden_case(std::string name, const M& m, Decoder decode) {
+  return {std::move(name), encode(m),
+          [decode](std::span<const std::uint8_t> in) {
+            const M d = decode(in);
+            if constexpr (std::is_same_v<M, PyramidSafeRegionMsg>) {
+              // A pyramid that decodes must also expand cleanly or be
+              // rejected as malformed.
+              try {
+                (void)d.decode();
+              } catch (const salarm::PreconditionError&) {
+              }
+            }
+            return Reencoded{encode(d), size_of(d)};
+          }};
+}
+
+alarms::SpatialAlarm golden_alarm(alarms::AlarmId id, alarms::AlarmScope scope,
+                                  std::vector<alarms::SubscriberId> subs,
+                                  std::string message) {
+  return {id, scope, 0x0A0B0C0D, Rect(1.5, -2.0, 3.25, 4.0), std::move(subs),
+          std::move(message)};
+}
+
+std::vector<GoldenCase> golden_cases() {
+  // A valid 13-bit 3x3 pyramid of height 2: root unsafe and subdivided,
+  // seven safe children, two solid-unsafe ones.
+  PyramidSafeRegionMsg pyramid;
+  pyramid.cell = Rect(0, 0, 900, 900);
+  pyramid.config.height = 2;
+  pyramid.bit_count = 13;
+  pyramid.bits = {0x7F, 0x80};
+
+  ShardCheckpointMsg checkpoint;
+  checkpoint.shard = 3;
+  checkpoint.tick = 0x0102030405;
+  checkpoint.alarms = {
+      {golden_alarm(11, alarms::AlarmScope::kShared, {5, 6}, "a"), 0},
+      {golden_alarm(12, alarms::AlarmScope::kPublic, {}, "bc"), 7}};
+  checkpoint.graveyard = {
+      {golden_alarm(13, alarms::AlarmScope::kPrivate, {9}, ""), 2, 9}};
+  checkpoint.spent = {{11, 6}, {12, 0x01020304}};
+  checkpoint.grants = {{6, 3, Rect(0, 0, 5, 5)}, {9, 1, Rect(1, 1, 2, 2)}};
+
+  JournalRecordMsg install;
+  install.kind = JournalRecordMsg::Kind::kInstall;
+  install.tick = 40;
+  install.alarm = golden_alarm(14, alarms::AlarmScope::kPrivate, {8}, "hi");
+  install.alarm_id = 14;
+  JournalRecordMsg remove;
+  remove.kind = JournalRecordMsg::Kind::kRemove;
+  remove.tick = 41;
+  remove.alarm_id = 0x0E0F1011;
+  JournalRecordMsg spent;
+  spent.kind = JournalRecordMsg::Kind::kSpent;
+  spent.tick = 42;
+  spent.alarm_id = 15;
+  spent.subscriber = 0x12131415;
+
+  return {
+      golden_case("PositionUpdate",
+                  PositionUpdate{0x01020304, {123.5, -7.25}, 99.75, 0xA0B0C0D0},
+                  decode_position_update),
+      golden_case("RectSafeRegion",
+                  RectSafeRegionMsg{Rect(1.5, 2.5, 100.25, 200.125)},
+                  decode_rect_safe_region),
+      golden_case("PyramidSafeRegion", pyramid, decode_pyramid_safe_region),
+      golden_case("AlarmPush",
+                  AlarmPushMsg{Rect(0, 0, 1000, 1000),
+                               {{7, Rect(10, 20, 30, 40), "dry"},
+                                {0x090A0B0C, Rect(100, 200, 300, 400), "ok"}}},
+                  decode_alarm_push),
+      golden_case("SafePeriod", SafePeriodMsg{17.25}, decode_safe_period),
+      golden_case("TriggerNotice", TriggerNoticeMsg{0x1234, "fuel"},
+                  decode_trigger_notice),
+      golden_case("Invalidation",
+                  InvalidationMsg{2, 0x0607, 90001, Rect(10, 10, 20, 20),
+                                  "ozone"},
+                  decode_invalidation),
+      golden_case("Ack", AckMsg{1234, 0xDEADBEEF}, decode_ack),
+      golden_case("ShardCheckpoint", checkpoint, decode_shard_checkpoint),
+      golden_case("JournalInstall", install, decode_journal_record),
+      golden_case("JournalRemove", remove, decode_journal_record),
+      golden_case("JournalSpent", spent, decode_journal_record),
+  };
+}
+
+TEST(WireFormatTest, GoldenBytes) {
+  // Generated from the encoder; a layout change must update them.
+  const char* const expected[] = {
+      // PositionUpdate
+      "0104030201d0c0b0a00000000000e05e400000000000001dc00000000000f058"
+      "40",
+      // RectSafeRegion
+      "02000000000000f83f0000000000000440000000000010594000000000000469"
+      "40",
+      // PyramidSafeRegion
+      "03000000000000000000000000000000000000000000208c400000000000208c"
+      "400303020d0000007f80",
+      // AlarmPush
+      "04000000000000000000000000000000000000000000408f400000000000408f"
+      "400200000007000000000000000000244000000000000034400000000000003e"
+      "40000000000000444003006472790c0b0a090000000000005940000000000000"
+      "69400000000000c07240000000000000794002006f6b",
+      // SafePeriod
+      "050000000000403140",
+      // TriggerNotice
+      "063412000004006675656c",
+      // Invalidation
+      "080207060000915f010000000000000024400000000000002440000000000000"
+      "3440000000000000344005006f7a6f6e65",
+      // Ack
+      "09d2040000efbeadde",
+      // ShardCheckpoint
+      "0a030000000504030201000000020000000b000000010d0c0b0a000000000000"
+      "f83f00000000000000c00000000000000a400000000000001040020005000000"
+      "0600000001006100000000000000000c000000020d0c0b0a000000000000f83f"
+      "00000000000000c00000000000000a4000000000000010400000020062630700"
+      "000000000000010000000d000000000d0c0b0a000000000000f83f0000000000"
+      "0000c00000000000000a40000000000000104001000900000000000200000000"
+      "0000000900000000000000020000000b000000060000000c0000000403020102"
+      "0000000600000003000000000000000000000000000000000000000000001440"
+      "00000000000014400900000001000000000000f03f000000000000f03f000000"
+      "00000000400000000000000040",
+      // JournalInstall
+      "0b0028000000000000000e000000000d0c0b0a000000000000f83f0000000000"
+      "0000c00000000000000a40000000000000104001000800000002006869",
+      // JournalRemove
+      "0b01290000000000000011100f0e",
+      // JournalSpent
+      "0b022a000000000000000f00000015141312",
+  };
+  const auto cases = golden_cases();
+  ASSERT_EQ(cases.size(), std::size(expected));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const GoldenCase& c = cases[i];
+    EXPECT_EQ(hex(c.bytes), expected[i]) << c.name;
+    const Reencoded again = c.reencode(c.bytes);
+    EXPECT_EQ(again.bytes, c.bytes) << c.name;
+    EXPECT_EQ(again.size, c.bytes.size()) << c.name;
+  }
+  // The golden pyramid is a valid bit stream, so fuzzed copies of it reach
+  // PyramidBitmap::deserialize.
+  EXPECT_NO_THROW(decode_pyramid_safe_region(cases[2].bytes).decode());
+
+  EXPECT_EQ(pyramid_message_size(13), 42u);
+  EXPECT_EQ(alarm_push_size(3, 10), 161u);
+  EXPECT_EQ(trigger_notice_size(5), 12u);
+  EXPECT_EQ(rect_message_size(), 33u);
+  EXPECT_EQ(invalidation_message_size(4), 48u);
+  EXPECT_EQ(ack_message_size(), 9u);
+  EXPECT_EQ(handoff_message_size(2), 50u);
+}
+
+// ---------------------------------------------------------------------------
+// Deterministic mutation fuzzer over the golden messages. Each input stacks
+// one to three mutations (bit flip, random byte, truncation, an aligned
+// 4-byte overwrite with 0x00 or 0xFF, a splice of a golden suffix). It must
+// either be rejected with PreconditionError, or decode to a message that
+// re-encodes to exactly the input bytes and sizes to exactly its length.
+// ---------------------------------------------------------------------------
+
+void mutate(std::vector<std::uint8_t>& bytes, std::mt19937_64& rng,
+            const std::vector<GoldenCase>& cases) {
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const std::size_t kind = pick(5);
+  if (kind == 4 || bytes.empty()) {  // splice of a golden suffix
+    const auto& donor = cases[pick(cases.size())].bytes;
+    bytes.resize(pick(bytes.size() + 1));
+    bytes.insert(bytes.end(),
+                 donor.begin() + static_cast<long>(pick(donor.size() + 1)),
+                 donor.end());
+    return;
+  }
+  const std::size_t at = pick(bytes.size());
+  switch (kind) {
+    case 0:  // bit flip
+      bytes[at] ^= static_cast<std::uint8_t>(1u << pick(8));
+      break;
+    case 1:  // random byte
+      bytes[at] = static_cast<std::uint8_t>(rng());
+      break;
+    case 2:  // truncation
+      bytes.resize(at);
+      break;
+    case 3: {  // 4-byte overwrite, aligned to the fields after the type byte
+      const std::uint8_t fill = pick(2) == 0 ? 0x00 : 0xFF;
+      const std::size_t from = 1 + (at / 4) * 4;
+      for (std::size_t i = from; i < from + 4 && i < bytes.size(); ++i) {
+        bytes[i] = fill;
+      }
+      break;
+    }
+  }
+}
+
+TEST(WireFuzzTest, MutatedMessagesRoundTripOrThrow) {
+  constexpr int kInputsPerCase = 20000;
+  const auto cases = golden_cases();
+  std::mt19937_64 rng(0x5AFE2E610);
+  for (const GoldenCase& c : cases) {
+    int decoded = 0;
+    int rejected = 0;
+    for (int i = 0; i < kInputsPerCase; ++i) {
+      std::vector<std::uint8_t> input = c.bytes;
+      const int mutations = 1 + static_cast<int>(rng() % 3);
+      for (int k = 0; k < mutations; ++k) mutate(input, rng, cases);
+      try {
+        const Reencoded again = c.reencode(input);
+        ++decoded;
+        if (again.bytes != input || again.size != input.size()) {
+          ADD_FAILURE() << c.name << " decoded without round-tripping: "
+                        << hex(input);
+          break;
+        }
+      } catch (const salarm::PreconditionError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << c.name << " threw " << e.what() << " on "
+                      << hex(input);
+        break;
+      }
+    }
+    // Both outcomes must be reached, or the mutations are not exercising
+    // the decoder.
+    EXPECT_GT(decoded, 0) << c.name;
+    EXPECT_GT(rejected, 0) << c.name;
+  }
 }
 
 }  // namespace
