@@ -1,8 +1,18 @@
 #include "cluster/parallel_executor.h"
 
+#include <sched.h>
+
 #include <algorithm>
 
 namespace salarm::cluster {
+
+std::size_t usable_cores() {
+  cpu_set_t cpus;
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0) {
+    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&cpus)));
+  }
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
 
 ParallelTickExecutor::ParallelTickExecutor(std::size_t threads)
     : thread_count_(threads != 0

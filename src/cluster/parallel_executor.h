@@ -19,6 +19,11 @@
 
 namespace salarm::cluster {
 
+/// Cores this thread may run on: the size of its affinity mask, or
+/// std::thread::hardware_concurrency() when the mask cannot be read; at
+/// least 1. Pools sized with it stay inline under a one-CPU pin.
+std::size_t usable_cores();
+
 class ParallelTickExecutor {
  public:
   /// Pool with the given number of worker threads; 0 means

@@ -7,9 +7,20 @@
 
 namespace salarm::mobility {
 
+namespace {
+
+std::size_t chunk_count(std::size_t vehicles, std::size_t grain) {
+  return (vehicles + grain - 1) / grain;
+}
+
+}  // namespace
+
 TraceGenerator::TraceGenerator(const roadnet::RoadNetwork& network,
                                TraceConfig config)
-    : network_(network), config_(config), router_(network) {
+    : network_(network),
+      config_(config),
+      pool_(std::clamp<std::size_t>(chunk_count(config.vehicle_count, kGrain),
+                                    1, cluster::usable_cores())) {
   SALARM_REQUIRE(config_.vehicle_count > 0, "need at least one vehicle");
   SALARM_REQUIRE(config_.tick_seconds > 0.0, "tick must be positive");
   SALARM_REQUIRE(config_.speed_factor_lo > 0.0 &&
@@ -18,38 +29,60 @@ TraceGenerator::TraceGenerator(const roadnet::RoadNetwork& network,
   SALARM_REQUIRE(config_.speed_noise_sigma >= 0.0, "negative speed noise");
   SALARM_REQUIRE(config_.max_dwell_seconds >= 0.0, "negative dwell");
   SALARM_REQUIRE(network.node_count() >= 2, "network too small for trips");
+  const std::size_t chunks = chunk_count(config_.vehicle_count, kGrain);
+  routers_.reserve(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) routers_.emplace_back(network_);
+  reset_tasks_ = chunk_tasks(&TraceGenerator::init_vehicle);
+  step_tasks_ = chunk_tasks(&TraceGenerator::advance_vehicle);
   reset();
+}
+
+std::vector<std::function<void()>> TraceGenerator::chunk_tasks(
+    void (TraceGenerator::*per_vehicle)(VehicleId, roadnet::Router&)) {
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(routers_.size());
+  for (std::size_t c = 0; c < routers_.size(); ++c) {
+    const auto begin = static_cast<VehicleId>(c * kGrain);
+    const auto end = static_cast<VehicleId>(
+        std::min(config_.vehicle_count, (c + 1) * kGrain));
+    tasks.emplace_back([this, per_vehicle, c, begin, end] {
+      for (VehicleId id = begin; id < end; ++id) {
+        (this->*per_vehicle)(id, routers_[c]);
+      }
+    });
+  }
+  return tasks;
 }
 
 void TraceGenerator::reset() {
   Rng master(config_.seed);
   vehicles_.assign(config_.vehicle_count, Vehicle{});
   samples_.assign(config_.vehicle_count, VehicleSample{});
+  // The fork order defines each vehicle's stream, so it stays serial.
   vehicle_rngs_.clear();
   vehicle_rngs_.reserve(config_.vehicle_count);
   for (std::size_t i = 0; i < config_.vehicle_count; ++i) {
     vehicle_rngs_.push_back(master.fork());
   }
-  for (std::size_t i = 0; i < config_.vehicle_count; ++i) {
-    Vehicle& v = vehicles_[i];
-    Rng& rng = vehicle_rngs_[i];
-    v.at_node =
-        static_cast<roadnet::NodeId>(rng.index(network_.node_count()));
-    v.speed_factor =
-        rng.uniform(config_.speed_factor_lo, config_.speed_factor_hi);
-    start_new_trip(v, rng);
-    samples_[i].pos = network_.node(v.at_node).pos;
-    samples_[i].heading =
-        v.route.nodes.size() > 1
-            ? geo::heading(leg_end(v) - leg_start(v))
-            : 0.0;
-    samples_[i].speed_mps = 0.0;
-  }
+  pool_.run(reset_tasks_);
   time_s_ = 0.0;
   tick_ = 0;
 }
 
-void TraceGenerator::start_new_trip(Vehicle& v, Rng& rng) {
+void TraceGenerator::init_vehicle(VehicleId id, roadnet::Router& router) {
+  Vehicle& v = vehicles_[id];
+  Rng& rng = vehicle_rngs_[id];
+  v.at_node = static_cast<roadnet::NodeId>(rng.index(network_.node_count()));
+  v.speed_factor =
+      rng.uniform(config_.speed_factor_lo, config_.speed_factor_hi);
+  start_new_trip(v, rng, router);
+  samples_[id].pos = network_.node(v.at_node).pos;
+  samples_[id].heading = geo::heading(v.leg_end - v.leg_start);
+  samples_[id].speed_mps = 0.0;
+}
+
+void TraceGenerator::start_new_trip(Vehicle& v, Rng& rng,
+                                    roadnet::Router& router) const {
   // Redraw until a reachable, distinct destination is found. On a connected
   // network the loop ends on the first non-identical draw; the retry bound
   // turns a disconnected-network bug into a loud failure.
@@ -57,43 +90,40 @@ void TraceGenerator::start_new_trip(Vehicle& v, Rng& rng) {
     const auto dest =
         static_cast<roadnet::NodeId>(rng.index(network_.node_count()));
     if (dest == v.at_node) continue;
-    roadnet::Route route = router_.route(v.at_node, dest);
+    roadnet::Route route = router.route(v.at_node, dest);
     if (route.empty()) continue;
     v.route = std::move(route);
     v.leg = 0;
     v.offset_m = 0.0;
+    enter_leg(v);
     return;
   }
   SALARM_ASSERT(false, "could not find a destination; network disconnected?");
 }
 
-geo::Point TraceGenerator::leg_start(const Vehicle& v) const {
-  return network_.node(v.route.nodes[v.leg]).pos;
-}
-
-geo::Point TraceGenerator::leg_end(const Vehicle& v) const {
-  return network_.node(v.route.nodes[v.leg + 1]).pos;
-}
-
-double TraceGenerator::leg_length(const Vehicle& v) const {
-  return geo::distance(leg_start(v), leg_end(v));
-}
-
-double TraceGenerator::leg_speed(const Vehicle& v) const {
+void TraceGenerator::enter_leg(Vehicle& v) const {
   const roadnet::NodeId a = v.route.nodes[v.leg];
   const roadnet::NodeId b = v.route.nodes[v.leg + 1];
+  v.leg_start = network_.node(a).pos;
+  v.leg_end = network_.node(b).pos;
+  v.leg_length_m = geo::distance(v.leg_start, v.leg_end);
   for (const roadnet::RoadNetwork::Adjacency& adj : network_.neighbors(a)) {
-    if (adj.neighbor == b) return network_.edge(adj.edge).speed_mps;
+    if (adj.neighbor == b) {
+      v.leg_speed_mps = network_.edge(adj.edge).speed_mps;
+      return;
+    }
   }
   SALARM_ASSERT(false, "route uses a non-existent edge");
 }
 
-void TraceGenerator::advance_vehicle(VehicleId id, double dt) {
+void TraceGenerator::advance_vehicle(VehicleId id, roadnet::Router& router) {
   Vehicle& v = vehicles_[id];
   Rng& rng = vehicle_rngs_[id];
   VehicleSample& sample = samples_[id];
+  double dt = config_.tick_seconds;
 
-  if (v.dwell_remaining_s > 0.0) {
+  if (v.leg + 1 >= v.route.nodes.size()) {
+    // Trip finished: sit out the dwell, then start the next trip.
     const double wait = std::min(v.dwell_remaining_s, dt);
     v.dwell_remaining_s -= wait;
     dt -= wait;
@@ -102,7 +132,7 @@ void TraceGenerator::advance_vehicle(VehicleId id, double dt) {
       sample.speed_mps = 0.0;
       return;
     }
-    start_new_trip(v, rng);
+    start_new_trip(v, rng, router);
   }
 
   const geo::Point before = sample.pos;
@@ -113,8 +143,8 @@ void TraceGenerator::advance_vehicle(VehicleId id, double dt) {
                  1.0 + 3.0 * config_.speed_noise_sigma);
   double budget = dt;
   while (budget > 0.0) {
-    const double speed = leg_speed(v) * v.speed_factor * noise;
-    const double remaining_on_leg = leg_length(v) - v.offset_m;
+    const double speed = v.leg_speed_mps * v.speed_factor * noise;
+    const double remaining_on_leg = v.leg_length_m - v.offset_m;
     const double step = speed * budget;
     if (step < remaining_on_leg) {
       v.offset_m += step;
@@ -130,13 +160,14 @@ void TraceGenerator::advance_vehicle(VehicleId id, double dt) {
       v.dwell_remaining_s = rng.uniform(0.0, config_.max_dwell_seconds);
       break;
     }
+    enter_leg(v);
   }
 
   if (v.leg + 1 >= v.route.nodes.size()) {
     sample.pos = network_.node(v.at_node).pos;
   } else {
-    const double len = leg_length(v);
-    sample.pos = geo::lerp(leg_start(v), leg_end(v), v.offset_m / len);
+    sample.pos =
+        geo::lerp(v.leg_start, v.leg_end, v.offset_m / v.leg_length_m);
   }
   const geo::Point moved = sample.pos - before;
   if (moved.x != 0.0 || moved.y != 0.0) sample.heading = geo::heading(moved);
@@ -144,9 +175,7 @@ void TraceGenerator::advance_vehicle(VehicleId id, double dt) {
 }
 
 void TraceGenerator::step() {
-  for (VehicleId id = 0; id < vehicles_.size(); ++id) {
-    advance_vehicle(id, config_.tick_seconds);
-  }
+  pool_.run(step_tasks_);
   time_s_ += config_.tick_seconds;
   ++tick_;
 }

@@ -6,11 +6,18 @@
 // fully deterministic in (network, config): reset() replays the identical
 // trace, which is how the simulator runs every processing strategy against
 // the same motion pattern, as the paper's methodology requires.
+//
+// step() and reset() fan fixed chunks of vehicles over an internal thread
+// pool; calls still come from one thread. Each vehicle owns its Rng and
+// each chunk its Router, and the chunking is a constant, so the output is
+// independent of the core count.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "cluster/parallel_executor.h"
 #include "common/rng.h"
 #include "mobility/position_source.h"
 #include "mobility/trace.h"
@@ -41,11 +48,15 @@ struct TraceConfig {
   double max_dwell_seconds = 30.0;
 };
 
-/// Streams VehicleSamples tick by tick. Not thread-safe.
+/// Streams VehicleSamples tick by tick.
 class TraceGenerator final : public PositionSource {
  public:
   /// The network must outlive the generator.
   TraceGenerator(const roadnet::RoadNetwork& network, TraceConfig config);
+
+  // The chunk tasks hold `this`.
+  TraceGenerator(const TraceGenerator&) = delete;
+  TraceGenerator& operator=(const TraceGenerator&) = delete;
 
   /// Rewinds to tick 0; the subsequent sample stream is identical to the
   /// one produced after construction.
@@ -76,6 +87,10 @@ class TraceGenerator final : public PositionSource {
   RecordedTrace record(std::size_t ticks);
 
  private:
+  /// Vehicles per task. A constant, so the chunking never depends on the
+  /// thread count.
+  static constexpr std::size_t kGrain = 512;
+
   struct Vehicle {
     roadnet::Route route;        ///< current trip
     std::size_t leg = 0;         ///< index into route.nodes of the leg start
@@ -83,21 +98,30 @@ class TraceGenerator final : public PositionSource {
     double speed_factor = 1.0;
     double dwell_remaining_s = 0.0;
     roadnet::NodeId at_node = 0; ///< route destination when idle
+    // The current leg, cached by enter_leg().
+    geo::Point leg_start;
+    geo::Point leg_end;
+    double leg_length_m = 0.0;
+    double leg_speed_mps = 0.0;  ///< the leg's edge speed limit
   };
 
-  void start_new_trip(Vehicle& v, Rng& rng);
-  void advance_vehicle(VehicleId id, double dt);
-  geo::Point leg_start(const Vehicle& v) const;
-  geo::Point leg_end(const Vehicle& v) const;
-  double leg_length(const Vehicle& v) const;
-  double leg_speed(const Vehicle& v) const;
+  void start_new_trip(Vehicle& v, Rng& rng, roadnet::Router& router) const;
+  void enter_leg(Vehicle& v) const;
+  void init_vehicle(VehicleId id, roadnet::Router& router);
+  void advance_vehicle(VehicleId id, roadnet::Router& router);
+  /// Builds one task per chunk that runs `per_vehicle` over its vehicles.
+  std::vector<std::function<void()>> chunk_tasks(
+      void (TraceGenerator::*per_vehicle)(VehicleId, roadnet::Router&));
 
   const roadnet::RoadNetwork& network_;
   TraceConfig config_;
-  roadnet::Router router_;
+  std::vector<roadnet::Router> routers_;  ///< one per chunk
   std::vector<Vehicle> vehicles_;
   std::vector<VehicleSample> samples_;
   std::vector<Rng> vehicle_rngs_;
+  cluster::ParallelTickExecutor pool_;
+  std::vector<std::function<void()>> reset_tasks_;
+  std::vector<std::function<void()>> step_tasks_;
   double time_s_ = 0.0;
   std::size_t tick_ = 0;
 };

@@ -1,10 +1,7 @@
 #include "sim/oracle.h"
 
-#include <sched.h>
-
 #include <algorithm>
 #include <map>
-#include <thread>
 
 #include "cluster/parallel_executor.h"
 #include "common/error.h"
@@ -32,14 +29,6 @@ struct Chunk {
   std::vector<alarms::SubscriberId> fired_by;
   std::uint64_t accesses = 0;
 };
-
-std::size_t usable_cores() {
-  cpu_set_t cpus;
-  if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0) {
-    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&cpus)));
-  }
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
 
 void probe_next(const alarms::AlarmStore& store,
                 const std::vector<mobility::VehicleSample>& samples,
@@ -85,7 +74,7 @@ std::vector<alarms::TriggerEvent> ground_truth_triggers(
     });
   }
   cluster::ParallelTickExecutor pool(
-      std::clamp<std::size_t>(chunks.size(), 1, usable_cores()));
+      std::clamp<std::size_t>(chunks.size(), 1, cluster::usable_cores()));
 
   std::vector<alarms::TriggerEvent> events;
   for (std::size_t t = 0; t < ticks; ++t) {
