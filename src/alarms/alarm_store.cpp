@@ -113,15 +113,17 @@ std::vector<const SpatialAlarm*> AlarmStore::relevant_in_window(
   return out;
 }
 
-std::vector<const SpatialAlarm*> AlarmStore::relevant_nonpublic_in_window(
-    const geo::Rect& window, SubscriberId s) const {
-  std::vector<const SpatialAlarm*> out;
+void AlarmStore::relevant_regions_in_window(
+    const geo::Rect& window, SubscriberId s, Scopes scopes,
+    std::vector<geo::Rect>& out) const {
+  const bool public_too = scopes == Scopes::kAll;
   tree_.visit(window, [&](const index::Entry& e) {
     const SpatialAlarm& a = alarms_[slot_of_[static_cast<AlarmId>(e.id)]];
-    if (a.scope != AlarmScope::kPublic && relevant(a, s)) out.push_back(&a);
+    if ((public_too || a.scope != AlarmScope::kPublic) && relevant(a, s)) {
+      out.push_back(a.region);
+    }
     return true;
   });
-  return out;
 }
 
 std::vector<const SpatialAlarm*> AlarmStore::public_in_window(

@@ -100,11 +100,18 @@ class AlarmStore {
   std::vector<const SpatialAlarm*> relevant_in_window(const geo::Rect& window,
                                                       SubscriberId s) const;
 
-  /// As relevant_in_window, but only the subscriber's private/shared
-  /// alarms (public excluded). Used by the precomputed-public-bitmap path
-  /// (paper §4.2).
-  std::vector<const SpatialAlarm*> relevant_nonpublic_in_window(
-      const geo::Rect& window, SubscriberId s) const;
+  /// Which of a subscriber's relevant alarms relevant_regions_in_window
+  /// reports: all of them, or only the private/shared ones (the
+  /// precomputed-public-bitmap path, paper §4.2).
+  enum class Scopes { kAll, kNonPublic };
+
+  /// The server's window query for the geometric safe-region algorithms:
+  /// appends to `out` the region of every alarm relevant_in_window reports
+  /// (public ones only under Scopes::kAll), in the same visit order and
+  /// with the same node accesses. Allocates only when `out` must grow.
+  void relevant_regions_in_window(const geo::Rect& window, SubscriberId s,
+                                  Scopes scopes,
+                                  std::vector<geo::Rect>& out) const;
 
   /// All public alarms intersecting the window, regardless of per-
   /// subscriber spent state (the subscriber-independent input to the

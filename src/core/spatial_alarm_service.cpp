@@ -4,18 +4,6 @@
 
 namespace salarm::core {
 
-namespace {
-
-std::vector<geo::Rect> regions_of(
-    const std::vector<const alarms::SpatialAlarm*>& list) {
-  std::vector<geo::Rect> out;
-  out.reserve(list.size());
-  for (const alarms::SpatialAlarm* a : list) out.push_back(a->region);
-  return out;
-}
-
-}  // namespace
-
 SpatialAlarmService::SpatialAlarmService(const Config& config)
     : config_(config),
       grid_(grid::GridOverlay::with_cell_area(config.universe,
@@ -64,8 +52,9 @@ SpatialAlarmService::UpdateResult SpatialAlarmService::process_update(
       store_.process_position(subscriber, position, tick, &trigger_log_);
 
   const geo::Rect cell = grid_.cell_rect(grid_.cell_of(position));
-  const auto relevant = store_.relevant_in_window(cell, subscriber);
-  const auto regions = regions_of(relevant);
+  std::vector<geo::Rect> regions;
+  store_.relevant_regions_in_window(cell, subscriber,
+                                    alarms::AlarmStore::Scopes::kAll, regions);
 
   switch (kind) {
     case RegionKind::kRect: {

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <queue>
 
 #include "common/error.h"
 
@@ -653,48 +653,65 @@ std::vector<Entry> RStarTree::search(geo::Point p) const {
   return search(geo::Rect(p, p));
 }
 
-std::vector<Neighbor> RStarTree::nearest(
-    geo::Point p, std::size_t k,
-    const std::function<bool(const Entry&)>& accept) const {
-  std::vector<Neighbor> out;
-  if (size_ == 0 || k == 0) return out;
-
+void RStarTree::best_first(geo::Point p, EntryVisitor accept,
+                           EntryVisitor found) const {
+  if (size_ == 0) return;
   struct QueueItem {
     double dist;
-    const Node* node;   // nullptr when this is an entry
-    const Entry* entry; // valid when node == nullptr
+    const Node* node;    // nullptr when this is an entry
+    const Entry* entry;  // valid when node == nullptr
     bool operator>(const QueueItem& other) const { return dist > other.dist; }
   };
-  std::priority_queue<QueueItem, std::vector<QueueItem>,
-                      std::greater<QueueItem>>
-      queue;
-  queue.push({root_->mbr.distance(p), root_.get(), nullptr});
-  while (!queue.empty() && out.size() < k) {
-    const QueueItem item = queue.top();
-    queue.pop();
+  // A min-heap under the exact push_heap/pop_heap discipline of
+  // std::priority_queue<..., std::greater<>>, so ties pop in the same order
+  // and node accesses match; reused so a warm thread allocates nothing.
+  thread_local std::vector<QueueItem> heap;
+  constexpr std::greater<QueueItem> later;
+  const auto push = [&](const QueueItem& item) {
+    heap.push_back(item);
+    std::push_heap(heap.begin(), heap.end(), later);
+  };
+  heap.clear();
+  push({root_->mbr.distance(p), root_.get(), nullptr});
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const QueueItem item = heap.back();
+    heap.pop_back();
     if (item.node == nullptr) {
-      out.push_back({*item.entry, item.dist});
+      if (!found(*item.entry)) return;
       continue;
     }
     ++node_accesses_;
     if (item.node->leaf()) {
       for (const Entry& e : item.node->entries) {
-        if (accept && !accept(e)) continue;
-        queue.push({e.rect.distance(p), nullptr, &e});
+        if (accept(e)) push({e.rect.distance(p), nullptr, &e});
       }
     } else {
       for (const auto& child : item.node->children) {
-        queue.push({child->mbr.distance(p), child.get(), nullptr});
+        push({child->mbr.distance(p), child.get(), nullptr});
       }
     }
   }
+}
+
+std::vector<Neighbor> RStarTree::nearest(geo::Point p, std::size_t k,
+                                         EntryVisitor accept) const {
+  std::vector<Neighbor> out;
+  if (k == 0) return out;
+  best_first(p, accept, [&](const Entry& e) {
+    out.push_back({e, e.rect.distance(p)});
+    return out.size() < k;
+  });
   return out;
 }
 
-double RStarTree::nearest_distance(
-    geo::Point p, const std::function<bool(const Entry&)>& accept) const {
-  const auto nn = nearest(p, 1, accept);
-  return nn.empty() ? kInf : nn.front().distance;
+double RStarTree::nearest_distance(geo::Point p, EntryVisitor accept) const {
+  double distance = kInf;
+  best_first(p, accept, [&](const Entry& e) {
+    distance = e.rect.distance(p);
+    return false;
+  });
+  return distance;
 }
 
 // ---------------------------------------------------------------------------

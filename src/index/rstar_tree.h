@@ -20,11 +20,12 @@
 // capacity) that reports hits through a non-owning EntryVisitor, so the
 // hot server and oracle paths allocate nothing. probe() is const in the
 // strong sense — it returns its node accesses instead of counting them —
-// so threads may probe a tree nobody mutates concurrently.
+// so threads may probe a tree nobody mutates concurrently. The
+// nearest-neighbour queries take the same EntryVisitor as their filter and
+// run best-first on a reused thread-local heap.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -47,9 +48,9 @@ struct Neighbor {
 };
 
 /// Non-owning, allocation-free reference to a `bool(const Entry&)`
-/// callable (the visitor of RStarTree::visit/probe). It must not outlive
-/// the callable; passing a lambda straight into the call is the intended
-/// use.
+/// callable (the visitor of RStarTree::visit/probe and the filter of its
+/// nearest-neighbour queries). It must not outlive the callable; passing a
+/// lambda straight into the call is the intended use.
 class EntryVisitor {
  public:
   template <class F>
@@ -67,6 +68,9 @@ class EntryVisitor {
   void* object_;
   bool (*call_)(void*, const Entry&);
 };
+
+/// The default filter of the nearest-neighbour queries: every entry.
+inline constexpr auto kAcceptAll = [](const Entry&) { return true; };
 
 /// R*-tree over rectangle entries.
 class RStarTree {
@@ -127,14 +131,14 @@ class RStarTree {
   /// smaller. Optionally filtered: entries rejected by `accept` are skipped
   /// but still counted as node accesses, mirroring a server that must
   /// examine an entry to test relevance.
-  std::vector<Neighbor> nearest(
-      geo::Point p, std::size_t k,
-      const std::function<bool(const Entry&)>& accept = nullptr) const;
+  std::vector<Neighbor> nearest(geo::Point p, std::size_t k,
+                                EntryVisitor accept = kAcceptAll) const;
 
   /// Distance from p to the nearest (accepted) entry; infinity if none.
-  double nearest_distance(
-      geo::Point p,
-      const std::function<bool(const Entry&)>& accept = nullptr) const;
+  /// The same search as nearest(p, 1, accept), node accesses included, but
+  /// allocation-free on a warm thread.
+  double nearest_distance(geo::Point p,
+                          EntryVisitor accept = kAcceptAll) const;
 
   /// Number of nodes read since the last reset (search + insert + erase
   /// paths). Mutable statistics, not part of logical state.
@@ -159,6 +163,12 @@ class RStarTree {
   /// stops), and returns the number of nodes read.
   template <class Hit>
   std::uint64_t descend(const Hit& hit, EntryVisitor visitor) const;
+
+  /// The shared nearest/nearest_distance search: best-first from p over
+  /// the entries `accept` admits, handing each to `found` (false stops) in
+  /// nondecreasing distance order. Runs on a reused thread-local heap; the
+  /// nodes read are added to node_accesses().
+  void best_first(geo::Point p, EntryVisitor accept, EntryVisitor found) const;
 
   void insert_entry(const Entry& entry, std::size_t target_level,
                     std::vector<bool>& reinserted);

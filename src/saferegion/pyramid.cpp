@@ -24,20 +24,32 @@ PyramidBitmap PyramidBitmap::build(const geo::Rect& cell,
                                    const PyramidConfig& config,
                                    std::uint64_t* ops) {
   validate(cell, config);
-  PyramidBitmap out(cell, config);
 
+  // A frontier cell: its node, its rectangle, and the span [first, first +
+  // count) of its level's arena holding the alarms it inherits.
   struct WorkItem {
     std::uint32_t node;
     geo::Rect rect;
-    std::vector<std::uint32_t> alarms;  ///< indices into alarm_regions
+    std::uint32_t first;
+    std::uint32_t count;
   };
+  // Reused across levels and calls. Each level's arena holds, per
+  // subdivided parent, the alarms that touched it, in scan order; all U×V
+  // children share that one span. Thread-local because shard workers build
+  // concurrently.
+  struct Scratch {
+    std::vector<Node> nodes;
+    std::vector<WorkItem> frontier, next;
+    std::vector<std::uint32_t> arena, next_arena;
+  };
+  thread_local Scratch scratch;
+  auto& [nodes, frontier, next, arena, next_arena] = scratch;
 
-  std::vector<std::uint32_t> all(alarm_regions.size());
-  for (std::uint32_t i = 0; i < all.size(); ++i) all[i] = i;
-
-  out.nodes_.push_back(Node{});
-  std::vector<WorkItem> frontier;
-  frontier.push_back({0, cell, std::move(all)});
+  const auto alarm_count = static_cast<std::uint32_t>(alarm_regions.size());
+  arena.resize(alarm_count);
+  for (std::uint32_t i = 0; i < alarm_count; ++i) arena[i] = i;
+  nodes.assign(1, Node{});
+  frontier.assign(1, {0, cell, 0, alarm_count});
 
   const auto uv = static_cast<std::uint32_t>(config.fanout_u) *
                   static_cast<std::uint32_t>(config.fanout_v);
@@ -53,55 +65,64 @@ PyramidBitmap PyramidBitmap::build(const geo::Rect& cell,
     const bool budget_allows_refinement =
         config.max_bits == 0 ||
         committed_bits + frontier.size() * (2 + 2 * uv) <= config.max_bits;
-    std::vector<WorkItem> next;
-    for (WorkItem& item : frontier) {
-      // Classify this cell against the alarms inherited from its parent.
-      std::vector<std::uint32_t> touching;
+    next.clear();
+    next_arena.clear();
+    for (const WorkItem& item : frontier) {
+      // Classify this cell against the alarms inherited from its parent,
+      // appending the touching ones to the next level's arena.
+      const auto first_touching = static_cast<std::uint32_t>(next_arena.size());
       bool covered = false;
-      for (const std::uint32_t a : item.alarms) {
+      for (std::uint32_t k = item.first; k < item.first + item.count; ++k) {
         if (ops != nullptr) ++*ops;
+        const std::uint32_t a = arena[k];
         const geo::Rect& region = alarm_regions[a];
         if (!region.interiors_intersect(item.rect)) continue;
-        touching.push_back(a);
+        next_arena.push_back(a);
         if (region.contains(item.rect)) {
           covered = true;
           break;
         }
       }
-      const std::uint8_t level = out.nodes_[item.node].level;
-      if (touching.empty()) {
-        out.nodes_[item.node].state = State::kSafe;
+      const auto touching =
+          static_cast<std::uint32_t>(next_arena.size()) - first_touching;
+      const std::uint8_t level = nodes[item.node].level;
+      if (touching == 0) {
+        nodes[item.node].state = State::kSafe;
         committed_bits += 1;
         continue;
       }
       if (covered || level >= config.height || !budget_allows_refinement) {
-        out.nodes_[item.node].state = State::kSolidUnsafe;
+        nodes[item.node].state = State::kSolidUnsafe;
         committed_bits += level < config.height ? 2 : 1;
+        next_arena.resize(first_touching);  // no child reads the span
         continue;
       }
       committed_bits += 2;
-      const auto first_child = static_cast<std::uint32_t>(out.nodes_.size());
-      out.nodes_[item.node].state = State::kSubdivided;
-      out.nodes_[item.node].first_child = first_child;
+      const auto first_child = static_cast<std::uint32_t>(nodes.size());
+      nodes[item.node].state = State::kSubdivided;
+      nodes[item.node].first_child = first_child;
       const double w = item.rect.width() / config.fanout_u;
       const double h = item.rect.height() / config.fanout_v;
       for (int row = 0; row < config.fanout_v; ++row) {
         for (int col = 0; col < config.fanout_u; ++col) {
           Node child;
           child.level = static_cast<std::uint8_t>(level + 1);
-          const auto idx = static_cast<std::uint32_t>(out.nodes_.size());
-          out.nodes_.push_back(child);
+          const auto idx = static_cast<std::uint32_t>(nodes.size());
+          nodes.push_back(child);
           const geo::Point lo{item.rect.lo().x + w * col,
                               item.rect.lo().y + h * row};
-          next.push_back(
-              {idx, geo::Rect(lo, {lo.x + w, lo.y + h}), touching});
+          next.push_back({idx, geo::Rect(lo, {lo.x + w, lo.y + h}),
+                          first_touching, touching});
         }
       }
-      SALARM_ASSERT(out.nodes_.size() == first_child + uv,
+      SALARM_ASSERT(nodes.size() == first_child + uv,
                     "children must be contiguous");
     }
-    frontier = std::move(next);
+    std::swap(frontier, next);
+    std::swap(arena, next_arena);
   }
+  PyramidBitmap out(cell, config);
+  out.nodes_.assign(nodes.begin(), nodes.end());
   return out;
 }
 

@@ -66,7 +66,9 @@ class PyramidBitmap {
  public:
   /// Classifies the cell against the given alarm regions. `ops`, when
   /// non-null, is incremented by the number of elementary cell/alarm
-  /// intersection tests performed (server cost model).
+  /// intersection tests performed (server cost model). The build works in
+  /// reused thread-local scratch, so on a warm thread its one allocation is
+  /// the returned node array.
   static PyramidBitmap build(const geo::Rect& cell,
                              std::span<const geo::Rect> alarm_regions,
                              const PyramidConfig& config,

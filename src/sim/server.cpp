@@ -9,20 +9,6 @@
 
 namespace salarm::sim {
 
-namespace {
-
-/// Rectangles of the relevant alarms, for the geometric safe-region
-/// algorithms.
-std::vector<geo::Rect> regions_of(
-    const std::vector<const alarms::SpatialAlarm*>& list) {
-  std::vector<geo::Rect> out;
-  out.reserve(list.size());
-  for (const alarms::SpatialAlarm* a : list) out.push_back(a->region);
-  return out;
-}
-
-}  // namespace
-
 Server::Server(alarms::AlarmStore& store, const grid::GridOverlay& grid,
                Metrics& metrics)
     : store_(store), grid_(grid), metrics_(metrics) {}
@@ -90,15 +76,12 @@ saferegion::RectSafeRegion Server::compute_rect_region(
     const saferegion::MotionModel& model,
     const saferegion::MwpsrOptions& options) {
   const geo::Rect cell = grid_.cell_rect(grid_.cell_of(position));
-  const auto relevant = charged(&Metrics::server_region_ops, [&] {
-    return store_.relevant_in_window(cell, s);
-  });
-  const auto regions = regions_of(relevant);
+  load_regions(cell, s, alarms::AlarmStore::Scopes::kAll);
   const auto region =
       options.corner_baseline
           ? saferegion::compute_corner_baseline(position, heading, cell,
-                                                regions, model)
-          : saferegion::compute_mwpsr(position, heading, cell, regions,
+                                                regions_, model)
+          : saferegion::compute_mwpsr(position, heading, cell, regions_,
                                       model, options);
   metrics_.server_region_ops += region.ops;
   ++metrics_.safe_region_recomputes;
@@ -145,16 +128,17 @@ saferegion::PyramidBitmap Server::compute_pyramid_region(
       const auto public_alarms = charged(&Metrics::server_region_ops, [&] {
         return store_.public_in_window(cell);
       });
-      std::uint64_t build_ops = 0;
-      PublicCacheEntry entry{
-          saferegion::PyramidBitmap::build(cell, regions_of(public_alarms),
-                                           config, &build_ops),
-          {}};
+      std::vector<alarms::AlarmId> public_ids;
+      regions_.clear();
       for (const alarms::SpatialAlarm* a : public_alarms) {
-        entry.public_ids.push_back(a->id);
+        public_ids.push_back(a->id);
+        regions_.push_back(a->region);
       }
+      std::uint64_t build_ops = 0;
+      slot = PublicCacheEntry{
+          saferegion::PyramidBitmap::build(cell, regions_, config, &build_ops),
+          std::move(public_ids)};
       metrics_.server_region_ops += build_ops;
-      slot = std::move(entry);
     }
     // The cached bitmap treats every public alarm as live; if this
     // subscriber has already spent one here, it would be needlessly
@@ -165,28 +149,24 @@ saferegion::PyramidBitmap Server::compute_pyramid_region(
         std::any_of(slot->public_ids.begin(), slot->public_ids.end(),
                     [&](alarms::AlarmId id) { return store_.spent(id, s); });
     if (!any_spent) {
-      const auto private_alarms = charged(&Metrics::server_region_ops, [&] {
-        return store_.relevant_nonpublic_in_window(cell, s);
-      });
-      if (private_alarms.empty()) {
+      load_regions(cell, s, alarms::AlarmStore::Scopes::kNonPublic);
+      if (regions_.empty()) {
         ++metrics_.server_region_ops;  // cache hand-out
         return finish(slot->bitmap);
       }
       std::uint64_t ops = 0;
-      auto private_bitmap = saferegion::PyramidBitmap::build(
-          cell, regions_of(private_alarms), config, &ops);
+      auto private_bitmap =
+          saferegion::PyramidBitmap::build(cell, regions_, config, &ops);
       auto merged = slot->bitmap.intersect(private_bitmap, &ops);
       metrics_.server_region_ops += ops;
       return finish(std::move(merged));
     }
   }
 
-  const auto relevant = charged(&Metrics::server_region_ops, [&] {
-    return store_.relevant_in_window(cell, s);
-  });
+  load_regions(cell, s, alarms::AlarmStore::Scopes::kAll);
   std::uint64_t build_ops = 0;
-  auto bitmap = saferegion::PyramidBitmap::build(cell, regions_of(relevant),
-                                                 config, &build_ops);
+  auto bitmap =
+      saferegion::PyramidBitmap::build(cell, regions_, config, &build_ops);
   metrics_.server_region_ops += build_ops;
   return finish(std::move(bitmap));
 }
@@ -240,6 +220,15 @@ std::vector<const alarms::SpatialAlarm*> Server::push_alarms(
   // the cell: installs inside the cell must be push-appended to the list.
   record_grant(s, dynamics::GrantKind::kAlarmList, cell);
   return relevant;
+}
+
+void Server::load_regions(const geo::Rect& cell, alarms::SubscriberId s,
+                          alarms::AlarmStore::Scopes scopes) {
+  regions_.clear();
+  charged(&Metrics::server_region_ops, [&] {
+    store_.relevant_regions_in_window(cell, s, scopes, regions_);
+    return 0;
+  });
 }
 
 void Server::enable_dynamics(std::size_t subscriber_count) {

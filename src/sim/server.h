@@ -205,6 +205,12 @@ class Server {
     return result;
   }
 
+  /// Refills regions_ with the regions of the alarms relevant to s (of the
+  /// given scopes) in the cell, charging the window query's node accesses
+  /// to server_region_ops.
+  void load_regions(const geo::Rect& cell, alarms::SubscriberId s,
+                    alarms::AlarmStore::Scopes scopes);
+
   /// Records the grant just issued to s (no-op unless dynamics is on);
   /// SessionIndex node accesses are charged like any other region work.
   void record_grant(alarms::SubscriberId s, dynamics::GrantKind kind,
@@ -219,6 +225,9 @@ class Server {
   const grid::GridOverlay& grid_;
   Metrics& metrics_;
   std::vector<alarms::TriggerEvent> trigger_log_;
+  /// Window-query scratch of the geometric safe-region computations,
+  /// reused across contacts (a shard's contacts run on one thread).
+  std::vector<geo::Rect> regions_;
 
   bool dynamics_enabled_ = false;
   dynamics::SessionIndex sessions_;

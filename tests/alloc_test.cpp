@@ -1,11 +1,16 @@
-// Allocation guard for the hot alarm-probe paths.
+// Allocation guard for the hot alarm-probe and contact paths.
 //
 // The steady state of a run must not touch the heap per position update:
 // the R*-tree point probe, a window visit, and a process_position that
-// fires nothing all run allocation-free. This executable replaces the
-// global operator new/delete with counting versions, which is why it is
-// built apart from salarm_tests. Each test builds its fixture first and
-// counts only across the measured calls.
+// fires nothing all run allocation-free. Neither may a contact, once its
+// thread and server are warm: the safe-period nearest-neighbour search
+// allocates nothing, and a pyramid build or a PBSR contact allocates only
+// the returned bitmap's node array. (MWPSR's internal candidate lists are
+// not covered.) This executable replaces the global operator new/delete
+// with counting versions, which is why it is built apart from
+// salarm_tests. Each test builds its fixture first, warms the thread's
+// scratch with one unmeasured pass where the path has any, and counts only
+// across the measured calls.
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -18,7 +23,11 @@
 #include "alarms/alarm_store.h"
 #include "common/rng.h"
 #include "geometry/rect.h"
+#include "grid/grid_overlay.h"
 #include "index/rstar_tree.h"
+#include "saferegion/pyramid.h"
+#include "sim/metrics.h"
+#include "sim/server.h"
 
 namespace {
 
@@ -32,6 +41,20 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them), so
+// every plain new is counted and freed by the matching delete below —
+// AddressSanitizer rejects a free() of its own operator new's memory.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -141,6 +164,105 @@ TEST(AllocationTest, NonFiringProcessPositionAllocatesNothing) {
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_EQ(refired, 0u);
   EXPECT_GT(store.index_node_accesses(), kProbes);
+}
+
+TEST(AllocationTest, WarmPyramidBuildAllocatesOnlyItsNodes) {
+  alarms::AlarmStore store;
+  store.install_bulk(alarm_workload());
+  const grid::GridOverlay grid =
+      grid::GridOverlay::with_cell_area(kUniverse, 1.0e6);
+  const std::vector<Point> points = random_points(4);
+  std::vector<Rect> cells;
+  std::vector<std::vector<Rect>> regions(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    cells.push_back(grid.cell_rect(grid.cell_of(points[i])));
+    store.relevant_regions_in_window(
+        cells[i], static_cast<alarms::SubscriberId>(i % 50),
+        alarms::AlarmStore::Scopes::kAll, regions[i]);
+  }
+  const saferegion::PyramidConfig config;
+  const auto build_all = [&] {
+    std::uint64_t ops = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      (void)saferegion::PyramidBitmap::build(cells[i], regions[i], config,
+                                             &ops);
+    }
+    return ops;
+  };
+  const std::uint64_t warm_ops = build_all();
+  const std::size_t before = allocations();
+  const std::uint64_t ops = build_all();
+  EXPECT_EQ(allocations() - before, points.size());
+  EXPECT_EQ(ops, warm_ops);
+  EXPECT_GT(ops, kProbes);
+}
+
+TEST(AllocationTest, WarmNearestRelevantDistanceAllocatesNothing) {
+  alarms::AlarmStore store;
+  store.install_bulk(alarm_workload());
+  const std::vector<Point> points = random_points(5);
+  const auto sweep = [&] {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      sum += store.nearest_relevant_distance(
+          points[i], static_cast<alarms::SubscriberId>(i % 50));
+    }
+    return sum;
+  };
+  const double warm = sweep();
+  const std::size_t before = allocations();
+  const double sum = sweep();
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(sum, warm);
+}
+
+/// A one-shard server over the alarm workload, on 1 km² cells.
+struct ServerFixture {
+  alarms::AlarmStore store;
+  grid::GridOverlay grid = grid::GridOverlay::with_cell_area(kUniverse, 1.0e6);
+  sim::Metrics metrics;
+  sim::Server server{store, grid, metrics};
+
+  ServerFixture() { store.install_bulk(alarm_workload()); }
+};
+
+TEST(AllocationTest, WarmSafePeriodContactAllocatesNothing) {
+  ServerFixture f;
+  const std::vector<Point> points = random_points(6);
+  const auto contacts = [&] {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      (void)f.server.compute_safe_period(
+          static_cast<alarms::SubscriberId>(i % 50), points[i], 30.0, 1.0);
+    }
+  };
+  contacts();
+  const std::uint64_t warm_ops = f.metrics.server_region_ops;
+  const std::size_t before = allocations();
+  contacts();
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(f.metrics.server_region_ops, 2 * warm_ops);
+}
+
+TEST(AllocationTest, WarmPyramidContactAllocatesOnlyTheBitmap) {
+  ServerFixture f;
+  const std::vector<Point> points = random_points(7);
+  const saferegion::PyramidConfig config;
+  const auto contacts = [&] {
+    std::size_t bits = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      bits += f.server
+                  .compute_pyramid_region(
+                      static_cast<alarms::SubscriberId>(i % 50), points[i],
+                      config)
+                  .bit_size();
+    }
+    return bits;
+  };
+  const std::size_t warm_bits = contacts();
+  const std::size_t before = allocations();
+  const std::size_t bits = contacts();
+  EXPECT_EQ(allocations() - before, points.size());
+  EXPECT_EQ(bits, warm_bits);
 }
 
 }  // namespace

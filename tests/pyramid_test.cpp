@@ -1,8 +1,14 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bitio.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "geometry/rect.h"
@@ -362,6 +368,228 @@ TEST(PyramidTest, IntersectRejectsMismatchedInputs) {
 TEST(PyramidTest, LocateRequiresPointInCell) {
   const auto bm = PyramidBitmap::build(kCell, {}, PyramidConfig{});
   EXPECT_THROW(bm.locate({-1, 0}), salarm::PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// Differential check of build() against the straightforward per-cell-vector
+// build it replaced: every work item owns its alarm list and every
+// subdivided cell copies its `touching` list into each child. The reference
+// encodes its node array with the same level-order bit scheme, so the
+// comparison covers nodes, bits and the ops count.
+// ---------------------------------------------------------------------------
+
+struct ReferenceBuild {
+  std::vector<std::uint8_t> bytes;
+  std::size_t bits = 0;
+  std::size_t nodes = 0;
+  std::uint64_t ops = 0;
+};
+
+ReferenceBuild reference_build(const Rect& cell,
+                               std::span<const Rect> alarm_regions,
+                               const PyramidConfig& config) {
+  enum class State { kSafe, kSolidUnsafe, kSubdivided };
+  struct Node {
+    State state = State::kSolidUnsafe;
+    int level = 0;
+  };
+  struct WorkItem {
+    std::size_t node;
+    Rect rect;
+    std::vector<std::size_t> alarms;
+  };
+  ReferenceBuild out;
+  std::vector<Node> nodes{Node{}};
+  std::vector<std::size_t> all(alarm_regions.size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  std::vector<WorkItem> frontier{{0, cell, all}};
+  const std::size_t uv =
+      static_cast<std::size_t>(config.fanout_u) * config.fanout_v;
+  std::size_t committed_bits = 0;
+  while (!frontier.empty()) {
+    const bool budget_allows_refinement =
+        config.max_bits == 0 ||
+        committed_bits + frontier.size() * (2 + 2 * uv) <= config.max_bits;
+    std::vector<WorkItem> next;
+    for (const WorkItem& item : frontier) {
+      std::vector<std::size_t> touching;
+      bool covered = false;
+      for (const std::size_t a : item.alarms) {
+        ++out.ops;
+        if (!alarm_regions[a].interiors_intersect(item.rect)) continue;
+        touching.push_back(a);
+        if (alarm_regions[a].contains(item.rect)) {
+          covered = true;
+          break;
+        }
+      }
+      const int level = nodes[item.node].level;
+      if (touching.empty()) {
+        nodes[item.node].state = State::kSafe;
+        committed_bits += 1;
+        continue;
+      }
+      if (covered || level >= config.height || !budget_allows_refinement) {
+        nodes[item.node].state = State::kSolidUnsafe;
+        committed_bits += level < config.height ? 2 : 1;
+        continue;
+      }
+      committed_bits += 2;
+      nodes[item.node].state = State::kSubdivided;
+      const double w = item.rect.width() / config.fanout_u;
+      const double h = item.rect.height() / config.fanout_v;
+      for (int row = 0; row < config.fanout_v; ++row) {
+        for (int col = 0; col < config.fanout_u; ++col) {
+          nodes.push_back({State::kSolidUnsafe, level + 1});
+          const Point lo{item.rect.lo().x + w * col,
+                         item.rect.lo().y + h * row};
+          next.push_back({nodes.size() - 1, Rect(lo, {lo.x + w, lo.y + h}),
+                          touching});
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  BitWriter writer;
+  for (const Node& node : nodes) {
+    writer.push(node.state == State::kSafe);
+    if (node.state != State::kSafe && node.level < config.height) {
+      writer.push(node.state == State::kSubdivided);
+    }
+  }
+  out.bits = writer.bit_count();
+  out.nodes = nodes.size();
+  out.bytes = std::move(writer).take();
+  return out;
+}
+
+/// A random base cell and 0–200 alarms around it: scattered rects of many
+/// sizes (some outside the cell, some crossing its border), rects nested
+/// inside earlier ones, exact duplicates, and at most one rect covering the
+/// whole cell.
+struct BuildInput {
+  Rect cell;
+  std::vector<Rect> alarms;
+};
+
+BuildInput random_build_input(Rng& rng) {
+  BuildInput in;
+  const Point lo{rng.uniform(-5000, 5000), rng.uniform(-5000, 5000)};
+  in.cell = Rect(lo, {lo.x + rng.uniform(50, 2000),
+                      lo.y + rng.uniform(50, 2000)});
+  const double w = in.cell.width();
+  const double h = in.cell.height();
+  const auto n = static_cast<std::size_t>(rng.index(201));
+  // One input in five has a cell-covering alarm somewhere in its list.
+  const std::size_t covering_at =
+      n > 0 && rng.chance(0.2) ? rng.index(n) : n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double kind = rng.uniform(0, 1);
+    if (i == covering_at) {
+      const Point a{in.cell.lo().x - rng.uniform(0, w),
+                    in.cell.lo().y - rng.uniform(0, h)};
+      const Point b{in.cell.hi().x + rng.uniform(0, w),
+                    in.cell.hi().y + rng.uniform(0, h)};
+      in.alarms.push_back(Rect(a, b));
+    } else if (kind < 0.2 && !in.alarms.empty()) {  // nested in an earlier one
+      const Rect outer = in.alarms[rng.index(in.alarms.size())];
+      const double x0 = rng.uniform(outer.lo().x, outer.hi().x);
+      const double y0 = rng.uniform(outer.lo().y, outer.hi().y);
+      in.alarms.push_back(Rect({x0, y0}, {rng.uniform(x0, outer.hi().x),
+                                          rng.uniform(y0, outer.hi().y)}));
+    } else if (kind < 0.25 && !in.alarms.empty()) {  // exact duplicate
+      in.alarms.push_back(in.alarms[rng.index(in.alarms.size())]);
+    } else {
+      const Point c{
+          rng.uniform(in.cell.lo().x - 0.2 * w, in.cell.hi().x + 0.2 * w),
+          rng.uniform(in.cell.lo().y - 0.2 * h, in.cell.hi().y + 0.2 * h)};
+      in.alarms.push_back(Rect::centered_square(
+          c, std::min(w, h) * std::pow(10.0, rng.uniform(-2.5, -0.2))));
+    }
+  }
+  return in;
+}
+
+TEST(PyramidTest, BuildMatchesReferenceBuild) {
+  Rng rng(71);
+  const std::pair<int, int> fanouts[] = {{2, 2}, {3, 3}, {4, 3}};
+  const std::size_t budgets[] = {0, 64, 4096};
+  for (const auto& [u, v] : fanouts) {
+    for (int height = 1; height <= 7; ++height) {
+      for (const std::size_t max_bits : budgets) {
+        PyramidConfig cfg;
+        cfg.fanout_u = u;
+        cfg.fanout_v = v;
+        cfg.height = height;
+        cfg.max_bits = max_bits;
+        for (int round = 0; round < 4; ++round) {
+          const BuildInput in = random_build_input(rng);
+          const ReferenceBuild ref = reference_build(in.cell, in.alarms, cfg);
+          std::uint64_t ops = 0;
+          const auto bm = PyramidBitmap::build(in.cell, in.alarms, cfg, &ops);
+          SCOPED_TRACE(testing::Message()
+                       << u << "x" << v << " h=" << height
+                       << " max_bits=" << max_bits << " round=" << round
+                       << " alarms=" << in.alarms.size());
+          EXPECT_EQ(bm.node_count(), ref.nodes);
+          EXPECT_TRUE(bm == PyramidBitmap::deserialize(in.cell, cfg, ref.bytes,
+                                                       ref.bits));
+          EXPECT_EQ(bm.bit_size(), ref.bits);
+          EXPECT_EQ(bm.serialize(), ref.bytes);
+          EXPECT_EQ(ops, ref.ops);
+        }
+      }
+    }
+  }
+}
+
+TEST(PyramidTest, ParallelBuildsMatchSerial) {
+  // Shard workers build concurrently, each on its own thread's scratch.
+  Rng rng(73);
+  std::vector<BuildInput> inputs;
+  std::vector<PyramidConfig> configs;
+  for (int i = 0; i < 48; ++i) {
+    inputs.push_back(random_build_input(rng));
+    PyramidConfig cfg;
+    cfg.fanout_u = 2 + static_cast<int>(rng.index(3));
+    cfg.fanout_v = 2 + static_cast<int>(rng.index(3));
+    cfg.height = 1 + static_cast<int>(rng.index(7));
+    configs.push_back(cfg);
+  }
+  struct Built {
+    std::vector<std::uint8_t> bytes;
+    std::uint64_t ops = 0;
+  };
+  const auto build = [&](std::size_t i) {
+    Built out;
+    out.bytes = PyramidBitmap::build(inputs[i].cell, inputs[i].alarms,
+                                     configs[i], &out.ops)
+                    .serialize();
+    return out;
+  };
+  std::vector<Built> serial;
+  for (std::size_t i = 0; i < inputs.size(); ++i) serial.push_back(build(i));
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the inputs from its own offset, three times, so
+      // the threads interleave different builds.
+      for (std::size_t k = 0; k < 3 * inputs.size(); ++k) {
+        const std::size_t i = (t * 11 + k) % inputs.size();
+        const Built got = build(i);
+        if (got.bytes != serial[i].bytes || got.ops != serial[i].ops) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -170,6 +170,12 @@ struct SweepParam {
   std::uint64_t seed;
 };
 
+const SweepParam kSweep[] = {{4, 64, 10},
+                              {8, 256, 20},
+                              {16, 1024, 30},
+                              {32, 400, 40},
+                              {16, 2000, 50}};
+
 class RStarSweepTest : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(RStarSweepTest, SearchMatchesBruteForce) {
@@ -255,11 +261,47 @@ TEST_P(RStarSweepTest, EraseHalfKeepsQueriesCorrect) {
   tree.check_invariants();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    CapacityAndSize, RStarSweepTest,
-    ::testing::Values(SweepParam{4, 64, 10}, SweepParam{8, 256, 20},
-                      SweepParam{16, 1024, 30}, SweepParam{32, 400, 40},
-                      SweepParam{16, 2000, 50}));
+INSTANTIATE_TEST_SUITE_P(CapacityAndSize, RStarSweepTest,
+                         ::testing::ValuesIn(kSweep));
+
+TEST(RStarTreeTest, NearestDistanceMatchesKnn) {
+  // nearest_distance is the k = 1 search: same distance, same node
+  // accesses, with and without a filter (which here rejects two thirds of
+  // the entries, or every one of them for some queries).
+  for (const auto& [capacity, n, seed] : kSweep) {
+    Rng rng(seed + 3000);
+    RStarTree tree(capacity);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      tree.insert({random_rect(rng, 500.0, 40.0), i});
+    }
+    for (int q = 0; q < 40; ++q) {
+      const Point p{rng.uniform(-50, 550), rng.uniform(-50, 550)};
+      const std::uint64_t residue = rng.index(3);
+      const bool reject_all = q % 10 == 0;
+      const auto filter = [&](const Entry& e) {
+        return !reject_all && e.id % 3 == residue;
+      };
+      for (const bool filtered : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "capacity=" << capacity << " n="
+                                        << n << " q=" << q
+                                        << " filtered=" << filtered);
+        tree.reset_node_accesses();
+        const auto knn = filtered ? tree.nearest(p, 1, filter)
+                                  : tree.nearest(p, 1);
+        const std::uint64_t knn_accesses = tree.node_accesses();
+        tree.reset_node_accesses();
+        const double distance = filtered ? tree.nearest_distance(p, filter)
+                                         : tree.nearest_distance(p);
+        EXPECT_EQ(tree.node_accesses(), knn_accesses);
+        if (knn.empty()) {
+          EXPECT_TRUE(std::isinf(distance));
+        } else {
+          EXPECT_EQ(distance, knn.front().distance);
+        }
+      }
+    }
+  }
+}
 
 TEST(RStarTreeTest, BulkLoadEmptyAndTiny) {
   const RStarTree empty = RStarTree::bulk_load({});
