@@ -119,13 +119,14 @@ class AlarmStore {
   std::vector<const SpatialAlarm*> public_in_window(
       const geo::Rect& window) const;
 
-  /// The read-only half of alarm processing: appends to `fired` the id of
+  /// The read-only half of process_position: appends to `fired` the id of
   /// every alarm relevant to s whose region interior contains p, in index
   /// visit order, and returns the R*-tree node accesses the probe made.
   /// Neither the trigger state nor index_node_accesses() changes, so
-  /// threads may probe a store that no thread mutates concurrently (the
-  /// parallel oracle, sim/oracle.h); the caller accounts the accesses
-  /// (add_index_node_accesses). Allocates only when `fired` must grow.
+  /// threads may probe a store that no thread mutates concurrently.
+  /// Allocates only when `fired` must grow. (The ground-truth oracle,
+  /// sim/oracle.h, deliberately does not use it: it matches positions
+  /// against a table of its own.)
   std::uint64_t probe_position(SubscriberId s, geo::Point p,
                                std::vector<AlarmId>& fired) const;
 
@@ -167,7 +168,6 @@ class AlarmStore {
   /// cost model reads and resets this.
   std::uint64_t index_node_accesses() const { return tree_.node_accesses(); }
   void reset_index_node_accesses() { tree_.reset_node_accesses(); }
-  void add_index_node_accesses(std::uint64_t n) { tree_.add_node_accesses(n); }
 
  private:
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);

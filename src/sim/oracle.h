@@ -7,17 +7,29 @@
 // the reference trigger sequence each strategy must reproduce exactly
 // (100% accuracy requirement).
 //
-// Each tick runs in three steps. The calling thread steps the trace and
-// applies churn (serial). Fixed 512-subscriber chunks are then probed in
-// parallel on a cluster::ParallelTickExecutor sized min(usable cores,
-// chunks): each task runs the read-only AlarmStore::probe_position into
-// buffers sized by the calling thread and counts node accesses per chunk,
-// allocating nothing. Finally the calling thread merges the chunks in
-// subscriber order, marking each fired pair spent and logging it. Triggers
-// are one-shot per (alarm, subscriber) and every subscriber is probed once
-// per tick, so no probe can observe another probe's spend: the events
-// (in (tick, subscriber, visit) order) and the node-access total are
-// bit-identical to a serial process_position loop at any thread count.
+// The oracle is a reference that shares no alarm-processing code with the
+// server it scores. It reads the store's alarm set (AlarmStore::all())
+// into a private table — id, region, a public flag and a sorted copy of
+// the subscriber list per alarm — bucketed on a uniform grid over the
+// source's extent, and keeps its own spent set. It never calls the
+// store's probe, relevance or spend code and never touches the R*-tree,
+// so the store's node-access counter moves only by what apply_churn's
+// installs and removals cost.
+//
+// Each tick runs in three steps. The calling thread steps the trace and,
+// under churn, applies the tick's churn and reconciles the table against
+// the store's alarm set by (id, region, scope, subscribers) (serial).
+// Fixed 512-subscriber chunks are then matched in parallel on a
+// cluster::ParallelTickExecutor sized min(usable cores, chunks): each
+// task looks up its subscribers' grid cells and tests the open interior,
+// the subscription and the spent set, read-only, into buffers sized by
+// the calling thread, allocating nothing. Finally the calling thread
+// merges the chunks in subscriber order, spending and logging each fired
+// pair. Triggers are one-shot per (alarm, subscriber) and every subscriber
+// is matched once per tick, so no match can observe another match's
+// spend: the events come out in canonical (tick, subscriber, alarm) order
+// at any thread count — the order cluster::ShardedServer's merged trigger
+// log gives runs.
 #pragma once
 
 #include <cstddef>
@@ -30,9 +42,10 @@
 namespace salarm::sim {
 
 /// Computes the ground-truth trigger events for `ticks` ticks (tick 0 =
-/// initial positions). The source is reset before and left at the end
-/// position afterwards; the store's trigger state is reset before and
-/// after (callers reset the node-access counter).
+/// initial positions), in (tick, subscriber, alarm) order. The source is
+/// reset before and left at the end position afterwards; the store's
+/// trigger state is reset before and after, and its alarm set is only
+/// read.
 std::vector<alarms::TriggerEvent> ground_truth_triggers(
     mobility::PositionSource& source, alarms::AlarmStore& store,
     std::size_t ticks);

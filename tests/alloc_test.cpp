@@ -6,12 +6,16 @@
 // thread and server are warm: the safe-period nearest-neighbour search
 // allocates nothing, and a pyramid build or a PBSR contact allocates only
 // the returned bitmap's node array. (MWPSR's internal candidate lists are
-// not covered.) This executable replaces the global operator new/delete
+// not covered.) Nor may the ground-truth oracle's ticks: once its table and
+// buffers are built, a tick that fires nothing allocates nothing, so a run
+// of 10N ticks allocates exactly what a run of N does. This executable
+// replaces the global operator new/delete
 // with counting versions, which is why it is built apart from
 // salarm_tests. Each test builds its fixture first, warms the thread's
 // scratch with one unmeasured pass where the path has any, and counts only
 // across the measured calls.
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -25,8 +29,10 @@
 #include "geometry/rect.h"
 #include "grid/grid_overlay.h"
 #include "index/rstar_tree.h"
+#include "mobility/position_source.h"
 #include "saferegion/pyramid.h"
 #include "sim/metrics.h"
+#include "sim/oracle.h"
 #include "sim/server.h"
 
 namespace {
@@ -263,6 +269,64 @@ TEST(AllocationTest, WarmPyramidContactAllocatesOnlyTheBitmap) {
   const std::size_t bits = contacts();
   EXPECT_EQ(allocations() - before, points.size());
   EXPECT_EQ(bits, warm_bits);
+}
+
+/// Vehicles that drift by a fixed step, wrapping inside the universe, with
+/// no allocation per step.
+class DriftSource final : public mobility::PositionSource {
+ public:
+  explicit DriftSource(std::size_t vehicles) : start_(vehicles) {
+    Rng rng(8);
+    for (mobility::VehicleSample& s : start_) {
+      s.pos = {rng.uniform(0.0, kUniverse.width()),
+               rng.uniform(0.0, kUniverse.height())};
+    }
+    reset();
+  }
+
+  void reset() override { samples_ = start_; }
+  void step() override {
+    for (mobility::VehicleSample& s : samples_) {
+      s.pos = {std::fmod(s.pos.x + 37.0, kUniverse.width()),
+               std::fmod(s.pos.y + 23.0, kUniverse.height())};
+    }
+  }
+  const std::vector<mobility::VehicleSample>& samples() const override {
+    return samples_;
+  }
+  std::size_t vehicle_count() const override { return samples_.size(); }
+  double tick_seconds() const override { return 1.0; }
+  geo::Rect extent() const override { return kUniverse; }
+
+ private:
+  std::vector<mobility::VehicleSample> start_;
+  std::vector<mobility::VehicleSample> samples_;
+};
+
+TEST(AllocationTest, WarmOracleTicksAllocateNothing) {
+  // Private and shared alarms whose subscribers are none of the vehicles:
+  // every tick looks up each vehicle's cell and tests its alarms, and
+  // nothing fires.
+  constexpr std::size_t kVehicles = 1300;  // three chunks, one partial
+  std::vector<alarms::SpatialAlarm> workload = alarm_workload();
+  for (alarms::SpatialAlarm& a : workload) {
+    a.scope = alarms::AlarmScope::kShared;
+    a.subscribers = {static_cast<alarms::SubscriberId>(kVehicles + a.id)};
+  }
+  alarms::AlarmStore store;
+  store.install_bulk(std::move(workload));
+  DriftSource source(kVehicles);
+  const auto oracle_allocations = [&](std::size_t ticks) {
+    const std::size_t before = allocations();
+    const std::vector<alarms::TriggerEvent> events =
+        sim::ground_truth_triggers(source, store, ticks);
+    EXPECT_TRUE(events.empty());
+    return allocations() - before;
+  };
+  constexpr std::size_t kTicks = 20;
+  const std::size_t short_run = oracle_allocations(kTicks);
+  EXPECT_GT(short_run, 0u);  // the table and buffers
+  EXPECT_EQ(oracle_allocations(10 * kTicks), short_run);
 }
 
 }  // namespace
