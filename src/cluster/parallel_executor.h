@@ -36,8 +36,6 @@ class ParallelTickExecutor {
   ParallelTickExecutor(const ParallelTickExecutor&) = delete;
   ParallelTickExecutor& operator=(const ParallelTickExecutor&) = delete;
 
-  std::size_t thread_count() const { return thread_count_; }
-
   /// Runs all tasks, blocking until every one has completed. The first
   /// exception thrown by any task is rethrown on the caller (remaining
   /// tasks still run to completion).

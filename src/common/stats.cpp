@@ -1,10 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
-
-#include "common/error.h"
 
 namespace salarm {
 
@@ -23,8 +19,6 @@ double RunningStat::variance() const {
   return m2_ / static_cast<double>(count_ - 1);
 }
 
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
 void RunningStat::merge(const RunningStat& other) {
   if (other.count_ == 0) return;
   if (count_ == 0) {
@@ -40,59 +34,6 @@ void RunningStat::merge(const RunningStat& other) {
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  SALARM_REQUIRE(hi > lo, "histogram range empty");
-  SALARM_REQUIRE(bins > 0, "histogram needs at least one bin");
-}
-
-void Histogram::add(double x) {
-  const double clamped = std::clamp(x, lo_, std::nextafter(hi_, lo_));
-  auto bin = static_cast<std::size_t>((clamped - lo_) / width_);
-  bin = std::min(bin, counts_.size() - 1);
-  ++counts_[bin];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const {
-  SALARM_REQUIRE(bin < counts_.size(), "bin out of range");
-  return counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  SALARM_REQUIRE(bin < counts_.size(), "bin out of range");
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin) + width_; }
-
-double Histogram::quantile(double q) const {
-  SALARM_REQUIRE(q >= 0.0 && q <= 1.0, "quantile out of [0,1]");
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double inside =
-          counts_[i] == 0 ? 0.0
-                          : (target - cum) / static_cast<double>(counts_[i]);
-      return bin_lo(i) + inside * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::to_string() const {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    os << '[' << bin_lo(i) << ',' << bin_hi(i) << "): " << counts_[i] << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace salarm

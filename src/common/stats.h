@@ -2,10 +2,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace salarm {
 
@@ -20,7 +17,6 @@ class RunningStat {
   double mean() const { return count_ == 0 ? 0.0 : mean_; }
   /// Unbiased sample variance; 0 for fewer than two observations.
   double variance() const;
-  double stddev() const;
   double min() const { return count_ == 0 ? 0.0 : min_; }
   double max() const { return count_ == 0 ? 0.0 : max_; }
 
@@ -34,33 +30,6 @@ class RunningStat {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width histogram over [lo, hi) with out-of-range clamping; used by
-/// the benches to report distributions (e.g. safe-region dwell times).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t bin) const;
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-
-  /// Value below which the given fraction q in [0,1] of samples fall
-  /// (linear interpolation within the bin).
-  double quantile(double q) const;
-
-  std::string to_string() const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace salarm

@@ -1,6 +1,7 @@
 #include "core/spatial_alarm_service.h"
 
 #include "common/error.h"
+#include "saferegion/wire_format.h"
 
 namespace salarm::core {
 
@@ -8,7 +9,8 @@ SpatialAlarmService::SpatialAlarmService(const Config& config)
     : config_(config),
       grid_(grid::GridOverlay::with_cell_area(config.universe,
                                               config.grid_cell_area_sqm)),
-      motion_(config.motion_y, config.motion_z) {}
+      motion_(config.motion_y, config.motion_z),
+      server_(store_, grid_, metrics_) {}
 
 alarms::AlarmId SpatialAlarmService::install(
     alarms::AlarmScope scope, alarms::SubscriberId owner,
@@ -25,14 +27,11 @@ alarms::AlarmId SpatialAlarmService::install(
   }
   alarm.subscribers = std::move(subscribers);
   store_.install(std::move(alarm));  // throws on a rejected alarm
-  ++installed_count_;
   return next_id_++;
 }
 
 bool SpatialAlarmService::uninstall(alarms::AlarmId id) {
-  if (!store_.uninstall(id)) return false;
-  --installed_count_;
-  return true;
+  return store_.uninstall(id);
 }
 
 void SpatialAlarmService::move(alarms::AlarmId id,
@@ -48,29 +47,20 @@ SpatialAlarmService::UpdateResult SpatialAlarmService::process_update(
   SALARM_REQUIRE(config_.universe.contains(position),
                  "position outside the universe");
   UpdateResult result;
-  result.fired =
-      store_.process_position(subscriber, position, tick, &trigger_log_);
-
-  const geo::Rect cell = grid_.cell_rect(grid_.cell_of(position));
-  std::vector<geo::Rect> regions;
-  store_.relevant_regions_in_window(cell, subscriber,
-                                    alarms::AlarmStore::Scopes::kAll, regions);
-
+  result.fired = server_.handle_position_update(subscriber, position, tick);
   switch (kind) {
-    case RegionKind::kRect: {
-      const auto region = saferegion::compute_mwpsr(
-          position, heading, cell, regions, motion_, config_.mwpsr);
-      result.safe_region_message =
-          wire::encode(wire::RectSafeRegionMsg{region.rect});
+    case RegionKind::kRect:
+      result.safe_region_message = wire::encode(wire::RectSafeRegionMsg{
+          server_.compute_rect_region(subscriber, position, heading, motion_,
+                                      config_.mwpsr)
+              .rect});
       break;
-    }
-    case RegionKind::kPyramid: {
-      const auto bitmap =
-          saferegion::PyramidBitmap::build(cell, regions, config_.pyramid);
+    case RegionKind::kPyramid:
       result.safe_region_message =
-          wire::encode(wire::PyramidSafeRegionMsg::from(bitmap));
+          wire::encode(wire::PyramidSafeRegionMsg::from(
+              server_.compute_pyramid_region(subscriber, position,
+                                             config_.pyramid)));
       break;
-    }
   }
   return result;
 }

@@ -12,9 +12,10 @@
 //   auto result = service.process_update(subscriber, pos, heading, t);
 //   // send result.safe_region_message to the client
 //
-// The simulation engine (src/sim) bypasses this facade for metered runs;
-// the facade is the deployment surface and is exercised by examples/ and
-// the integration tests.
+// The facade keeps the alarm store, ids and input checks; every report is
+// processed by the same per-shard engine (sim::Server) that the simulation
+// runs, so probes, window queries, MWPSR and the pyramid build exist once.
+// The examples/ and the integration tests exercise it.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,8 @@
 #include "saferegion/motion_model.h"
 #include "saferegion/mwpsr.h"
 #include "saferegion/pyramid.h"
-#include "saferegion/wire_format.h"
+#include "sim/metrics.h"
+#include "sim/server.h"
 
 namespace salarm::core {
 
@@ -49,6 +51,9 @@ class SpatialAlarmService {
   };
 
   explicit SpatialAlarmService(const Config& config);
+  // The engine holds references to this object's store, grid and metrics.
+  SpatialAlarmService(const SpatialAlarmService&) = delete;
+  SpatialAlarmService& operator=(const SpatialAlarmService&) = delete;
 
   /// Installs an alarm and returns its id. Ids are dense and assigned by
   /// the service. The region must have positive area and lie inside the
@@ -66,7 +71,7 @@ class SpatialAlarmService {
   /// universe.
   void move(alarms::AlarmId id, const geo::Rect& new_region);
 
-  std::size_t alarm_count() const { return installed_count_; }
+  std::size_t alarm_count() const { return store_.size(); }
 
   struct UpdateResult {
     /// Alarms fired by this update (now spent for the subscriber).
@@ -86,18 +91,16 @@ class SpatialAlarmService {
 
   /// Trigger history (every fired (alarm, subscriber, tick)).
   const std::vector<alarms::TriggerEvent>& trigger_log() const {
-    return trigger_log_;
+    return server_.trigger_log();
   }
-
-  const grid::GridOverlay& grid() const { return grid_; }
 
  private:
   Config config_;
   grid::GridOverlay grid_;
   alarms::AlarmStore store_;
   saferegion::MotionModel motion_;
-  std::vector<alarms::TriggerEvent> trigger_log_;
-  std::size_t installed_count_ = 0;
+  sim::Metrics metrics_;
+  sim::Server server_;
   alarms::AlarmId next_id_ = 0;
 };
 

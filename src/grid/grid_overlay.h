@@ -74,6 +74,9 @@ class GridOverlay {
   std::uint32_t rows_;
   double cell_w_;
   double cell_h_;
+  /// Cell edges per axis (cols + 1 and rows + 1 of them), matching cell_of.
+  std::vector<double> x_edges_;
+  std::vector<double> y_edges_;
 };
 
 }  // namespace salarm::grid

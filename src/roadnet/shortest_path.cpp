@@ -21,7 +21,6 @@ Route Router::route(NodeId from, NodeId to) {
   SALARM_REQUIRE(from < network_.node_count() && to < network_.node_count(),
                  "route endpoint out of range");
   ++epoch_;
-  last_expanded_ = 0;
 
   const double max_speed = network_.max_speed_mps();
   SALARM_REQUIRE(max_speed > 0.0, "network has no edges");
@@ -58,7 +57,6 @@ Route Router::route(NodeId from, NodeId to) {
     open.pop();
     touch(item.node);
     if (item.g > best_cost_[item.node]) continue;  // stale queue entry
-    ++last_expanded_;
     if (item.node == to) {
       found = true;
       break;

@@ -30,9 +30,6 @@ class Router {
   /// that single node.
   Route route(NodeId from, NodeId to);
 
-  /// Nodes expanded by the most recent route() call (test/bench hook).
-  std::size_t last_expanded() const { return last_expanded_; }
-
  private:
   const RoadNetwork& network_;
   // Scratch, versioned to avoid O(V) clearing per query.
@@ -40,7 +37,6 @@ class Router {
   std::vector<NodeId> came_from_;
   std::vector<std::uint32_t> visit_epoch_;
   std::uint32_t epoch_ = 0;
-  std::size_t last_expanded_ = 0;
 };
 
 }  // namespace salarm::roadnet

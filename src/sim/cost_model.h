@@ -72,13 +72,6 @@ struct CostModel {
            rx_mwh_per_byte * static_cast<double>(m.net_ack_bytes);
   }
 
-  /// Downstream bandwidth of the invalidation protocol alone, in Mbps —
-  /// the dynamics tier's push overhead (bench/dyn_churn).
-  double invalidation_mbps(const Metrics& m, double duration_s) const {
-    return static_cast<double>(m.invalidation_bytes) * 8.0 /
-           (duration_s * 1e6);
-  }
-
   /// Downstream safe-region bandwidth in Mbps over the simulated duration
   /// (Figure 6(b)).
   double downstream_mbps(const Metrics& m, double duration_s) const {

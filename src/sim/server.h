@@ -114,7 +114,6 @@ class Server {
   /// invalidations into per-subscriber mailboxes. Off by default so static
   /// runs stay bit-identical to the pre-dynamics simulator.
   void enable_dynamics(std::size_t subscriber_count);
-  bool dynamics_enabled() const { return dynamics_enabled_; }
 
   /// Installs an alarm online at the given tick and invalidates every
   /// outstanding grant the alarm's region (closed) intersects, for

@@ -57,11 +57,6 @@ void Simulation::set_churn(const dynamics::ChurnConfig& config,
   oracle_.reset();  // ground truth depends on the timeline
 }
 
-const dynamics::AlarmScheduler& Simulation::churn_scheduler() const {
-  SALARM_REQUIRE(scheduler_.has_value(), "churn is not enabled");
-  return *scheduler_;
-}
-
 void Simulation::set_channel(const net::ChannelConfig& config,
                              std::uint64_t seed) {
   // Validate eagerly (FaultyChannel's preconditions) so a bad sweep config

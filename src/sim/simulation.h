@@ -106,8 +106,6 @@ class Simulation {
   /// pass-through link.
   void set_channel(const net::ChannelConfig& config, std::uint64_t seed);
 
-  const net::ChannelConfig& channel_config() const { return channel_config_; }
-
   /// Arms shard crash-recovery for every subsequent run (DESIGN.md §10):
   /// a fresh CrashPlan is drawn per run from (seed, shard count, ticks),
   /// shards checkpoint/journal per `config`, and clients degrade while
@@ -119,10 +117,6 @@ class Simulation {
   void set_failover(const failover::FailoverConfig& config,
                     std::uint64_t seed);
   bool failover_enabled() const { return failover_config_.has_value(); }
-
-  bool churn_enabled() const { return scheduler_.has_value(); }
-  /// The precomputed churn timeline; only valid after set_churn.
-  const dynamics::AlarmScheduler& churn_scheduler() const;
 
   std::size_t ticks() const { return ticks_; }
   double tick_seconds() const { return source_.tick_seconds(); }

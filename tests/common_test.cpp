@@ -118,44 +118,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::size_t{1}, std::size_t{2},
                                          std::size_t{5}, std::size_t{16})));
 
-TEST(HistogramTest, BinBoundaries) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bins(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
-}
-
-TEST(HistogramTest, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);    // bin 0
-  h.add(2.0);    // bin 1 (half-open bins)
-  h.add(9.99);   // bin 4
-  h.add(-5.0);   // clamped to bin 0
-  h.add(42.0);   // clamped to bin 4
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-}
-
-TEST(HistogramTest, QuantileInterpolates) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.0);
-  EXPECT_LE(h.quantile(0.0), h.quantile(1.0));
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(5.0, 5.0, 3), PreconditionError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), PreconditionError);
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_THROW(h.bin_count(2), PreconditionError);
-  EXPECT_THROW(h.quantile(1.5), PreconditionError);
-}
-
 TEST(RngTest, DeterministicAcrossInstances) {
   Rng a(123);
   Rng b(123);

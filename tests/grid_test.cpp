@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/units.h"
@@ -76,6 +81,58 @@ TEST(GridOverlayTest, CellRectTilesUniverse) {
   EXPECT_NEAR(total, g.universe().area(), 1e-9);
   EXPECT_THROW(g.cell_rect({4, 0}), salarm::PreconditionError);
   EXPECT_THROW(g.cell_rect({0, 5}), salarm::PreconditionError);
+}
+
+TEST(GridOverlayTest, CellRectContainsMappedPoint) {
+  // Cell edges and their one-ulp neighbours are where floor(offset / w) and
+  // lo + w * k can disagree; the universe's hi need not equal lo + w * n.
+  const std::pair<Rect, double> cases[] = {
+      {Rect(0, 0, 32000, 32000), 9e6},
+      {Rect(0, 0, 32000, 32000), 3e5},
+      {Rect(0, 0, 32000, 32000), 2.5e6},
+      {Rect(-500, -200, 1500, 800), 1.7e4},
+      {Rect(10.1, 20.3, 1010.7, 770.9), 1234.5},
+  };
+  for (const auto& [universe, area] : cases) {
+    const GridOverlay g = GridOverlay::with_cell_area(universe, area);
+    std::vector<double> xs;
+    std::vector<double> ys;
+    for (std::uint32_t c = 0; c < g.cols(); ++c) {
+      const Rect cell = g.cell_rect({c, 0});
+      if (c + 1 < g.cols()) {
+        EXPECT_EQ(cell.hi().x, g.cell_rect({c + 1, 0}).lo().x);
+      }
+      for (const double x : {cell.lo().x, cell.hi().x}) {
+        xs.insert(xs.end(), {std::nextafter(x, -1e300), x,
+                             std::nextafter(x, 1e300)});
+      }
+    }
+    for (std::uint32_t r = 0; r < g.rows(); ++r) {
+      const Rect cell = g.cell_rect({0, r});
+      if (r + 1 < g.rows()) {
+        EXPECT_EQ(cell.hi().y, g.cell_rect({0, r + 1}).lo().y);
+      }
+      for (const double y : {cell.lo().y, cell.hi().y}) {
+        ys.insert(ys.end(), {std::nextafter(y, -1e300), y,
+                             std::nextafter(y, 1e300)});
+      }
+    }
+    EXPECT_EQ(g.cell_rect({g.cols() - 1, g.rows() - 1}).hi(), universe.hi());
+    EXPECT_EQ(g.cell_rect({0, 0}).lo(), universe.lo());
+    std::size_t bad = 0;
+    Point first_bad;
+    for (const double x : xs) {
+      for (const double y : ys) {
+        const Point p{x, y};
+        if (!universe.contains(p) || g.cell_rect(g.cell_of(p)).contains(p)) {
+          continue;
+        }
+        if (bad++ == 0) first_bad = p;
+      }
+    }
+    EXPECT_EQ(bad, 0u) << "first: (" << first_bad.x << ',' << first_bad.y
+                       << ") not in its cell, cell area " << area;
+  }
 }
 
 TEST(GridOverlayTest, FlatIndexIsBijective) {

@@ -1,5 +1,8 @@
 // End-to-end tests of the public facade: SpatialAlarmService (server) +
 // ClientMonitor (device) talking through real wire messages.
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/client_monitor.h"
@@ -97,6 +100,96 @@ TEST(SpatialAlarmServiceTest, MoveKeepsIdAndTriggerState) {
             1u);
   EXPECT_THROW(service.move(id, Rect(9000, 9000, 11000, 11000)),
                PreconditionError);
+}
+
+TEST(SpatialAlarmServiceTest, UniverseEdgeUpdates) {
+  // 32 km / 11 columns does not land exactly on the universe's hi edge, and
+  // floor(offset / w) can miss an interior cell edge by one ulp: a report
+  // there must still get a safe region around its own position.
+  struct Case {
+    double area;
+    Point position;
+  };
+  const Case cases[] = {
+      {9e6, {32000, 16000}},
+      {9e6, {16000, 32000}},
+      {9e6, {32000, 32000}},
+      {3e5, {1655.1724137931035, 16000}},
+  };
+  for (const RegionKind kind : {RegionKind::kRect, RegionKind::kPyramid}) {
+    for (const Case& c : cases) {
+      SpatialAlarmService::Config cfg;
+      cfg.grid_cell_area_sqm = c.area;
+      SpatialAlarmService service(cfg);
+      ClientMonitor monitor;
+      const auto update = service.process_update(7, c.position, 0.0, 1, kind);
+      monitor.receive(update.safe_region_message);
+      EXPECT_FALSE(monitor.should_report(c.position))
+          << "(" << c.position.x << ", " << c.position.y << ") kind "
+          << static_cast<int>(kind);
+    }
+  }
+}
+
+TEST(SpatialAlarmServiceTest, GoldenSession) {
+  // A scripted session over every facade entry point. The fired ids and the
+  // FNV-1a digest of every safe-region message pin the server's output
+  // byte for byte.
+  auto cfg = test_config();
+  cfg.pyramid.height = 4;
+  SpatialAlarmService service(cfg);
+  using alarms::AlarmScope;
+  EXPECT_EQ(
+      service.install(AlarmScope::kPublic, 0, Rect(1000, 1000, 1500, 1500)),
+      0u);
+  EXPECT_EQ(
+      service.install(AlarmScope::kPrivate, 3, Rect(2500, 500, 2900, 900)),
+      1u);
+  EXPECT_EQ(service.install(AlarmScope::kShared, 3,
+                            Rect(4200, 4200, 4800, 4600), {3, 5}),
+            2u);
+  EXPECT_EQ(
+      service.install(AlarmScope::kPublic, 0, Rect(6100, 6100, 6600, 6900)),
+      3u);
+
+  std::uint64_t digest = 14695981039346656037ull;
+  std::vector<std::vector<alarms::AlarmId>> fired;
+  auto update = [&](alarms::SubscriberId s, Point p, double heading,
+                    std::uint64_t tick, RegionKind kind) {
+    const auto result = service.process_update(s, p, heading, tick, kind);
+    for (const std::uint8_t byte : result.safe_region_message) {
+      digest = (digest ^ byte) * 1099511628211ull;
+    }
+    fired.push_back(result.fired);
+  };
+  const auto kRect = RegionKind::kRect;
+  const auto kPyramid = RegionKind::kPyramid;
+  update(1, {900, 900}, 0.0, 0, kRect);
+  update(1, {1200, 1200}, 0.7, 1, kRect);
+  update(3, {2700, 700}, 1.5, 2, kPyramid);
+  update(5, {2700, 700}, 1.5, 3, kPyramid);
+  update(5, {4500, 4400}, 3.0, 4, kRect);
+  update(4, {4500, 4400}, 3.0, 5, kPyramid);
+  update(3, {4300, 4300}, -1.2, 6, kRect);
+  service.move(3, Rect(3100, 3100, 3700, 3500));
+  update(1, {3400, 3300}, 0.3, 7, kPyramid);
+  EXPECT_TRUE(service.uninstall(1));
+  update(3, {2700, 700}, 2.2, 8, kRect);
+  update(1, {1800, 1800}, 0.9, 9, kRect);
+  update(1, {1200, 1200}, -2.4, 10, kPyramid);  // re-entry: already spent
+  update(2, {1250, 1300}, 0.0, 11, kPyramid);
+  update(2, {6300, 6300}, 1.1, 12, kRect);  // the alarm moved away
+  EXPECT_EQ(
+      service.install(AlarmScope::kPublic, 0, Rect(8000, 200, 8600, 700)),
+      4u);
+  update(4, {8300, 500}, 0.5, 13, kPyramid);
+
+  const std::vector<std::vector<alarms::AlarmId>> expected_fired = {
+      {}, {0}, {1}, {}, {2}, {}, {2}, {3}, {}, {}, {}, {0}, {}, {4}};
+  EXPECT_EQ(fired, expected_fired);
+  EXPECT_EQ(service.trigger_log().size(), 7u);
+  EXPECT_EQ(service.alarm_count(), 4u);
+  EXPECT_EQ(digest, 12939522205820048893ull);
 }
 
 TEST(ServiceClientLoopTest, RectRegionRoundTrip) {
