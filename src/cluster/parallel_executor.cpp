@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "common/error.h"
+
 namespace salarm::cluster {
 
 std::size_t usable_cores() {
@@ -36,7 +38,7 @@ ParallelTickExecutor::~ParallelTickExecutor() {
 
 void ParallelTickExecutor::run(
     const std::vector<std::function<void()>>& tasks) {
-  if (tasks.empty()) return;
+  SALARM_REQUIRE(tasks_ == nullptr, "run() while a batch is in flight");
   if (workers_.empty() || tasks.size() == 1) {
     // Inline: same run-to-completion semantics, no synchronization.
     std::exception_ptr err;
@@ -50,7 +52,14 @@ void ParallelTickExecutor::run(
     if (err) std::rethrow_exception(err);
     return;
   }
+  start(tasks);
+  wait();
+}
 
+void ParallelTickExecutor::start(
+    const std::vector<std::function<void()>>& tasks) {
+  SALARM_REQUIRE(tasks_ == nullptr, "start() while a batch is in flight");
+  if (tasks.empty()) return;
   {
     std::lock_guard lock(mutex_);
     tasks_ = &tasks;
@@ -60,6 +69,10 @@ void ParallelTickExecutor::run(
     ++generation_;
   }
   start_cv_.notify_all();
+}
+
+void ParallelTickExecutor::wait() {
+  if (tasks_ == nullptr) return;
   work_batch();  // the caller is one of the pool's threads
 
   std::exception_ptr err;

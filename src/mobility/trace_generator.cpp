@@ -37,6 +37,16 @@ TraceGenerator::TraceGenerator(const roadnet::RoadNetwork& network,
   reset();
 }
 
+TraceGenerator::~TraceGenerator() { discard_prefetch(); }
+
+void TraceGenerator::discard_prefetch() noexcept {
+  try {
+    pool_.wait();
+  } catch (...) {
+    // A tick nobody asked for; its error has no caller to reach.
+  }
+}
+
 std::vector<std::function<void()>> TraceGenerator::chunk_tasks(
     void (TraceGenerator::*per_vehicle)(VehicleId, roadnet::Router&)) {
   std::vector<std::function<void()>> tasks;
@@ -55,6 +65,7 @@ std::vector<std::function<void()>> TraceGenerator::chunk_tasks(
 }
 
 void TraceGenerator::reset() {
+  discard_prefetch();
   Rng master(config_.seed);
   vehicles_.assign(config_.vehicle_count, Vehicle{});
   samples_.assign(config_.vehicle_count, VehicleSample{});
@@ -65,8 +76,10 @@ void TraceGenerator::reset() {
     vehicle_rngs_.push_back(master.fork());
   }
   pool_.run(reset_tasks_);
+  next_samples_.resize(config_.vehicle_count);
   time_s_ = 0.0;
   tick_ = 0;
+  pool_.start(step_tasks_);
 }
 
 void TraceGenerator::init_vehicle(VehicleId id, roadnet::Router& router) {
@@ -119,7 +132,9 @@ void TraceGenerator::enter_leg(Vehicle& v) const {
 void TraceGenerator::advance_vehicle(VehicleId id, roadnet::Router& router) {
   Vehicle& v = vehicles_[id];
   Rng& rng = vehicle_rngs_[id];
-  VehicleSample& sample = samples_[id];
+  const VehicleSample& now = samples_[id];
+  VehicleSample& next = next_samples_[id];
+  next.heading = now.heading;  // kept unless the vehicle moves
   double dt = config_.tick_seconds;
 
   if (v.leg + 1 >= v.route.nodes.size()) {
@@ -128,14 +143,14 @@ void TraceGenerator::advance_vehicle(VehicleId id, roadnet::Router& router) {
     v.dwell_remaining_s -= wait;
     dt -= wait;
     if (v.dwell_remaining_s > 0.0 || dt == 0.0) {
-      sample.pos = network_.node(v.at_node).pos;
-      sample.speed_mps = 0.0;
+      next.pos = network_.node(v.at_node).pos;
+      next.speed_mps = 0.0;
       return;
     }
     start_new_trip(v, rng, router);
   }
 
-  const geo::Point before = sample.pos;
+  const geo::Point before = now.pos;
   // Noise is clamped to +-3 sigma so max_speed_bound() is a hard bound —
   // the safe-period baseline's correctness depends on it.
   const double noise =
@@ -164,18 +179,19 @@ void TraceGenerator::advance_vehicle(VehicleId id, roadnet::Router& router) {
   }
 
   if (v.leg + 1 >= v.route.nodes.size()) {
-    sample.pos = network_.node(v.at_node).pos;
+    next.pos = network_.node(v.at_node).pos;
   } else {
-    sample.pos =
-        geo::lerp(v.leg_start, v.leg_end, v.offset_m / v.leg_length_m);
+    next.pos = geo::lerp(v.leg_start, v.leg_end, v.offset_m / v.leg_length_m);
   }
-  const geo::Point moved = sample.pos - before;
-  if (moved.x != 0.0 || moved.y != 0.0) sample.heading = geo::heading(moved);
-  sample.speed_mps = geo::norm(moved) / dt;
+  const geo::Point moved = next.pos - before;
+  if (moved.x != 0.0 || moved.y != 0.0) next.heading = geo::heading(moved);
+  next.speed_mps = geo::norm(moved) / dt;
 }
 
 void TraceGenerator::step() {
-  pool_.run(step_tasks_);
+  pool_.wait();  // rethrows the error of the tick it hands out
+  samples_.swap(next_samples_);
+  pool_.start(step_tasks_);
   time_s_ += config_.tick_seconds;
   ++tick_;
 }

@@ -7,10 +7,22 @@
 // trace, which is how the simulator runs every processing strategy against
 // the same motion pattern, as the paper's methodology requires.
 //
-// step() and reset() fan fixed chunks of vehicles over an internal thread
+// reset() and step() fan fixed chunks of vehicles over an internal thread
 // pool; calls still come from one thread. Each vehicle owns its Rng and
 // each chunk its Router, and the chunking is a constant, so the output is
 // independent of the core count.
+//
+// The pool computes one tick ahead. While the caller works on tick t in
+// samples(), the pool writes tick t+1 into a back buffer; step() waits for
+// that batch, swaps the two buffers and starts tick t+2. The swap keeps
+// samples() the same vector object, so a reference to it stays valid and
+// reads the new tick after step(). A batch reads only samples() and writes
+// only the back buffer and the vehicles' private state, so the caller may
+// read samples() at any time between calls. An exception thrown while
+// computing a tick surfaces from the step() that returns that tick;
+// reset() and the destructor drop the error of a tick nobody asked for.
+// Under a one-CPU pin the pool has no workers, and step() computes the
+// tick itself, as a serial loop would.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +66,9 @@ class TraceGenerator final : public PositionSource {
   /// The network must outlive the generator.
   TraceGenerator(const roadnet::RoadNetwork& network, TraceConfig config);
 
-  // The chunk tasks hold `this`.
+  /// Waits for the tick in flight; the chunk tasks hold `this`.
+  ~TraceGenerator() override;
+
   TraceGenerator(const TraceGenerator&) = delete;
   TraceGenerator& operator=(const TraceGenerator&) = delete;
 
@@ -62,7 +76,8 @@ class TraceGenerator final : public PositionSource {
   /// one produced after construction.
   void reset() override;
 
-  /// Advances all vehicles by one tick.
+  /// Advances all vehicles by one tick: waits for the tick computed ahead,
+  /// publishes it in samples() and starts computing the next.
   void step() override;
 
   /// Samples after the most recent step() (or the initial positions before
@@ -108,7 +123,11 @@ class TraceGenerator final : public PositionSource {
   void start_new_trip(Vehicle& v, Rng& rng, roadnet::Router& router) const;
   void enter_leg(Vehicle& v) const;
   void init_vehicle(VehicleId id, roadnet::Router& router);
+  /// Writes vehicle `id`'s next tick into next_samples_ from its current
+  /// one in samples_.
   void advance_vehicle(VehicleId id, roadnet::Router& router);
+  /// Waits for the tick in flight and drops its error.
+  void discard_prefetch() noexcept;
   /// Builds one task per chunk that runs `per_vehicle` over its vehicles.
   std::vector<std::function<void()>> chunk_tasks(
       void (TraceGenerator::*per_vehicle)(VehicleId, roadnet::Router&));
@@ -117,7 +136,8 @@ class TraceGenerator final : public PositionSource {
   TraceConfig config_;
   std::vector<roadnet::Router> routers_;  ///< one per chunk
   std::vector<Vehicle> vehicles_;
-  std::vector<VehicleSample> samples_;
+  std::vector<VehicleSample> samples_;       ///< tick_, as published
+  std::vector<VehicleSample> next_samples_;  ///< tick_ + 1, in flight
   std::vector<Rng> vehicle_rngs_;
   cluster::ParallelTickExecutor pool_;
   std::vector<std::function<void()>> reset_tasks_;

@@ -101,8 +101,21 @@ RectSafeRegion compute_mwpsr(geo::Point position, double heading,
                              position.x - cell.lo().x,
                              position.y - cell.lo().y};
 
+  // Reused across calls, cleared here; thread-local because shard workers
+  // compute regions concurrently.
+  struct Scratch {
+    std::array<std::vector<LocalPoint>, 4> candidates;
+    std::vector<LocalPoint> kept;
+    std::array<std::vector<LocalPoint>, 4> tension;
+  };
+  thread_local Scratch scratch;
+  auto& [candidates, kept, tension] = scratch;
+  for (std::size_t q = 0; q < 4; ++q) {
+    candidates[q].clear();
+    tension[q].clear();
+  }
+
   // Step 1: candidate points per quadrant, clamped to the quadrant axes.
-  std::array<std::vector<LocalPoint>, 4> candidates;
   for (const geo::Rect& a : alarm_regions) {
     for (std::size_t q = 0; q < 4; ++q) {
       ++result.ops;
@@ -129,7 +142,6 @@ RectSafeRegion compute_mwpsr(geo::Point position, double heading,
   }
 
   // Steps 1 (pruning) + 2: tension-point staircases per quadrant.
-  std::array<std::vector<LocalPoint>, 4> tension;
   for (std::size_t q = 0; q < 4; ++q) {
     auto& cand = candidates[q];
     const double ex = quadrant_x_extent(cell_extents, q);
@@ -139,7 +151,7 @@ RectSafeRegion compute_mwpsr(geo::Point position, double heading,
     });
     result.ops += cand.size();  // sort pass (counted linearly per element)
 
-    std::vector<LocalPoint> kept;
+    kept.clear();
     if (options.prune_dominated) {
       // Weakly dominated candidates are implied by a stronger constraint:
       // keep only the staircase of strictly decreasing y.

@@ -4,9 +4,9 @@
 // the R*-tree point probe, a window visit, and a process_position that
 // fires nothing all run allocation-free. Neither may a contact, once its
 // thread and server are warm: the safe-period nearest-neighbour search
-// allocates nothing, and a pyramid build or a PBSR contact allocates only
-// the returned bitmap's node array. (MWPSR's internal candidate lists are
-// not covered.) Nor may the ground-truth oracle's ticks: once its table and
+// allocates nothing, an MWPSR contact allocates nothing, and a pyramid
+// build or a PBSR contact allocates only the returned bitmap's node array.
+// Nor may the ground-truth oracle's ticks: once its table and
 // buffers are built, a tick that fires nothing allocates nothing, so a run
 // of 10N ticks allocates exactly what a run of N does. This executable
 // replaces the global operator new/delete
@@ -30,6 +30,8 @@
 #include "grid/grid_overlay.h"
 #include "index/rstar_tree.h"
 #include "mobility/position_source.h"
+#include "saferegion/motion_model.h"
+#include "saferegion/mwpsr.h"
 #include "saferegion/pyramid.h"
 #include "sim/metrics.h"
 #include "sim/oracle.h"
@@ -247,6 +249,31 @@ TEST(AllocationTest, WarmSafePeriodContactAllocatesNothing) {
   contacts();
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_EQ(f.metrics.server_region_ops, 2 * warm_ops);
+}
+
+TEST(AllocationTest, WarmMwpsrContactAllocatesNothing) {
+  ServerFixture f;
+  const std::vector<Point> points = random_points(9);
+  const saferegion::MotionModel model(1.0, 32);
+  const auto contacts = [&] {
+    double area = 0.0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      area += f.server
+                  .compute_rect_region(
+                      static_cast<alarms::SubscriberId>(i % 50), points[i],
+                      0.001 * static_cast<double>(i), model, {})
+                  .rect.area();
+    }
+    return area;
+  };
+  const double warm_area = contacts();
+  const std::uint64_t warm_ops = f.metrics.server_region_ops;
+  const std::size_t before = allocations();
+  const double area = contacts();
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(area, warm_area);
+  EXPECT_EQ(f.metrics.server_region_ops, 2 * warm_ops);
+  EXPECT_GT(warm_ops, kProbes);
 }
 
 TEST(AllocationTest, WarmPyramidContactAllocatesOnlyTheBitmap) {

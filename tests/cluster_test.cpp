@@ -2,6 +2,7 @@
 // handoffs (trigger dedup across shards), safe-period escape clamping, the
 // parallel tick executor, and the exactness of the sharded run mode
 // against the monolithic server.
+#include <chrono>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -10,6 +11,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -147,6 +149,86 @@ TEST(ParallelTickExecutorTest, RethrowsTaskException) {
     std::vector<std::function<void()>> ok{[] {}, [] {}};
     executor.run(ok);
   }
+}
+
+TEST(ParallelTickExecutorTest, StartThenWaitRunsEveryTaskOnce) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ParallelTickExecutor executor(threads);
+    std::vector<int> hits(64, 0);
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      tasks.push_back([&hits, i] { ++hits[i]; });
+    }
+    for (int batch = 0; batch < 20; ++batch) {
+      executor.start(tasks);
+      // The caller's own work overlaps the batch.
+      double busy = 0.0;
+      for (int i = 1; i < 20000; ++i) busy += std::sqrt(static_cast<double>(i));
+      EXPECT_GT(busy, 0.0);
+      executor.wait();
+    }
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i], 20) << "threads=" << threads << " task " << i;
+    }
+  }
+}
+
+TEST(ParallelTickExecutorTest, WaitWithoutBatchIsNoOp) {
+  for (const std::size_t threads : {1u, 3u}) {
+    ParallelTickExecutor executor(threads);
+    EXPECT_NO_THROW(executor.wait());
+    int ran = 0;
+    std::vector<std::function<void()>> tasks{[&ran] { ++ran; }};
+    executor.run(tasks);
+    EXPECT_NO_THROW(executor.wait());
+    executor.start(tasks);
+    executor.wait();
+    EXPECT_NO_THROW(executor.wait());
+    const std::vector<std::function<void()>> none;
+    executor.start(none);
+    EXPECT_NO_THROW(executor.wait());
+    EXPECT_EQ(ran, 2);
+  }
+}
+
+TEST(ParallelTickExecutorTest, WaitRethrowsAndPoolIsReusable) {
+  for (const std::size_t threads : {1u, 3u}) {
+    ParallelTickExecutor executor(threads);
+    int ran = 0;
+    std::mutex m;
+    const auto count = [&] {
+      std::lock_guard lock(m);
+      ++ran;
+    };
+    std::vector<std::function<void()>> tasks{
+        count, [] { throw std::runtime_error("boom"); }, count};
+    executor.start(tasks);
+    EXPECT_THROW(executor.wait(), std::runtime_error);
+    // The other tasks still ran, and the error is not reported twice.
+    EXPECT_EQ(ran, 2);
+    EXPECT_NO_THROW(executor.wait());
+    std::vector<std::function<void()>> ok{count, count};
+    executor.start(ok);
+    EXPECT_NO_THROW(executor.wait());
+    executor.run(ok);
+    EXPECT_EQ(ran, 6);
+  }
+}
+
+TEST(ParallelTickExecutorTest, OneThreadPoolRunsBatchInWait) {
+  ParallelTickExecutor executor(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on;
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 4; ++i) {
+    tasks.push_back([&] { ran_on.push_back(std::this_thread::get_id()); });
+  }
+  executor.start(tasks);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(ran_on.empty());  // no worker to start it
+  executor.wait();
+  ASSERT_EQ(ran_on.size(), tasks.size());
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
 }
 
 // ---------------------------------------------------------------------------

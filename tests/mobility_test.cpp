@@ -202,6 +202,20 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+/// Compares one tick's samples bit for bit.
+void expect_same_samples(const std::vector<VehicleSample>& got,
+                         const std::vector<VehicleSample>& want,
+                         std::size_t tick) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t v = 0; v < got.size(); ++v) {
+    ASSERT_TRUE(same_bits(got[v].pos.x, want[v].pos.x) &&
+                same_bits(got[v].pos.y, want[v].pos.y) &&
+                same_bits(got[v].heading, want[v].heading) &&
+                same_bits(got[v].speed_mps, want[v].speed_mps))
+        << "tick " << tick << " vehicle " << v;
+  }
+}
+
 /// Steps both sources `ticks` times after a reset and compares every
 /// sample bit for bit, plus the tick counter and the clock.
 void expect_same_replay(TraceGenerator& gen, SerialReference& ref,
@@ -209,16 +223,8 @@ void expect_same_replay(TraceGenerator& gen, SerialReference& ref,
   for (std::size_t t = 0; t <= ticks; ++t) {
     ASSERT_EQ(gen.tick_index(), ref.tick_index());
     ASSERT_TRUE(same_bits(gen.time_seconds(), ref.time_seconds()));
-    const auto& got = gen.samples();
-    const auto& want = ref.samples();
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t v = 0; v < got.size(); ++v) {
-      ASSERT_TRUE(same_bits(got[v].pos.x, want[v].pos.x) &&
-                  same_bits(got[v].pos.y, want[v].pos.y) &&
-                  same_bits(got[v].heading, want[v].heading) &&
-                  same_bits(got[v].speed_mps, want[v].speed_mps))
-          << "tick " << t << " vehicle " << v;
-    }
+    expect_same_samples(gen.samples(), ref.samples(), t);
+    if (::testing::Test::HasFatalFailure()) return;
     if (t < ticks) {
       gen.step();
       ref.step();
@@ -244,6 +250,86 @@ std::size_t expect_chunked_matches_serial(const roadnet::RoadNetwork& net,
   }
   return ref.mid_run_trips();
 }
+
+/// Drives the tick computed ahead through every way a caller can meet it,
+/// against the serial reference.
+void expect_prefetched_matches_serial(const roadnet::RoadNetwork& net,
+                                      std::size_t vehicles) {
+  SCOPED_TRACE(::testing::Message() << "vehicles=" << vehicles);
+  constexpr std::size_t kTicks = 120;
+  TraceConfig cfg = small_trace_config();
+  cfg.vehicle_count = vehicles;
+  SerialReference ref(net, cfg);
+  TraceGenerator gen(net, cfg);
+
+  // reset() right after construction, with tick 1 already in flight.
+  gen.reset();
+  expect_same_replay(gen, ref, kTicks);
+
+  // reset() at a mid-run tick, with the next step in flight.
+  gen.reset();
+  ref.reset();
+  expect_same_replay(gen, ref, 37);
+  gen.reset();
+  ref.reset();
+  expect_same_replay(gen, ref, kTicks);
+
+  // A reference taken before step() reads the new tick after it.
+  gen.reset();
+  ref.reset();
+  const std::vector<VehicleSample>& held = gen.samples();
+  for (std::size_t t = 1; t <= kTicks; ++t) {
+    gen.step();
+    ref.step();
+    ASSERT_EQ(&held, &gen.samples());
+    expect_same_samples(held, ref.samples(), t);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+
+  // record() after a reset() matches the streamed ticks.
+  gen.reset();
+  ref.reset();
+  const RecordedTrace trace = gen.record(kTicks);
+  ASSERT_EQ(trace.tick_count(), kTicks);
+  for (std::size_t t = 0; t < kTicks; ++t) {
+    expect_same_samples(trace.tick(t), ref.samples(), t);
+    if (::testing::Test::HasFatalFailure()) return;
+    ref.step();
+  }
+
+  // Destroyed with a tick in flight: the chunk tasks must not outlive it.
+  {
+    TraceGenerator doomed(net, cfg);
+    doomed.step();
+  }
+}
+
+/// Runs `check` pinned to one CPU, where the generator's pool has no
+/// workers and runs every chunk inline, then unpinned.
+template <typename Check>
+void pinned_then_unpinned(Check check) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first_cpu = 0;
+  while (!CPU_ISSET(first_cpu, &saved)) ++first_cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first_cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  {
+    SCOPED_TRACE("pinned to one CPU");
+    check();
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  {
+    SCOPED_TRACE("unpinned");
+    check();
+  }
+}
+
+/// Vehicle counts around the 512-vehicle chunk boundary.
+const std::vector<std::size_t> kChunkBoundaryCounts = {1, 511, 512, 513,
+                                                       1300};
 
 TEST(RecordedTraceTest, AppendAndAccess) {
   RecordedTrace trace(2, 0.5);
@@ -408,6 +494,7 @@ TEST(TraceGeneratorTest, DwellPausesVehicles) {
   TraceGenerator gen(net, cfg);
   std::size_t parked_checks = 0;
   std::vector<geo::Point> parked_pos(cfg.vehicle_count);
+  std::vector<double> parked_heading(cfg.vehicle_count);
   std::vector<bool> parked(cfg.vehicle_count, false);
   for (int t = 0; t < 400; ++t) {
     gen.step();
@@ -415,10 +502,13 @@ TEST(TraceGeneratorTest, DwellPausesVehicles) {
     for (std::size_t v = 0; v < s.size(); ++v) {
       if (parked[v]) {
         EXPECT_EQ(s[v].pos, parked_pos[v]);
+        // A parked vehicle keeps the heading it arrived with.
+        EXPECT_TRUE(same_bits(s[v].heading, parked_heading[v]));
         ++parked_checks;
       } else if (s[v].speed_mps == 0.0 && t > 0) {
         parked[v] = true;
         parked_pos[v] = s[v].pos;
+        parked_heading[v] = s[v].heading;
       }
     }
   }
@@ -444,32 +534,24 @@ TEST(TraceGeneratorTest, ZeroDwellKeepsDriving) {
 
 TEST(TraceGeneratorTest, ChunkedStepMatchesSerialReference) {
   const auto net = test_network();
-  // Vehicle counts around the 512-vehicle chunk boundary.
-  const std::vector<std::size_t> counts = {1, 511, 512, 513, 1300};
-
-  // Pinned to one CPU, the generator's pool runs every chunk inline.
-  cpu_set_t saved;
-  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
-  int first_cpu = 0;
-  while (!CPU_ISSET(first_cpu, &saved)) ++first_cpu;
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(first_cpu, &one);
-  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
   std::size_t mid_run_trips = 0;
-  for (std::size_t n : counts) {
-    SCOPED_TRACE("pinned to one CPU");
-    mid_run_trips += expect_chunked_matches_serial(net, n);
-  }
-  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
-
-  for (std::size_t n : counts) {
-    SCOPED_TRACE("unpinned");
-    mid_run_trips += expect_chunked_matches_serial(net, n);
-  }
+  pinned_then_unpinned([&] {
+    for (std::size_t n : kChunkBoundaryCounts) {
+      mid_run_trips += expect_chunked_matches_serial(net, n);
+    }
+  });
   // Trips must end and restart mid-run, so the comparison covers the trip
   // start inside step() as well as the one in reset().
   EXPECT_GT(mid_run_trips, 0u);
+}
+
+TEST(TraceGeneratorTest, PrefetchedStepMatchesSerialReference) {
+  const auto net = test_network();
+  pinned_then_unpinned([&] {
+    for (std::size_t n : kChunkBoundaryCounts) {
+      expect_prefetched_matches_serial(net, n);
+    }
+  });
 }
 
 }  // namespace
