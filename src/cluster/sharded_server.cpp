@@ -4,6 +4,7 @@
 #include <iterator>
 
 #include "common/error.h"
+#include "common/parallel_executor.h"
 #include "saferegion/wire_format.h"
 
 namespace salarm::cluster {
@@ -253,14 +254,20 @@ void ShardedServer::begin_failover_tick(std::uint64_t tick) {
   }
 }
 
-void ShardedServer::take_due_checkpoints(std::uint64_t tick) {
+void ShardedServer::take_due_checkpoints(std::uint64_t tick,
+                                         std::size_t threads) {
   SALARM_REQUIRE(failover_.has_value(), "failover is not enabled");
   if (tick == 0 || tick % failover_->config.checkpoint_interval_ticks != 0) {
     return;
   }
+  // take_checkpoint touches only its own shard's store, server, log and
+  // metrics, so the shards may checkpoint in parallel.
+  std::vector<std::function<void()>> tasks;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!failover_->logs[i].down) take_checkpoint(i, tick);
+    if (failover_->logs[i].down) continue;
+    tasks.emplace_back([this, i, tick] { take_checkpoint(i, tick); });
   }
+  ParallelTickExecutor::shared().run(tasks, threads);
 }
 
 std::size_t ShardedServer::finish_failover(std::uint64_t ticks) {

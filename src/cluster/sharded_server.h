@@ -136,8 +136,9 @@ class ShardedServer {
   void begin_failover_tick(std::uint64_t tick);
   /// Writes a checkpoint for every *up* shard when `tick` lands on the
   /// configured cadence (down shards checkpoint again after recovery at
-  /// the next due tick). Serial phase, after churn.
-  void take_due_checkpoints(std::uint64_t tick);
+  /// the next due tick). Serial phase, after churn; the shards checkpoint
+  /// in parallel on at most `threads` threads (ParallelTickExecutor::run).
+  void take_due_checkpoints(std::uint64_t tick, std::size_t threads = 1);
   /// End-of-run epilogue: recovers every still-down shard at tick `ticks`
   /// so buffered reports can flush through it. Returns the number of
   /// shards recovered.

@@ -7,20 +7,9 @@
 
 namespace salarm::mobility {
 
-namespace {
-
-std::size_t chunk_count(std::size_t vehicles, std::size_t grain) {
-  return (vehicles + grain - 1) / grain;
-}
-
-}  // namespace
-
 TraceGenerator::TraceGenerator(const roadnet::RoadNetwork& network,
                                TraceConfig config)
-    : network_(network),
-      config_(config),
-      pool_(std::clamp<std::size_t>(chunk_count(config.vehicle_count, kGrain),
-                                    1, cluster::usable_cores())) {
+    : network_(network), config_(config) {
   SALARM_REQUIRE(config_.vehicle_count > 0, "need at least one vehicle");
   SALARM_REQUIRE(config_.tick_seconds > 0.0, "tick must be positive");
   SALARM_REQUIRE(config_.speed_factor_lo > 0.0 &&
@@ -29,7 +18,7 @@ TraceGenerator::TraceGenerator(const roadnet::RoadNetwork& network,
   SALARM_REQUIRE(config_.speed_noise_sigma >= 0.0, "negative speed noise");
   SALARM_REQUIRE(config_.max_dwell_seconds >= 0.0, "negative dwell");
   SALARM_REQUIRE(network.node_count() >= 2, "network too small for trips");
-  const std::size_t chunks = chunk_count(config_.vehicle_count, kGrain);
+  const std::size_t chunks = (config_.vehicle_count + kGrain - 1) / kGrain;
   routers_.reserve(chunks);
   for (std::size_t c = 0; c < chunks; ++c) routers_.emplace_back(network_);
   reset_tasks_ = chunk_tasks(&TraceGenerator::init_vehicle);
@@ -41,7 +30,7 @@ TraceGenerator::~TraceGenerator() { discard_prefetch(); }
 
 void TraceGenerator::discard_prefetch() noexcept {
   try {
-    pool_.wait();
+    pool_.wait(prefetch_);
   } catch (...) {
     // A tick nobody asked for; its error has no caller to reach.
   }
@@ -79,7 +68,7 @@ void TraceGenerator::reset() {
   next_samples_.resize(config_.vehicle_count);
   time_s_ = 0.0;
   tick_ = 0;
-  pool_.start(step_tasks_);
+  pool_.start(prefetch_, step_tasks_);
 }
 
 void TraceGenerator::init_vehicle(VehicleId id, roadnet::Router& router) {
@@ -189,9 +178,9 @@ void TraceGenerator::advance_vehicle(VehicleId id, roadnet::Router& router) {
 }
 
 void TraceGenerator::step() {
-  pool_.wait();  // rethrows the error of the tick it hands out
+  pool_.wait(prefetch_);  // rethrows the error of the tick it hands out
   samples_.swap(next_samples_);
-  pool_.start(step_tasks_);
+  pool_.start(prefetch_, step_tasks_);
   time_s_ += config_.tick_seconds;
   ++tick_;
 }

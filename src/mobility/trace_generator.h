@@ -7,18 +7,19 @@
 // trace, which is how the simulator runs every processing strategy against
 // the same motion pattern, as the paper's methodology requires.
 //
-// reset() and step() fan fixed chunks of vehicles over an internal thread
+// reset() and step() fan fixed chunks of vehicles over the shared worker
 // pool; calls still come from one thread. Each vehicle owns its Rng and
 // each chunk its Router, and the chunking is a constant, so the output is
 // independent of the core count.
 //
-// The pool computes one tick ahead. While the caller works on tick t in
-// samples(), the pool writes tick t+1 into a back buffer; step() waits for
-// that batch, swaps the two buffers and starts tick t+2. The swap keeps
-// samples() the same vector object, so a reference to it stays valid and
-// reads the new tick after step(). A batch reads only samples() and writes
-// only the back buffer and the vehicles' private state, so the caller may
-// read samples() at any time between calls. An exception thrown while
+// The pool computes one tick ahead, in its background lane (on workers no
+// critical batch needs): while the caller works on tick t in samples(), it
+// writes tick t+1 into a back buffer; step() waits for that batch, swaps
+// the two buffers and starts tick t+2. The swap keeps samples() the same
+// vector object, so a reference to it stays valid and reads the new tick
+// after step(). A batch reads only samples() and writes only the back
+// buffer and the vehicles' private state, so the caller may read
+// samples() at any time between calls. An exception thrown while
 // computing a tick surfaces from the step() that returns that tick;
 // reset() and the destructor drop the error of a tick nobody asked for.
 // Under a one-CPU pin the pool has no workers, and step() computes the
@@ -29,7 +30,7 @@
 #include <functional>
 #include <vector>
 
-#include "cluster/parallel_executor.h"
+#include "common/parallel_executor.h"
 #include "common/rng.h"
 #include "mobility/position_source.h"
 #include "mobility/trace.h"
@@ -102,9 +103,9 @@ class TraceGenerator final : public PositionSource {
   RecordedTrace record(std::size_t ticks);
 
  private:
-  /// Vehicles per task. A constant, so the chunking never depends on the
-  /// thread count.
-  static constexpr std::size_t kGrain = 512;
+  /// Vehicles per task: a constant, so the chunking never depends on the
+  /// thread count, and small, so a worker soon leaves it for critical work.
+  static constexpr std::size_t kGrain = 128;
 
   struct Vehicle {
     roadnet::Route route;        ///< current trip
@@ -139,7 +140,8 @@ class TraceGenerator final : public PositionSource {
   std::vector<VehicleSample> samples_;       ///< tick_, as published
   std::vector<VehicleSample> next_samples_;  ///< tick_ + 1, in flight
   std::vector<Rng> vehicle_rngs_;
-  cluster::ParallelTickExecutor pool_;
+  ParallelTickExecutor& pool_ = ParallelTickExecutor::shared();
+  ParallelTickExecutor::Batch prefetch_;  ///< tick_ + 1
   std::vector<std::function<void()>> reset_tasks_;
   std::vector<std::function<void()>> step_tasks_;
   double time_s_ = 0.0;

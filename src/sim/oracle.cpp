@@ -6,8 +6,8 @@
 #include <map>
 #include <unordered_set>
 
-#include "cluster/parallel_executor.h"
 #include "common/error.h"
+#include "common/parallel_executor.h"
 
 namespace salarm::sim {
 
@@ -324,8 +324,6 @@ std::vector<alarms::TriggerEvent> ground_truth_triggers(
       }
     });
   }
-  cluster::ParallelTickExecutor pool(
-      std::clamp<std::size_t>(chunks.size(), 1, cluster::usable_cores()));
 
   std::vector<alarms::TriggerEvent> events;
   for (std::size_t t = 0; t < ticks; ++t) {
@@ -348,7 +346,7 @@ std::vector<alarms::TriggerEvent> ground_truth_triggers(
     }
     // Read-only matches in parallel; the table and the spent set are not
     // mutated until every task has returned.
-    pool.run(tasks);
+    ParallelTickExecutor::shared().run(tasks);
     // Ordered merge on this thread: chunk order is subscriber order, and
     // each subscriber's pairs are in alarm order.
     for (Chunk& chunk : chunks) {

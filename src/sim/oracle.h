@@ -19,8 +19,8 @@
 // Each tick runs in three steps. The calling thread steps the trace and,
 // under churn, applies the tick's churn and reconciles the table against
 // the store's alarm set by (id, region, scope, subscribers) (serial).
-// Fixed 512-subscriber chunks are then matched in parallel on a
-// cluster::ParallelTickExecutor sized min(usable cores, chunks): each
+// Fixed 512-subscriber chunks are then matched in parallel, one critical
+// batch of the shared worker pool (ahead of the trace's prefetch): each
 // task looks up its subscribers' grid cells and tests the open interior,
 // the subscription and the spent set, read-only, into buffers sized by
 // the calling thread, allocating nothing. Finally the calling thread

@@ -47,8 +47,9 @@ struct RunResult {
 struct ShardedRunOptions {
   /// Number of spatial shards (clamped to the grid's stripe count).
   std::size_t shards = 4;
-  /// Worker threads for the tick executor; 0 = hardware concurrency.
-  /// Results are bit-identical for any value.
+  /// Threads a tick's shard fan-out may use: the caller plus the lowest
+  /// `threads - 1` workers of the shared pool. 0 = usable_cores(); larger
+  /// values are clamped to the pool. Results are bit-identical for any.
   std::size_t threads = 1;
 };
 
@@ -79,7 +80,7 @@ class Simulation {
 
   /// The one run path. Processes the trace on a cluster::ShardedServer
   /// through the unified TickPipeline: subscribers are grouped by owning
-  /// shard each tick and the groups fan out over a fixed thread pool.
+  /// shard each tick and the groups fan out over the shared worker pool.
   /// Metrics are the stable-order merge of the per-shard metrics; results
   /// are bit-identical for any thread count. Accuracy against the oracle
   /// is still enforced by the caller's tests — sharding is exact (see

@@ -1,5 +1,7 @@
 #include "sim/tick_pipeline.h"
 
+#include "common/parallel_executor.h"
+
 namespace salarm::sim {
 
 TickPipeline::TickPipeline(mobility::PositionSource& source,
@@ -12,7 +14,7 @@ TickPipeline::TickPipeline(mobility::PositionSource& source,
                            PhaseObserver observer)
     : source_(source), server_(server), link_(link), strategy_(strategy),
       ticks_(ticks), scheduler_(scheduler), crash_plan_(crash_plan),
-      observer_(std::move(observer)), executor_(threads),
+      observer_(std::move(observer)), threads_(threads),
       groups_(server.shard_count()) {
   // One task per shard, built once for the whole run. Each task declares
   // its shard active and then touches only that shard's state plus the
@@ -43,7 +45,7 @@ void TickPipeline::fan_out(std::uint64_t tick) {
   for (mobility::VehicleId v = 0; v < samples.size(); ++v) {
     groups_[server_.map().shard_of(samples[v].pos)].push_back(v);
   }
-  executor_.run(tasks_);
+  ParallelTickExecutor::shared().run(tasks_, threads_);
 }
 
 void TickPipeline::run() {
@@ -77,7 +79,7 @@ void TickPipeline::run() {
     // cadence (capturing this tick's churn), truncating their journals.
     if (crash_plan_ != nullptr) {
       enter(TickPhase::kCheckpoints, tick);
-      server_.take_due_checkpoints(tick);
+      server_.take_due_checkpoints(tick, threads_);
     }
     // 4. Graveyard maintenance: tombs no pending buffered report can
     // observe are dropped. The watermark is read before the channel flush

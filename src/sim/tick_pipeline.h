@@ -21,9 +21,11 @@
 // The order is load-bearing: churn must see the tick's final shard up/down
 // picture (1 before 2), checkpoints must capture the tick's churn (2
 // before 3), reconnect flushes must evaluate against post-churn alarm
-// state (2 before 5), and no worker thread may start until every serial
+// state (2 before 5), and no shard task may start until every serial
 // phase is done (6 last). A PhaseObserver can watch the sequence; the
-// phase-ordering test pins it.
+// phase-ordering test pins it. Phases 3 and 6 fan one task per shard over
+// the shared worker pool (DESIGN.md §7), so a checkpoint keeps its place in
+// the order while the shards checkpoint in parallel.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +33,6 @@
 #include <functional>
 #include <vector>
 
-#include "cluster/parallel_executor.h"
 #include "cluster/sharded_server.h"
 #include "dynamics/churn.h"
 #include "failover/crash_plan.h"
@@ -60,8 +61,8 @@ class TickPipeline {
   /// All references must outlive the pipeline. `scheduler` (nullable)
   /// enables the churn phases; `crash_plan` (nullable) enables the
   /// failover phases and must be the plan the server was armed with.
-  /// `threads` sizes the worker pool (0 = hardware concurrency); results
-  /// are bit-identical for any value.
+  /// `threads` caps each fan-out's threads, the caller's included (0 =
+  /// usable_cores()); results are bit-identical for any value.
   TickPipeline(mobility::PositionSource& source,
                cluster::ShardedServer& server, net::ClientLink& link,
                strategies::ProcessingStrategy& strategy, std::size_t ticks,
@@ -93,7 +94,7 @@ class TickPipeline {
   const failover::CrashPlan* crash_plan_;
   PhaseObserver observer_;
 
-  cluster::ParallelTickExecutor executor_;
+  std::size_t threads_;
   /// Per-shard subscriber groups and tasks, built once and reused every
   /// tick: groups keep their capacity across clears and the task closures
   /// are never reallocated, so the steady-state fan-out allocates nothing.

@@ -1,9 +1,15 @@
 // Cluster tier: shard map geometry, border-alarm replication, session
 // handoffs (trigger dedup across shards), safe-period escape clamping, the
-// parallel tick executor, and the exactness of the sharded run mode
+// shared worker pool, and the exactness of the sharded run mode
 // against the monolithic server.
+#include <sched.h>
+
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -12,12 +18,13 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "cluster/parallel_executor.h"
 #include "cluster/shard_map.h"
 #include "cluster/sharded_server.h"
+#include "common/parallel_executor.h"
 #include "core/experiment.h"
 #include "saferegion/wire_format.h"
 
@@ -106,11 +113,13 @@ TEST(ShardMapTest, SingleShardEscapesNowhere) {
 // ParallelTickExecutor
 // ---------------------------------------------------------------------------
 
+using Tasks = std::vector<std::function<void()>>;
+
 TEST(ParallelTickExecutorTest, RunsEveryTaskExactlyOnce) {
   for (const std::size_t threads : {1u, 2u, 4u}) {
     ParallelTickExecutor executor(threads);
     std::vector<int> hits(64, 0);
-    std::vector<std::function<void()>> tasks;
+    Tasks tasks;
     for (std::size_t i = 0; i < hits.size(); ++i) {
       tasks.push_back([&hits, i] { ++hits[i]; });
     }
@@ -125,7 +134,7 @@ TEST(ParallelTickExecutorTest, ReusableAcrossBatches) {
   int total = 0;
   std::mutex m;
   for (int batch = 0; batch < 50; ++batch) {
-    std::vector<std::function<void()>> tasks;
+    Tasks tasks;
     for (int i = 0; i < 8; ++i) {
       tasks.push_back([&] {
         std::lock_guard lock(m);
@@ -140,13 +149,13 @@ TEST(ParallelTickExecutorTest, ReusableAcrossBatches) {
 TEST(ParallelTickExecutorTest, RethrowsTaskException) {
   for (const std::size_t threads : {1u, 3u}) {
     ParallelTickExecutor executor(threads);
-    std::vector<std::function<void()>> tasks;
+    Tasks tasks;
     tasks.push_back([] {});
     tasks.push_back([] { throw std::runtime_error("boom"); });
     tasks.push_back([] {});
     EXPECT_THROW(executor.run(tasks), std::runtime_error);
     // The pool survives a throwing batch.
-    std::vector<std::function<void()>> ok{[] {}, [] {}};
+    Tasks ok{[] {}, [] {}};
     executor.run(ok);
   }
 }
@@ -154,18 +163,19 @@ TEST(ParallelTickExecutorTest, RethrowsTaskException) {
 TEST(ParallelTickExecutorTest, StartThenWaitRunsEveryTaskOnce) {
   for (const std::size_t threads : {1u, 2u, 4u}) {
     ParallelTickExecutor executor(threads);
+    ParallelTickExecutor::Batch batch;
     std::vector<int> hits(64, 0);
-    std::vector<std::function<void()>> tasks;
+    Tasks tasks;
     for (std::size_t i = 0; i < hits.size(); ++i) {
       tasks.push_back([&hits, i] { ++hits[i]; });
     }
-    for (int batch = 0; batch < 20; ++batch) {
-      executor.start(tasks);
+    for (int round = 0; round < 20; ++round) {
+      executor.start(batch, tasks);
       // The caller's own work overlaps the batch.
       double busy = 0.0;
       for (int i = 1; i < 20000; ++i) busy += std::sqrt(static_cast<double>(i));
       EXPECT_GT(busy, 0.0);
-      executor.wait();
+      executor.wait(batch);
     }
     for (std::size_t i = 0; i < hits.size(); ++i) {
       EXPECT_EQ(hits[i], 20) << "threads=" << threads << " task " << i;
@@ -176,17 +186,18 @@ TEST(ParallelTickExecutorTest, StartThenWaitRunsEveryTaskOnce) {
 TEST(ParallelTickExecutorTest, WaitWithoutBatchIsNoOp) {
   for (const std::size_t threads : {1u, 3u}) {
     ParallelTickExecutor executor(threads);
-    EXPECT_NO_THROW(executor.wait());
+    ParallelTickExecutor::Batch batch;
+    EXPECT_NO_THROW(executor.wait(batch));
     int ran = 0;
-    std::vector<std::function<void()>> tasks{[&ran] { ++ran; }};
+    Tasks tasks{[&ran] { ++ran; }};
     executor.run(tasks);
-    EXPECT_NO_THROW(executor.wait());
-    executor.start(tasks);
-    executor.wait();
-    EXPECT_NO_THROW(executor.wait());
-    const std::vector<std::function<void()>> none;
-    executor.start(none);
-    EXPECT_NO_THROW(executor.wait());
+    EXPECT_NO_THROW(executor.wait(batch));
+    executor.start(batch, tasks);
+    executor.wait(batch);
+    EXPECT_NO_THROW(executor.wait(batch));
+    const Tasks none;
+    executor.start(batch, none);
+    EXPECT_NO_THROW(executor.wait(batch));
     EXPECT_EQ(ran, 2);
   }
 }
@@ -194,22 +205,22 @@ TEST(ParallelTickExecutorTest, WaitWithoutBatchIsNoOp) {
 TEST(ParallelTickExecutorTest, WaitRethrowsAndPoolIsReusable) {
   for (const std::size_t threads : {1u, 3u}) {
     ParallelTickExecutor executor(threads);
+    ParallelTickExecutor::Batch batch;
     int ran = 0;
     std::mutex m;
     const auto count = [&] {
       std::lock_guard lock(m);
       ++ran;
     };
-    std::vector<std::function<void()>> tasks{
-        count, [] { throw std::runtime_error("boom"); }, count};
-    executor.start(tasks);
-    EXPECT_THROW(executor.wait(), std::runtime_error);
+    Tasks tasks{count, [] { throw std::runtime_error("boom"); }, count};
+    executor.start(batch, tasks);
+    EXPECT_THROW(executor.wait(batch), std::runtime_error);
     // The other tasks still ran, and the error is not reported twice.
     EXPECT_EQ(ran, 2);
-    EXPECT_NO_THROW(executor.wait());
-    std::vector<std::function<void()>> ok{count, count};
-    executor.start(ok);
-    EXPECT_NO_THROW(executor.wait());
+    EXPECT_NO_THROW(executor.wait(batch));
+    Tasks ok{count, count};
+    executor.start(batch, ok);
+    EXPECT_NO_THROW(executor.wait(batch));
     executor.run(ok);
     EXPECT_EQ(ran, 6);
   }
@@ -217,18 +228,233 @@ TEST(ParallelTickExecutorTest, WaitRethrowsAndPoolIsReusable) {
 
 TEST(ParallelTickExecutorTest, OneThreadPoolRunsBatchInWait) {
   ParallelTickExecutor executor(1);
+  EXPECT_EQ(executor.worker_count(), 0u);
+  ParallelTickExecutor::Batch batch;
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::thread::id> ran_on;
-  std::vector<std::function<void()>> tasks;
+  Tasks tasks;
   for (int i = 0; i < 4; ++i) {
     tasks.push_back([&] { ran_on.push_back(std::this_thread::get_id()); });
   }
-  executor.start(tasks);
+  executor.start(batch, tasks);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_TRUE(ran_on.empty());  // no worker to start it
-  executor.wait();
+  executor.wait(batch);
   ASSERT_EQ(ran_on.size(), tasks.size());
   for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+}
+
+/// A one-shot gate that a task waits on with a deadline, so a missed
+/// release fails the test instead of hanging it.
+class Latch {
+ public:
+  void release() {
+    {
+      std::lock_guard lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  /// False when the deadline passed with the latch still closed.
+  bool wait() {
+    std::unique_lock lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(20), [&] { return open_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+TEST(ParallelTickExecutorTest, CriticalBatchRunsWhileBackgroundWaitsOnIt) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ParallelTickExecutor executor(threads);
+    ParallelTickExecutor::Batch background;
+    Latch latch;
+    std::atomic<int> timed_out{0};
+    Tasks blocked(6, [&] {
+      if (!latch.wait()) ++timed_out;
+    });
+    executor.start(background, blocked);
+    // Give the workers time to take (and block in) background tasks.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::atomic<int> critical_ran{0};
+    Tasks critical(4, [&] { ++critical_ran; });
+    critical[2] = [&] {
+      ++critical_ran;
+      latch.release();
+    };
+    executor.run(critical);
+    EXPECT_EQ(critical_ran.load(), 4);
+    executor.wait(background);
+    EXPECT_EQ(timed_out.load(), 0) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelTickExecutorTest, FreedWorkerTakesCriticalTaskBeforeBackground) {
+  ParallelTickExecutor executor(2);
+  ASSERT_EQ(executor.worker_count(), 1u);
+  Latch blocker_started;
+  Latch release_blocker;
+  ParallelTickExecutor::Batch blocking;
+  const Tasks blocker{[&] {
+    blocker_started.release();
+    EXPECT_TRUE(release_blocker.wait());
+  }};
+  executor.start(blocking, blocker);
+  ASSERT_TRUE(blocker_started.wait());  // the one worker is now busy
+  std::mutex m;
+  std::vector<std::string> order;
+  const auto log = [&](const char* what) {
+    std::lock_guard lock(m);
+    order.emplace_back(what);
+  };
+  ParallelTickExecutor::Batch background;
+  const Tasks pending{[&] { log("background"); }};
+  executor.start(background, pending);
+  // Both lanes now hold an unclaimed task. The caller keeps the second
+  // critical task unclaimed until the freed worker has made its choice.
+  Latch critical_started;
+  const Tasks critical{[&] {
+                         release_blocker.release();
+                         EXPECT_TRUE(critical_started.wait());
+                       },
+                       [&] {
+                         log("critical");
+                         critical_started.release();
+                       }};
+  executor.run(critical, 2);
+  executor.wait(background);
+  executor.wait(blocking);
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0], "critical");
+}
+
+TEST(ParallelTickExecutorTest, ThreadCapKeepsBatchOnCallerAndLowestWorker) {
+  ParallelTickExecutor executor(4);
+  ASSERT_EQ(executor.worker_count(), 3u);
+  // Background work on every worker must not widen the cap either.
+  ParallelTickExecutor::Batch background;
+  Tasks busy(64, [] { std::this_thread::sleep_for(std::chrono::microseconds(50)); });
+  executor.start(background, busy);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex m;
+  int active = 0;
+  int max_active = 0;
+  std::vector<std::size_t> workers;
+  bool foreign_thread = false;
+  const auto task = [&] {
+    {
+      std::lock_guard lock(m);
+      max_active = std::max(max_active, ++active);
+      const std::size_t w = ParallelTickExecutor::current_worker();
+      if (w != ParallelTickExecutor::kNotAWorker) {
+        workers.push_back(w);
+      } else if (std::this_thread::get_id() != caller) {
+        foreign_thread = true;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    std::lock_guard lock(m);
+    --active;
+  };
+  for (int round = 0; round < 30; ++round) {
+    executor.run(Tasks(6, task), 2);
+  }
+  executor.wait(background);
+  EXPECT_LE(max_active, 2);
+  EXPECT_FALSE(foreign_thread);
+  for (const std::size_t w : workers) EXPECT_EQ(w, 0u);
+  // A cap above the pool is clamped to it: all four threads may join.
+  max_active = 0;
+  executor.run(Tasks(16, task), 64);
+  EXPECT_LE(max_active, 4);
+}
+
+TEST(ParallelTickExecutorTest, TwoBackgroundBatchesInFlightAtOnce) {
+  for (const std::size_t threads : {1u, 3u}) {
+    ParallelTickExecutor executor(threads);
+    ParallelTickExecutor::Batch first;
+    ParallelTickExecutor::Batch second;
+    std::vector<int> a(40, 0);
+    std::vector<int> b(40, 0);
+    Tasks ta;
+    Tasks tb;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ta.push_back([&a, i] { ++a[i]; });
+      tb.push_back([&b, i] { ++b[i]; });
+    }
+    for (int round = 0; round < 10; ++round) {
+      executor.start(first, ta);
+      executor.start(second, tb);
+      executor.run(Tasks(3, [] {}));
+      // Waited in the other order than started.
+      executor.wait(second);
+      executor.wait(first);
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i], 10) << "threads=" << threads;
+      EXPECT_EQ(b[i], 10) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(ParallelTickExecutorTest, BackgroundErrorSurfacesOnlyInItsOwnWait) {
+  for (const std::size_t threads : {1u, 3u}) {
+    ParallelTickExecutor executor(threads);
+    ParallelTickExecutor::Batch failing;
+    ParallelTickExecutor::Batch healthy;
+    Tasks bad{[] {}, [] { throw std::runtime_error("boom"); }, [] {}};
+    std::atomic<int> good_ran{0};
+    Tasks good(5, [&] { ++good_ran; });
+    executor.start(failing, bad);
+    executor.start(healthy, good);
+    std::atomic<int> critical_ran{0};
+    EXPECT_NO_THROW(executor.run(Tasks(4, [&] { ++critical_ran; })));
+    EXPECT_EQ(critical_ran.load(), 4);
+    EXPECT_NO_THROW(executor.wait(healthy));
+    EXPECT_EQ(good_ran.load(), 5);
+    EXPECT_THROW(executor.wait(failing), std::runtime_error);
+    EXPECT_NO_THROW(executor.wait(failing));
+  }
+}
+
+TEST(ParallelTickExecutorTest, TwoSubmittingThreadsAtOnce) {
+  ParallelTickExecutor executor(3);
+  std::atomic<int> total{0};
+  const auto submitter = [&] {
+    ParallelTickExecutor::Batch batch;
+    const Tasks background(7, [&] { ++total; });
+    const Tasks critical(5, [&] { ++total; });
+    for (int round = 0; round < 200; ++round) {
+      executor.start(batch, background);
+      executor.run(critical, 1 + round % 3);
+      executor.wait(batch);
+    }
+  };
+  std::thread other(submitter);
+  submitter();
+  other.join();
+  EXPECT_EQ(total.load(), 2 * 200 * (7 + 5));
+}
+
+TEST(ParallelTickExecutorTest, ZeroThreadsFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(ParallelTickExecutor::shared().worker_count(),
+            static_cast<std::size_t>(CPU_COUNT(&saved)) - 1);
+  // Pin this thread to one of its CPUs: a pool sized then is inline.
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  EXPECT_EQ(usable_cores(), 1u);
+  ParallelTickExecutor pinned(0);
+  EXPECT_EQ(pinned.worker_count(), 0u);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -390,6 +616,30 @@ TEST_F(ShardedAccuracyTest, CachedPbsrIsPerfect) {
 
 TEST_F(ShardedAccuracyTest, OptimalIsPerfect) {
   expect_perfect(run_sharded(experiment_.optimal()));
+}
+
+/// The threads alive in this process, one /proc/self/task entry each.
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ParallelTickExecutorTest, RunsAndOracleCallsStartNoThread) {
+  EXPECT_LE(ParallelTickExecutor::shared().worker_count(),
+            usable_cores() - 1);
+  core::Experiment experiment(cluster_config());
+  const std::size_t before = live_threads();
+  // The first run also computes the oracle.
+  for (int run = 0; run < 2; ++run) {
+    expect_perfect(experiment.simulation().run_sharded(
+        experiment.rect(saferegion::MotionModel(1.0, 32)),
+        {.shards = 4, .threads = 0}));
+  }
+  EXPECT_EQ(live_threads(), before);
 }
 
 /// Client-visible metrics must be *identical* to the monolithic run for

@@ -623,6 +623,10 @@ void expect_bit_identical_with_failover(const sim::RunResult& a,
   EXPECT_EQ(n.handoff_messages, m.handoff_messages);
   EXPECT_EQ(n.handoff_bytes, m.handoff_bytes);
   EXPECT_EQ(n.triggers, m.triggers);
+  EXPECT_EQ(n.alarms_installed, m.alarms_installed);
+  EXPECT_EQ(n.alarms_removed, m.alarms_removed);
+  EXPECT_EQ(n.invalidation_pushes, m.invalidation_pushes);
+  EXPECT_EQ(n.invalidation_bytes, m.invalidation_bytes);
   EXPECT_EQ(n.net_retransmissions, m.net_retransmissions);
   EXPECT_EQ(n.net_duplicates_dropped, m.net_duplicates_dropped);
   EXPECT_EQ(n.net_lease_fallback_ticks, m.net_lease_fallback_ticks);
@@ -646,8 +650,12 @@ void expect_bit_identical_with_failover(const sim::RunResult& a,
 
 class ShardedCrashDeterminismTest : public ::testing::Test {
  protected:
-  void check(const std::string& name, bool journal) {
+  void check(const std::string& name, bool journal, bool churn = false) {
     core::Experiment experiment(chaos_experiment_config(53));
+    if (churn) {
+      experiment.enable_churn(experiment.churn_config(
+          /*installs_per_tick=*/1.0, /*removes_per_tick=*/0.5));
+    }
     experiment.enable_channel(chaos_channel(0.2));
     experiment.enable_failover(chaos_crashes(journal));
     const auto factory = chaos_factory(experiment, name);
@@ -655,7 +663,13 @@ class ShardedCrashDeterminismTest : public ::testing::Test {
         factory, {.shards = 4, .threads = 1});
     expect_perfect_chaos(ref);
     EXPECT_GT(ref.metrics.fo_crashes, 0u) << name;
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    // Due checkpoints run as one pool task per up shard.
+    EXPECT_GT(ref.metrics.fo_checkpoints, 4u) << name;
+    if (churn) {
+      EXPECT_GT(ref.metrics.alarms_installed, 0u) << name;
+    }
+    for (const std::size_t threads :
+         {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
       expect_bit_identical_with_failover(
           ref, experiment.simulation().run_sharded(
                    factory, {.shards = 4, .threads = threads}));
@@ -677,6 +691,14 @@ TEST_F(ShardedCrashDeterminismTest, PbsrBitIdenticalAcrossThreadCounts) {
 
 TEST_F(ShardedCrashDeterminismTest, OptJournallessBitIdenticalAcrossThreads) {
   check("opt", /*journal=*/false);
+}
+
+TEST_F(ShardedCrashDeterminismTest, MwpsrWithChurnBitIdenticalAcrossThreads) {
+  check("mwpsr", /*journal=*/true, /*churn=*/true);
+}
+
+TEST_F(ShardedCrashDeterminismTest, PbsrJournallessChurnBitIdenticalAcrossThreads) {
+  check("pbsr", /*journal=*/false, /*churn=*/true);
 }
 
 TEST(FailoverNoOpTest, UnarmedShardedRunCountsNoFailoverWork) {

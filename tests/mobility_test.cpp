@@ -327,9 +327,9 @@ void pinned_then_unpinned(Check check) {
   }
 }
 
-/// Vehicle counts around the 512-vehicle chunk boundary.
-const std::vector<std::size_t> kChunkBoundaryCounts = {1, 511, 512, 513,
-                                                       1300};
+/// Vehicle counts around the 128-vehicle chunk boundary.
+const std::vector<std::size_t> kChunkBoundaryCounts = {1, 127, 128, 129,
+                                                       513, 1300};
 
 TEST(RecordedTraceTest, AppendAndAccess) {
   RecordedTrace trace(2, 0.5);
