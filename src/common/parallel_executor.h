@@ -33,7 +33,11 @@ std::size_t usable_cores();
 class ParallelTickExecutor {
  public:
   /// One batch's state, owned by its submitter; live from start() to wait().
-  class Batch {
+  /// Every worker that claims one of its tasks writes it, so it takes whole
+  /// cache lines of its own: a submitter's fields beside it, such as a
+  /// trace generator's vectors that the same workers read per vehicle, must
+  /// not share a line with it.
+  class alignas(64) Batch {
     friend class ParallelTickExecutor;
     // All guarded by the pool's mutex.
     const std::vector<std::function<void()>>* tasks_ = nullptr;

@@ -65,8 +65,7 @@ Experiment::Experiment(const ExperimentConfig& config)
       grid_(grid::GridOverlay::with_cell_area(
           network_.bounding_box(),
           sqkm_to_sqm(config.grid_cell_sqkm))),
-      store_(), generator_(network_, trace_config(config)),
-      simulation_(generator_, store_, grid_, config.ticks()) {
+      store_() {
   SALARM_REQUIRE(config.public_percent >= 0.0 &&
                      config.public_percent <= 100.0,
                  "public percent out of range");
@@ -79,6 +78,14 @@ Experiment::Experiment(const ExperimentConfig& config)
   Rng rng(config.seed * 15485863 + 3);
   store_.install_bulk(
       alarms::generate_alarm_workload(workload, grid_.universe(), rng));
+}
+
+sim::Simulation& Experiment::simulation() {
+  if (!simulation_) {
+    generator_.emplace(network_, trace_config(config_));
+    simulation_.emplace(*generator_, store_, grid_, config_.ticks());
+  }
+  return *simulation_;
 }
 
 double Experiment::max_speed_bound() const {
@@ -98,15 +105,15 @@ dynamics::ChurnConfig Experiment::churn_config(
 }
 
 void Experiment::enable_churn(const dynamics::ChurnConfig& config) {
-  simulation_.set_churn(config, config_.seed * 32452843 + 4);
+  simulation().set_churn(config, config_.seed * 32452843 + 4);
 }
 
 void Experiment::enable_channel(const net::ChannelConfig& config) {
-  simulation_.set_channel(config, config_.seed * 49979687 + 5);
+  simulation().set_channel(config, config_.seed * 49979687 + 5);
 }
 
 void Experiment::enable_failover(const failover::FailoverConfig& config) {
-  simulation_.set_failover(config, config_.seed * 67867979 + 6);
+  simulation().set_failover(config, config_.seed * 67867979 + 6);
 }
 
 sim::Simulation::StrategyFactory Experiment::periodic() const {

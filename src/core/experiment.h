@@ -5,7 +5,10 @@
 // vehicle trace, uniform alarm set with a configurable public share, grid
 // overlay) and wires it into a Simulation. One Experiment = one workload;
 // strategies are run against it via the factory helpers so every run sees
-// the identical trace and alarm set.
+// the identical trace and alarm set. The trace generator and the
+// Simulation are built on the first simulation() or enable_*() call, so a
+// caller that only needs the network, store, grid and factories never
+// routes a vehicle.
 //
 // Default scale is reduced from the paper's 10,000 vehicles x 1 h to keep
 // bench turnaround interactive; environment variables switch scale:
@@ -18,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "alarms/alarm_store.h"
 #include "common/rng.h"
@@ -62,7 +66,8 @@ class Experiment {
  public:
   explicit Experiment(const ExperimentConfig& config);
 
-  sim::Simulation& simulation() { return simulation_; }
+  /// Builds the trace generator and the simulation on the first call.
+  sim::Simulation& simulation();
   const ExperimentConfig& config() const { return config_; }
   const roadnet::RoadNetwork& network() const { return network_; }
   alarms::AlarmStore& store() { return store_; }
@@ -118,8 +123,8 @@ class Experiment {
   roadnet::RoadNetwork network_;
   grid::GridOverlay grid_;
   alarms::AlarmStore store_;
-  mobility::TraceGenerator generator_;
-  sim::Simulation simulation_;
+  std::optional<mobility::TraceGenerator> generator_;
+  std::optional<sim::Simulation> simulation_;
 };
 
 }  // namespace salarm::core

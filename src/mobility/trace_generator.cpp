@@ -21,9 +21,18 @@ TraceGenerator::TraceGenerator(const roadnet::RoadNetwork& network,
   const std::size_t chunks = (config_.vehicle_count + kGrain - 1) / kGrain;
   routers_.reserve(chunks);
   for (std::size_t c = 0; c < chunks; ++c) routers_.emplace_back(network_);
+  // Drawn in fork order, as serial master.fork() calls would; each vehicle
+  // seeds its own engine in init_vehicle, inside the parallel chunks.
+  Rng master(config_.seed);
+  vehicle_seeds_.resize(config_.vehicle_count);
+  for (std::uint64_t& seed : vehicle_seeds_) seed = master.engine()();
+  vehicle_rngs_.assign(config_.vehicle_count, master);
+  vehicles_.resize(config_.vehicle_count);
+  samples_.resize(config_.vehicle_count);
+  next_samples_.resize(config_.vehicle_count);
   reset_tasks_ = chunk_tasks(&TraceGenerator::init_vehicle);
   step_tasks_ = chunk_tasks(&TraceGenerator::advance_vehicle);
-  reset();
+  reset();  // routes every vehicle's first trip, which later resets reuse
 }
 
 TraceGenerator::~TraceGenerator() { discard_prefetch(); }
@@ -55,17 +64,7 @@ std::vector<std::function<void()>> TraceGenerator::chunk_tasks(
 
 void TraceGenerator::reset() {
   discard_prefetch();
-  Rng master(config_.seed);
-  vehicles_.assign(config_.vehicle_count, Vehicle{});
-  samples_.assign(config_.vehicle_count, VehicleSample{});
-  // The fork order defines each vehicle's stream, so it stays serial.
-  vehicle_rngs_.clear();
-  vehicle_rngs_.reserve(config_.vehicle_count);
-  for (std::size_t i = 0; i < config_.vehicle_count; ++i) {
-    vehicle_rngs_.push_back(master.fork());
-  }
   pool_.run(reset_tasks_);
-  next_samples_.resize(config_.vehicle_count);
   time_s_ = 0.0;
   tick_ = 0;
   pool_.start(prefetch_, step_tasks_);
@@ -74,10 +73,13 @@ void TraceGenerator::reset() {
 void TraceGenerator::init_vehicle(VehicleId id, roadnet::Router& router) {
   Vehicle& v = vehicles_[id];
   Rng& rng = vehicle_rngs_[id];
+  rng.engine().seed(vehicle_seeds_[id]);
   v.at_node = static_cast<roadnet::NodeId>(rng.index(network_.node_count()));
   v.speed_factor =
       rng.uniform(config_.speed_factor_lo, config_.speed_factor_hi);
+  v.dwell_remaining_s = 0.0;
   start_new_trip(v, rng, router);
+  if (v.first_route.empty()) v.first_route = v.route;  // the first reset
   samples_[id].pos = network_.node(v.at_node).pos;
   samples_[id].heading = geo::heading(v.leg_end - v.leg_start);
   samples_[id].speed_mps = 0.0;
@@ -87,14 +89,20 @@ void TraceGenerator::start_new_trip(Vehicle& v, Rng& rng,
                                     roadnet::Router& router) const {
   // Redraw until a reachable, distinct destination is found. On a connected
   // network the loop ends on the first non-identical draw; the retry bound
-  // turns a disconnected-network bug into a loud failure.
+  // turns a disconnected-network bug into a loud failure. The finished
+  // trip's route is no longer read, so the new one reuses its buffer.
   for (int attempt = 0; attempt < 64; ++attempt) {
     const auto dest =
         static_cast<roadnet::NodeId>(rng.index(network_.node_count()));
     if (dest == v.at_node) continue;
-    roadnet::Route route = router.route(v.at_node, dest);
-    if (route.empty()) continue;
-    v.route = std::move(route);
+    const roadnet::Route& first = v.first_route;
+    if (!first.empty() && first.nodes.front() == v.at_node &&
+        first.nodes.back() == dest) {
+      v.route = first;  // A* is deterministic: same ends, same route
+    } else {
+      router.route(v.at_node, dest, v.route);
+      if (v.route.empty()) continue;
+    }
     v.leg = 0;
     v.offset_m = 0.0;
     enter_leg(v);

@@ -12,6 +12,17 @@
 // each chunk its Router, and the chunking is a constant, so the output is
 // independent of the core count.
 //
+// Every reset() replays the same first trips, so only the constructor's
+// reset routes them, and each vehicle keeps its first route. Later resets
+// recompute everything else: each vehicle re-seeds its Rng from a seed
+// drawn once at construction, and redraws its start node, speed factor
+// and destinations. A destination draw whose (start, destination) pair
+// matches the kept route's ends takes that route instead of running A*;
+// any other draw is routed, so the sample stream is the same as if every
+// trip were routed. The kept routes cost one route per vehicle. reset()
+// frees no vehicle storage, each vehicle's route buffer is reused by
+// every trip, and a warm generator allocates nothing per step or reset.
+//
 // The pool computes one tick ahead, in its background lane (on workers no
 // critical batch needs): while the caller works on tick t in samples(), it
 // writes tick t+1 into a back buffer; step() waits for that batch, swaps
@@ -109,6 +120,7 @@ class TraceGenerator final : public PositionSource {
 
   struct Vehicle {
     roadnet::Route route;        ///< current trip
+    roadnet::Route first_route;  ///< the first trip, filled by the first reset
     std::size_t leg = 0;         ///< index into route.nodes of the leg start
     double offset_m = 0.0;       ///< distance traveled along the current leg
     double speed_factor = 1.0;
@@ -139,6 +151,7 @@ class TraceGenerator final : public PositionSource {
   std::vector<Vehicle> vehicles_;
   std::vector<VehicleSample> samples_;       ///< tick_, as published
   std::vector<VehicleSample> next_samples_;  ///< tick_ + 1, in flight
+  std::vector<std::uint64_t> vehicle_seeds_;  ///< drawn once, in fork order
   std::vector<Rng> vehicle_rngs_;
   ParallelTickExecutor& pool_ = ParallelTickExecutor::shared();
   ParallelTickExecutor::Batch prefetch_;  ///< tick_ + 1

@@ -1,8 +1,8 @@
 #include "roadnet/shortest_path.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 
 #include "common/error.h"
 
@@ -17,7 +17,7 @@ Router::Router(const RoadNetwork& network)
       came_from_(network.node_count(), 0),
       visit_epoch_(network.node_count(), 0) {}
 
-Route Router::route(NodeId from, NodeId to) {
+void Router::route(NodeId from, NodeId to, Route& out) {
   SALARM_REQUIRE(from < network_.node_count() && to < network_.node_count(),
                  "route endpoint out of range");
   ++epoch_;
@@ -29,15 +29,14 @@ Route Router::route(NodeId from, NodeId to) {
     return geo::distance(network_.node(n).pos, goal) / max_speed;
   };
 
-  struct QueueItem {
-    double f;  // g + h
-    double g;
-    NodeId node;
-    bool operator>(const QueueItem& o) const { return f > o.f; }
+  // std::priority_queue's exact discipline over a reused vector, so the
+  // expansion order, and with it every tie-broken route, is unchanged.
+  const std::greater<QueueItem> later;
+  open_.clear();
+  auto push = [&](QueueItem item) {
+    open_.push_back(item);
+    std::push_heap(open_.begin(), open_.end(), later);
   };
-  std::priority_queue<QueueItem, std::vector<QueueItem>,
-                      std::greater<QueueItem>>
-      open;
 
   auto touch = [&](NodeId n) {
     if (visit_epoch_[n] != epoch_) {
@@ -49,12 +48,13 @@ Route Router::route(NodeId from, NodeId to) {
   touch(from);
   best_cost_[from] = 0.0;
   came_from_[from] = from;
-  open.push({heuristic(from), 0.0, from});
+  push({heuristic(from), 0.0, from});
 
   bool found = from == to;
-  while (!open.empty() && !found) {
-    const QueueItem item = open.top();
-    open.pop();
+  while (!open_.empty() && !found) {
+    std::pop_heap(open_.begin(), open_.end(), later);
+    const QueueItem item = open_.back();
+    open_.pop_back();
     touch(item.node);
     if (item.g > best_cost_[item.node]) continue;  // stale queue entry
     if (item.node == to) {
@@ -68,26 +68,27 @@ Route Router::route(NodeId from, NodeId to) {
       if (g < best_cost_[adj.neighbor]) {
         best_cost_[adj.neighbor] = g;
         came_from_[adj.neighbor] = item.node;
-        open.push({g + heuristic(adj.neighbor), g, adj.neighbor});
+        push({g + heuristic(adj.neighbor), g, adj.neighbor});
       }
     }
   }
 
-  Route result;
-  if (!found) return result;
+  out.nodes.clear();
+  out.travel_time_s = 0.0;
+  out.length_m = 0.0;
+  if (!found) return;
 
   // Reconstruct.
-  std::vector<NodeId> reversed{to};
-  while (reversed.back() != from) {
-    reversed.push_back(came_from_[reversed.back()]);
+  reversed_.assign(1, to);
+  while (reversed_.back() != from) {
+    reversed_.push_back(came_from_[reversed_.back()]);
   }
-  result.nodes.assign(reversed.rbegin(), reversed.rend());
-  result.travel_time_s = from == to ? 0.0 : best_cost_[to];
-  for (std::size_t i = 0; i + 1 < result.nodes.size(); ++i) {
-    result.length_m += geo::distance(network_.node(result.nodes[i]).pos,
-                                     network_.node(result.nodes[i + 1]).pos);
+  out.nodes.assign(reversed_.rbegin(), reversed_.rend());
+  out.travel_time_s = from == to ? 0.0 : best_cost_[to];
+  for (std::size_t i = 0; i + 1 < out.nodes.size(); ++i) {
+    out.length_m += geo::distance(network_.node(out.nodes[i]).pos,
+                                  network_.node(out.nodes[i + 1]).pos);
   }
-  return result;
 }
 
 }  // namespace salarm::roadnet

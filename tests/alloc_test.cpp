@@ -8,7 +8,10 @@
 // build or a PBSR contact allocates only the returned bitmap's node array.
 // Nor may the ground-truth oracle's ticks: once its table and
 // buffers are built, a tick that fires nothing allocates nothing, so a run
-// of 10N ticks allocates exactly what a run of N does. This executable
+// of 10N ticks allocates exactly what a run of N does. The same holds for
+// the trace generator's replays, trips started inside the window included:
+// each vehicle reuses its route buffer and each chunk its router. This
+// executable
 // replaces the global operator new/delete
 // with counting versions, which is why it is built apart from
 // salarm_tests. Each test builds its fixture first, warms the thread's
@@ -30,6 +33,8 @@
 #include "grid/grid_overlay.h"
 #include "index/rstar_tree.h"
 #include "mobility/position_source.h"
+#include "mobility/trace_generator.h"
+#include "roadnet/network_builder.h"
 #include "saferegion/motion_model.h"
 #include "saferegion/mwpsr.h"
 #include "saferegion/pyramid.h"
@@ -354,6 +359,47 @@ TEST(AllocationTest, WarmOracleTicksAllocateNothing) {
   const std::size_t short_run = oracle_allocations(kTicks);
   EXPECT_GT(short_run, 0u);  // the table and buffers
   EXPECT_EQ(oracle_allocations(10 * kTicks), short_run);
+}
+
+TEST(AllocationTest, WarmTraceStepsAllocateNothing) {
+  // A small map and short dwells, so vehicles finish trips and start new
+  // ones, each routed by A*, inside the measured window.
+  roadnet::NetworkConfig map;
+  map.width_m = 8000;
+  map.height_m = 8000;
+  Rng rng(2);
+  const roadnet::RoadNetwork network =
+      roadnet::build_synthetic_network(map, rng);
+  mobility::TraceConfig config;
+  config.vehicle_count = 300;  // three chunks, one partial
+  config.max_dwell_seconds = 5.0;
+  mobility::TraceGenerator generator(network, config);
+  std::vector<double> speed(config.vehicle_count);
+  struct Replay {
+    std::size_t allocations;
+    std::size_t restarts;  ///< parked vehicles that drove off again
+  };
+  const auto replay = [&](std::size_t ticks) {
+    const std::size_t before = allocations();
+    generator.reset();
+    std::size_t restarts = 0;
+    for (std::size_t t = 1; t <= ticks; ++t) {
+      generator.step();
+      for (std::size_t v = 0; v < speed.size(); ++v) {
+        const double now = generator.samples()[v].speed_mps;
+        if (t > 1 && speed[v] == 0.0 && now > 0.0) ++restarts;
+        speed[v] = now;
+      }
+    }
+    return Replay{allocations() - before, restarts};
+  };
+  constexpr std::size_t kTicks = 20;
+  // One unmeasured replay sizes every route buffer and router scratch.
+  replay(10 * kTicks);
+  const Replay short_run = replay(kTicks);
+  const Replay long_run = replay(10 * kTicks);
+  EXPECT_GT(long_run.restarts, short_run.restarts);
+  EXPECT_EQ(long_run.allocations, short_run.allocations);
 }
 
 }  // namespace

@@ -27,6 +27,30 @@ roadnet::RoadNetwork test_network(std::uint64_t seed = 2) {
   return roadnet::build_synthetic_network(cfg, rng);
 }
 
+/// Two copies of a small map side by side with no road between them, so
+/// about half of all destination draws are unreachable and are redrawn.
+roadnet::RoadNetwork two_component_network() {
+  roadnet::NetworkConfig cfg;
+  cfg.width_m = 4000;
+  cfg.height_m = 4000;
+  cfg.spacing_m = 1000;
+  Rng rng(5);
+  const roadnet::RoadNetwork part = roadnet::build_synthetic_network(cfg, rng);
+  roadnet::RoadNetwork net;
+  for (const double dx : {0.0, 6000.0}) {
+    const auto base = static_cast<roadnet::NodeId>(net.node_count());
+    for (roadnet::NodeId n = 0; n < part.node_count(); ++n) {
+      net.add_node(part.node(n).pos + geo::Point{dx, 0.0});
+    }
+    for (roadnet::EdgeId e = 0; e < part.edge_count(); ++e) {
+      const roadnet::RoadEdge& edge = part.edge(e);
+      net.add_edge(base + edge.a, base + edge.b, edge.speed_mps,
+                   edge.road_class);
+    }
+  }
+  return net;
+}
+
 TraceConfig small_trace_config() {
   TraceConfig cfg;
   cfg.vehicle_count = 50;
@@ -244,6 +268,27 @@ std::size_t expect_chunked_matches_serial(const roadnet::RoadNetwork& net,
   // Construction replays once; two explicit reset()s replay twice more.
   expect_same_replay(gen, ref, kTicks);
   for (int replay = 0; replay < 2; ++replay) {
+    gen.reset();
+    ref.reset();
+    expect_same_replay(gen, ref, kTicks);
+  }
+  return ref.mid_run_trips();
+}
+
+/// Replays the trace three times through reset() after the constructor's
+/// replay, which is the one that routes the first trips. Returns the number
+/// of trips the reference started mid-run.
+std::size_t expect_resets_match_serial(const roadnet::RoadNetwork& net,
+                                       std::size_t vehicles) {
+  SCOPED_TRACE(::testing::Message() << "vehicles=" << vehicles);
+  constexpr std::size_t kTicks = 400;
+  TraceConfig cfg = small_trace_config();
+  cfg.vehicle_count = vehicles;
+  TraceGenerator gen(net, cfg);
+  SerialReference ref(net, cfg);
+  expect_same_replay(gen, ref, kTicks);
+  for (int replay = 0; replay < 3; ++replay) {
+    SCOPED_TRACE(::testing::Message() << "reset " << replay + 1);
     gen.reset();
     ref.reset();
     expect_same_replay(gen, ref, kTicks);
@@ -552,6 +597,25 @@ TEST(TraceGeneratorTest, PrefetchedStepMatchesSerialReference) {
       expect_prefetched_matches_serial(net, n);
     }
   });
+}
+
+TEST(TraceGeneratorTest, ResetReusesFirstRoutes) {
+  // On the split map, first trips are found after redraws past unreachable
+  // destinations, and many later trips start from another node towards a
+  // vehicle's first destination. The default map is the paper-size one.
+  const auto split = two_component_network();
+  ASSERT_LT(split.largest_component_size(), split.node_count());
+  Rng rng(3);
+  const auto paper_map =
+      roadnet::build_synthetic_network(roadnet::NetworkConfig{}, rng);
+  std::size_t split_trips = 0;
+  std::size_t paper_trips = 0;
+  pinned_then_unpinned([&] {
+    split_trips += expect_resets_match_serial(split, 300);
+    paper_trips += expect_resets_match_serial(paper_map, 1300);
+  });
+  EXPECT_GT(split_trips, 0u);
+  EXPECT_GT(paper_trips, 0u);
 }
 
 }  // namespace
