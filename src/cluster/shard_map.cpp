@@ -1,7 +1,6 @@
 #include "cluster/shard_map.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.h"
 
@@ -48,24 +47,6 @@ std::size_t ShardMap::shard_of(geo::Point p) const {
 const geo::Rect& ShardMap::shard_extent(std::size_t shard) const {
   SALARM_REQUIRE(shard < extents_.size(), "no such shard");
   return extents_[shard];
-}
-
-double ShardMap::escape_distance(std::size_t shard, geo::Point p) const {
-  SALARM_REQUIRE(shard < extents_.size(), "no such shard");
-  const geo::Rect& extent = extents_[shard];
-  const geo::Rect& universe = grid_.universe();
-  double d = std::numeric_limits<double>::infinity();
-  // Only sides shared with a neighboring shard count: a universe edge
-  // cannot be escaped through, so clamping to it would over-restrict the
-  // safe-period grant for edge shards.
-  if (by_columns_) {
-    if (extent.lo().x > universe.lo().x) d = std::min(d, p.x - extent.lo().x);
-    if (extent.hi().x < universe.hi().x) d = std::min(d, extent.hi().x - p.x);
-  } else {
-    if (extent.lo().y > universe.lo().y) d = std::min(d, p.y - extent.lo().y);
-    if (extent.hi().y < universe.hi().y) d = std::min(d, extent.hi().y - p.y);
-  }
-  return std::max(d, 0.0);
 }
 
 }  // namespace salarm::cluster

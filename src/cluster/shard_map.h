@@ -41,13 +41,6 @@ class ShardMap {
   /// Geometric extent of a shard: the union of its cells' rectangles.
   const geo::Rect& shard_extent(std::size_t shard) const;
 
-  /// Minimum distance from p to any *internal* shard boundary of `shard`
-  /// (sides shared with a neighboring shard; universe edges do not count).
-  /// Infinity for a single-shard map. The cluster tier uses this to cap
-  /// safe-period grants at the distance a subscriber could travel before
-  /// leaving the shard's spatial authority.
-  double escape_distance(std::size_t shard, geo::Point p) const;
-
  private:
   const grid::GridOverlay& grid_;
   bool by_columns_;

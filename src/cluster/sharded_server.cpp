@@ -18,8 +18,9 @@ thread_local std::size_t active_shard = static_cast<std::size_t>(-1);
 
 ShardedServer::Shard::Shard(std::vector<alarms::SpatialAlarm> slice,
                             const grid::GridOverlay& grid,
+                            const geo::Rect& extent,
                             std::size_t rtree_node_capacity)
-    : store(rtree_node_capacity), server(store, grid, metrics) {
+    : store(rtree_node_capacity), server(store, grid, metrics, extent) {
   store.install_bulk(std::move(slice));
 }
 
@@ -40,7 +41,8 @@ ShardedServer::ShardedServer(const alarms::AlarmStore& global_alarms,
       if (a.region.intersects(map_.shard_extent(i))) slice.push_back(a);
     }
     shards_.push_back(std::make_unique<Shard>(
-        std::move(slice), grid, global_alarms.rtree_node_capacity()));
+        std::move(slice), grid, map_.shard_extent(i),
+        global_alarms.rtree_node_capacity()));
   }
 }
 
@@ -55,8 +57,8 @@ sim::Metrics& ShardedServer::metrics() {
   return shards_[active_shard]->metrics;
 }
 
-ShardedServer::Shard& ShardedServer::contact(alarms::SubscriberId s,
-                                             geo::Point position) {
+sim::Server& ShardedServer::contact(alarms::SubscriberId s,
+                                    geo::Point position) {
   const std::size_t owner = map_.shard_of(position);
   SALARM_ASSERT(owner == active_shard,
                 "position-taking call outside the active shard");
@@ -87,14 +89,13 @@ ShardedServer::Shard& ShardedServer::contact(alarms::SubscriberId s,
     }
     session.shard = owner;
   }
-  return shard;
+  return shard.server;
 }
 
 std::vector<alarms::AlarmId> ShardedServer::handle_position_update(
     alarms::SubscriberId s, geo::Point position, std::uint64_t tick) {
-  Shard& shard = contact(s, position);
   std::vector<alarms::AlarmId> fired =
-      shard.server.handle_position_update(s, position, tick);
+      contact(s, position).handle_position_update(s, position, tick);
   for (const alarms::AlarmId id : fired) {
     append_spent(map_.shard_of(position), tick, id, s);
   }
@@ -109,9 +110,8 @@ std::vector<alarms::AlarmId> ShardedServer::handle_buffered_update(
   // thread): the call claims the owning shard itself, so buffered reports
   // replay shard handoffs deterministically along the client's path.
   set_active_shard(map_.shard_of(position));
-  Shard& shard = contact(s, position);
   std::vector<alarms::AlarmId> fired =
-      shard.server.handle_buffered_update(s, position, stamp_tick);
+      contact(s, position).handle_buffered_update(s, position, stamp_tick);
   for (const alarms::AlarmId id : fired) {
     append_spent(map_.shard_of(position), stamp_tick, id, s);
   }
@@ -120,39 +120,9 @@ std::vector<alarms::AlarmId> ShardedServer::handle_buffered_update(
   return fired;
 }
 
-saferegion::RectSafeRegion ShardedServer::compute_rect_region(
-    alarms::SubscriberId s, geo::Point position, double heading,
-    const saferegion::MotionModel& model,
-    const saferegion::MwpsrOptions& options) {
-  return contact(s, position)
-      .server.compute_rect_region(s, position, heading, model, options);
-}
-
-saferegion::PyramidBitmap ShardedServer::compute_pyramid_region(
-    alarms::SubscriberId s, geo::Point position,
-    const saferegion::PyramidConfig& config) {
-  return contact(s, position).server.compute_pyramid_region(s, position,
-                                                            config);
-}
-
 void ShardedServer::enable_public_bitmap_cache(
     const saferegion::PyramidConfig& config) {
   for (auto& shard : shards_) shard->server.enable_public_bitmap_cache(config);
-}
-
-double ShardedServer::compute_safe_period(alarms::SubscriberId s,
-                                          geo::Point position,
-                                          double max_speed_mps,
-                                          double tick_seconds) {
-  Shard& shard = contact(s, position);
-  return shard.server.compute_safe_period(
-      s, position, max_speed_mps, tick_seconds,
-      map_.escape_distance(sessions_[s].shard, position));
-}
-
-std::vector<const alarms::SpatialAlarm*> ShardedServer::push_alarms(
-    alarms::SubscriberId s, geo::Point position) {
-  return contact(s, position).server.push_alarms(s, position);
 }
 
 std::vector<dynamics::InvalidationPush> ShardedServer::take_invalidations(

@@ -7,8 +7,10 @@
 // regions are computed within a single grid cell and cells never span
 // shards, each shard answers its cell queries exactly as one server
 // holding every alarm would — the strategies run unchanged and remain
-// 100% accurate. net::ClientLink (and through it every strategy) talks to
-// this class directly; every run, single-node included, goes through it.
+// 100% accurate. A grant needs nothing from the cluster but the owning
+// shard: contact() routes to it and returns its sim::Server, on which
+// net::ClientLink::request runs the strategy's grant call. Every run,
+// single-node included, goes through this class.
 //
 // Border-spanning alarms are replicated to every overlapping shard, so a
 // trigger must be deduplicated across shards: each subscriber session
@@ -27,8 +29,8 @@
 // only by the thread processing that subscriber. Merged results use
 // stable shard order, so metrics and trigger logs are bit-identical for
 // any thread count. Single-node operation is shard_count = 1: one slice
-// holding every alarm, no handoffs, an infinite escape distance — the
-// one shard's sim::Server then behaves exactly like the paper's single
+// holding every alarm over the whole universe, no handoffs — the one
+// shard's sim::Server then behaves exactly like the paper's single
 // evaluation server.
 #pragma once
 
@@ -61,6 +63,10 @@ class ShardedServer {
   // ---- Client-facing calls (all position-taking calls route to the
   // owning shard, which must be the active shard of the calling thread;
   // see sim::Server for what each computes and charges) ----
+  /// Routes a position-taking call: resolves the owning shard, performs
+  /// the session handoff if the subscriber just crossed a boundary, and
+  /// returns the shard's engine. Grant calls run on the result directly.
+  sim::Server& contact(alarms::SubscriberId s, geo::Point position);
   std::vector<alarms::AlarmId> handle_position_update(
       alarms::SubscriberId s, geo::Point position, std::uint64_t tick);
   /// Temporal evaluation of an outage-buffered report (DESIGN.md §9).
@@ -70,22 +76,7 @@ class ShardedServer {
   std::vector<alarms::AlarmId> handle_buffered_update(
       alarms::SubscriberId s, geo::Point position,
       std::uint64_t stamp_tick);
-  saferegion::RectSafeRegion compute_rect_region(
-      alarms::SubscriberId s, geo::Point position, double heading,
-      const saferegion::MotionModel& model,
-      const saferegion::MwpsrOptions& options);
-  saferegion::PyramidBitmap compute_pyramid_region(
-      alarms::SubscriberId s, geo::Point position,
-      const saferegion::PyramidConfig& config);
   void enable_public_bitmap_cache(const saferegion::PyramidConfig& config);
-  /// Safe period with the grant capped at the shard's escape distance: the
-  /// shard knows nothing about alarms beyond its extent, so the granted
-  /// travel distance must not outrun its spatial authority.
-  double compute_safe_period(alarms::SubscriberId s, geo::Point position,
-                             double max_speed_mps,
-                             double tick_seconds);
-  std::vector<const alarms::SpatialAlarm*> push_alarms(
-      alarms::SubscriberId s, geo::Point position);
   /// Drains the subscriber's mailboxes across all shards in stable shard
   /// order. A subscriber's grant always lives in the shard it last
   /// contacted (grants never outgrow a shard's extent), but stale entries
@@ -125,7 +116,6 @@ class ShardedServer {
   /// orchestration order is visible in one place.
   void enable_failover(const failover::FailoverConfig& config,
                        const failover::CrashPlan& plan);
-  bool failover_enabled() const { return failover_.has_value(); }
   /// Whether the shard is currently crashed (clients must not contact it).
   bool shard_down(std::size_t shard) const;
 
@@ -173,7 +163,8 @@ class ShardedServer {
   /// references into its siblings).
   struct Shard {
     Shard(std::vector<alarms::SpatialAlarm> slice,
-          const grid::GridOverlay& grid, std::size_t rtree_node_capacity);
+          const grid::GridOverlay& grid, const geo::Rect& extent,
+          std::size_t rtree_node_capacity);
     alarms::AlarmStore store;
     sim::Metrics metrics;
     sim::Server server;
@@ -214,11 +205,6 @@ class ShardedServer {
     const failover::CrashPlan* plan = nullptr;
     std::vector<ShardLog> logs;
   };
-
-  /// Routes a position-taking call: resolves the owning shard, performs
-  /// the session handoff if the subscriber just crossed a boundary, and
-  /// returns the shard to forward to.
-  Shard& contact(alarms::SubscriberId s, geo::Point position);
 
   void crash_shard(std::size_t shard, std::uint64_t tick);
   void recover_shard(std::size_t shard, std::uint64_t tick);

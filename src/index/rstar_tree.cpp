@@ -640,26 +640,11 @@ std::uint64_t RStarTree::probe(geo::Point p, EntryVisitor visitor) const {
   return descend([p](const geo::Rect& r) { return r.contains(p); }, visitor);
 }
 
-std::vector<Entry> RStarTree::search(const geo::Rect& window) const {
-  std::vector<Entry> out;
-  visit(window, [&](const Entry& e) {
-    out.push_back(e);
-    return true;
-  });
-  return out;
-}
-
-std::vector<Entry> RStarTree::search(geo::Point p) const {
-  return search(geo::Rect(p, p));
-}
-
-void RStarTree::best_first(geo::Point p, EntryVisitor accept,
-                           EntryVisitor found) const {
-  if (size_ == 0) return;
+double RStarTree::nearest_distance(geo::Point p, EntryVisitor accept) const {
+  if (size_ == 0) return kInf;
   struct QueueItem {
     double dist;
-    const Node* node;    // nullptr when this is an entry
-    const Entry* entry;  // valid when node == nullptr
+    const Node* node;  // nullptr when this is an entry
     bool operator>(const QueueItem& other) const { return dist > other.dist; }
   };
   // A min-heap under the exact push_heap/pop_heap discipline of
@@ -672,46 +657,25 @@ void RStarTree::best_first(geo::Point p, EntryVisitor accept,
     std::push_heap(heap.begin(), heap.end(), later);
   };
   heap.clear();
-  push({root_->mbr.distance(p), root_.get(), nullptr});
+  push({root_->mbr.distance(p), root_.get()});
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), later);
     const QueueItem item = heap.back();
     heap.pop_back();
-    if (item.node == nullptr) {
-      if (!found(*item.entry)) return;
-      continue;
-    }
+    // The first entry popped is the nearest accepted one.
+    if (item.node == nullptr) return item.dist;
     ++node_accesses_;
     if (item.node->leaf()) {
       for (const Entry& e : item.node->entries) {
-        if (accept(e)) push({e.rect.distance(p), nullptr, &e});
+        if (accept(e)) push({e.rect.distance(p), nullptr});
       }
     } else {
       for (const auto& child : item.node->children) {
-        push({child->mbr.distance(p), child.get(), nullptr});
+        push({child->mbr.distance(p), child.get()});
       }
     }
   }
-}
-
-std::vector<Neighbor> RStarTree::nearest(geo::Point p, std::size_t k,
-                                         EntryVisitor accept) const {
-  std::vector<Neighbor> out;
-  if (k == 0) return out;
-  best_first(p, accept, [&](const Entry& e) {
-    out.push_back({e, e.rect.distance(p)});
-    return out.size() < k;
-  });
-  return out;
-}
-
-double RStarTree::nearest_distance(geo::Point p, EntryVisitor accept) const {
-  double distance = kInf;
-  best_first(p, accept, [&](const Entry& e) {
-    distance = e.rect.distance(p);
-    return false;
-  });
-  return distance;
+  return kInf;
 }
 
 // ---------------------------------------------------------------------------

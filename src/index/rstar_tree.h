@@ -21,8 +21,8 @@
 // hot server and oracle paths allocate nothing. probe() is const in the
 // strong sense — it returns its node accesses instead of counting them —
 // so threads may probe a tree nobody mutates concurrently. The
-// nearest-neighbour queries take the same EntryVisitor as their filter and
-// run best-first on a reused thread-local heap.
+// nearest-neighbour distance takes the same EntryVisitor as its filter and
+// runs best-first on a reused thread-local heap.
 #pragma once
 
 #include <cstdint>
@@ -41,15 +41,9 @@ struct Entry {
   std::uint64_t id = 0;
 };
 
-/// Result of a nearest-neighbour query.
-struct Neighbor {
-  Entry entry;
-  double distance = 0.0;  ///< Euclidean distance from query point to rect.
-};
-
 /// Non-owning, allocation-free reference to a `bool(const Entry&)`
-/// callable (the visitor of RStarTree::visit/probe and the filter of its
-/// nearest-neighbour queries). It must not outlive the callable; passing a
+/// callable (the visitor of RStarTree::visit/probe and the filter of
+/// nearest_distance). It must not outlive the callable; passing a
 /// lambda straight into the call is the intended use.
 class EntryVisitor {
  public:
@@ -69,7 +63,7 @@ class EntryVisitor {
   bool (*call_)(void*, const Entry&);
 };
 
-/// The default filter of the nearest-neighbour queries: every entry.
+/// The default filter of nearest_distance: every entry.
 inline constexpr auto kAcceptAll = [](const Entry&) { return true; };
 
 /// R*-tree over rectangle entries.
@@ -107,12 +101,6 @@ class RStarTree {
   bool empty() const { return size_ == 0; }
   std::size_t height() const;
 
-  /// All entries whose rect (closed) intersects the query window.
-  std::vector<Entry> search(const geo::Rect& window) const;
-
-  /// All entries whose rect (closed) contains the point.
-  std::vector<Entry> search(geo::Point p) const;
-
   /// Visits entries intersecting the window; the visitor returns false to
   /// stop early. Allocates nothing; the nodes read are added to
   /// node_accesses().
@@ -126,17 +114,12 @@ class RStarTree {
   /// (add_node_accesses). Allocates nothing.
   std::uint64_t probe(geo::Point p, EntryVisitor visitor) const;
 
-  /// The k nearest entries to p by rectangle distance, closest first
-  /// (best-first search over the tree). Fewer than k when the tree is
-  /// smaller. Optionally filtered: entries rejected by `accept` are skipped
-  /// but still counted as node accesses, mirroring a server that must
-  /// examine an entry to test relevance.
-  std::vector<Neighbor> nearest(geo::Point p, std::size_t k,
-                                EntryVisitor accept = kAcceptAll) const;
-
-  /// Distance from p to the nearest (accepted) entry; infinity if none.
-  /// The same search as nearest(p, 1, accept), node accesses included, but
-  /// allocation-free on a warm thread.
+  /// Distance from p to the nearest entry by rectangle distance; infinity
+  /// if none. A best-first search over the tree on a reused thread-local
+  /// heap, so allocation-free on a warm thread; the nodes read are added to
+  /// node_accesses(). Optionally filtered: entries rejected by `accept` are
+  /// skipped but their leaves still count as node accesses, mirroring a
+  /// server that must examine an entry to test relevance.
   double nearest_distance(geo::Point p,
                           EntryVisitor accept = kAcceptAll) const;
 
@@ -163,12 +146,6 @@ class RStarTree {
   /// stops), and returns the number of nodes read.
   template <class Hit>
   std::uint64_t descend(const Hit& hit, EntryVisitor visitor) const;
-
-  /// The shared nearest/nearest_distance search: best-first from p over
-  /// the entries `accept` admits, handing each to `found` (false stops) in
-  /// nondecreasing distance order. Runs on a reused thread-local heap; the
-  /// nodes read are added to node_accesses().
-  void best_first(geo::Point p, EntryVisitor accept, EntryVisitor found) const;
 
   void insert_entry(const Entry& entry, std::size_t target_level,
                     std::vector<bool>& reinserted);

@@ -171,53 +171,6 @@ std::vector<alarms::AlarmId> ClientLink::report(alarms::SubscriberId s,
   return fired;
 }
 
-template <typename Fn>
-auto ClientLink::request(alarms::SubscriberId s, geo::Point position,
-                         Fn&& call)
-    -> std::optional<std::invoke_result_t<Fn&>> {
-  const SubscriberState& st = state(s);
-  if (degraded(st, position, current_tick_)) return std::nullopt;
-  if (config_.faulty() && st.outage_remaining > 0) return std::nullopt;
-  // The request piggybacks on the report the client just delivered
-  // reliably; only the best-effort response can be lost in flight.
-  std::optional<std::invoke_result_t<Fn&>> response = call();
-  if (config_.faulty() && channel_.lose_downlink(s)) return std::nullopt;
-  return response;
-}
-
-std::optional<saferegion::RectSafeRegion> ClientLink::request_rect_region(
-    alarms::SubscriberId s, geo::Point position, double heading,
-    const saferegion::MotionModel& model,
-    const saferegion::MwpsrOptions& options) {
-  return request(s, position, [&] {
-    return server_.compute_rect_region(s, position, heading, model, options);
-  });
-}
-
-std::optional<saferegion::PyramidBitmap> ClientLink::request_pyramid_region(
-    alarms::SubscriberId s, geo::Point position,
-    const saferegion::PyramidConfig& config) {
-  return request(s, position, [&] {
-    return server_.compute_pyramid_region(s, position, config);
-  });
-}
-
-std::optional<double> ClientLink::request_safe_period(alarms::SubscriberId s,
-                                                      geo::Point position,
-                                                      double max_speed_mps,
-                                                      double tick_seconds) {
-  return request(s, position, [&] {
-    return server_.compute_safe_period(s, position, max_speed_mps,
-                                       tick_seconds);
-  });
-}
-
-std::optional<std::vector<const alarms::SpatialAlarm*>>
-ClientLink::request_alarms(alarms::SubscriberId s, geo::Point position) {
-  return request(s, position,
-                 [&] { return server_.push_alarms(s, position); });
-}
-
 std::vector<dynamics::InvalidationPush> ClientLink::take_invalidations(
     alarms::SubscriberId s) {
   if (!config_.faulty() && fo_plan_ == nullptr) {

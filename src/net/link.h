@@ -14,8 +14,10 @@
 //    always completes within its tick.
 //  * Downlink grant responses (rect / pyramid / period / alarm list) are
 //    best-effort: a lost response simply leaves the client without a grant
-//    (request_* returns nullopt), and the client re-reports next tick —
-//    grants are self-healing, so retransmitting them buys nothing.
+//    (request returns nullopt), and the client re-reports next tick —
+//    grants are self-healing, so retransmitting them buys nothing. All
+//    four grant kinds share the one gated request(): the strategy passes
+//    its sim::Server call, and the link runs it on the owning shard.
 //  * Invalidation pushes are leased: the server needs the client to ACK
 //    within the push's deadline. For a connected client the push is
 //    retransmitted until ACKed (reliable within the tick). When the client
@@ -76,7 +78,6 @@ class ClientLink {
   /// begin_tick overload from then on (crash detection needs positions).
   void attach_failover(const cluster::ShardMap& map,
                        const failover::CrashPlan& plan);
-  bool failover_attached() const { return fo_plan_ != nullptr; }
 
   /// Serial per-tick bookkeeping: advances outage state machines, injects
   /// synthetic revokes when a carrier drops or the subscriber's shard
@@ -85,10 +86,9 @@ class ClientLink {
   /// up. Must run after crash/recovery and alarm churn are applied and
   /// before any strategy processes the tick. `samples` carries each
   /// subscriber's current position (indexed by subscriber id); required
-  /// when failover is attached, ignored otherwise.
+  /// when failover is attached, may be empty otherwise.
   void begin_tick(std::uint64_t tick,
                   std::span<const mobility::VehicleSample> samples);
-  void begin_tick(std::uint64_t tick) { begin_tick(tick, {}); }
 
   /// Serial end-of-run bookkeeping: flushes reports still buffered by
   /// clients whose outage spans the end of the run, so no trigger is lost.
@@ -100,22 +100,25 @@ class ClientLink {
   std::vector<alarms::AlarmId> report(alarms::SubscriberId s,
                                       geo::Point position, std::uint64_t tick);
 
-  /// Best-effort grant requests: nullopt when the client is disconnected,
-  /// its shard is down, or the response is lost in flight. A client
-  /// holding no grant reports every tick, which is always sound.
-  std::optional<saferegion::RectSafeRegion> request_rect_region(
-      alarms::SubscriberId s, geo::Point position, double heading,
-      const saferegion::MotionModel& model,
-      const saferegion::MwpsrOptions& options);
-  std::optional<saferegion::PyramidBitmap> request_pyramid_region(
-      alarms::SubscriberId s, geo::Point position,
-      const saferegion::PyramidConfig& config);
-  std::optional<double> request_safe_period(alarms::SubscriberId s,
-                                            geo::Point position,
-                                            double max_speed_mps,
-                                            double tick_seconds);
-  std::optional<std::vector<const alarms::SpatialAlarm*>> request_alarms(
-      alarms::SubscriberId s, geo::Point position);
+  /// Best-effort grant request: `call(server)` runs one sim::Server grant
+  /// call on the shard owning `position`. The gate is degraded mode, then
+  /// channel outage, then the call, then downlink loss of its response;
+  /// any of them but the call yields nullopt. A client holding no grant
+  /// reports every tick, which is always sound. On a perfect channel
+  /// without failover it is exactly the call.
+  template <typename Fn>
+  auto request(alarms::SubscriberId s, geo::Point position, Fn&& call)
+      -> std::optional<std::invoke_result_t<Fn&, sim::Server&>> {
+    const SubscriberState& st = state(s);
+    if (degraded(st, position, current_tick_)) return std::nullopt;
+    if (config_.faulty() && st.outage_remaining > 0) return std::nullopt;
+    // The request piggybacks on the report the client just delivered
+    // reliably; only the best-effort response can be lost in flight.
+    std::optional<std::invoke_result_t<Fn&, sim::Server&>> response =
+        call(server_.contact(s, position));
+    if (config_.faulty() && channel_.lose_downlink(s)) return std::nullopt;
+    return response;
+  }
 
   /// Invalidation delivery. Connected: drains the server mailbox and runs
   /// the reliable push/ACK exchange per push. In outage: the server's
@@ -176,13 +179,6 @@ class ClientLink {
   std::uint64_t reliable_exchange(alarms::SubscriberId s, bool uplink,
                                   std::size_t payload_bytes, sim::Metrics& m);
 
-  /// The gate every request_* shares: degraded mode, then channel outage,
-  /// then `call` (the server computation), then downlink loss of its
-  /// response. On a perfect channel without failover it is exactly `call`.
-  template <typename Fn>
-  auto request(alarms::SubscriberId s, geo::Point position, Fn&& call)
-      -> std::optional<std::invoke_result_t<Fn&>>;
-
   /// Flushes a subscriber's buffered reports through server-side checking
   /// at reconnect (or end of run). Serial phase only.
   void flush_buffer(alarms::SubscriberId s);
@@ -206,8 +202,8 @@ class ClientLink {
   // Failover tier (null unless attach_failover was called).
   const cluster::ShardMap* fo_map_ = nullptr;
   const failover::CrashPlan* fo_plan_ = nullptr;
-  /// Tick being processed (set by begin_tick): request_* calls carry no
-  /// tick, but the degraded-mode check needs one.
+  /// Tick being processed (set by begin_tick): request() carries no tick,
+  /// but the degraded-mode check needs one.
   std::uint64_t current_tick_ = 0;
 };
 

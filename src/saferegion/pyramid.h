@@ -50,6 +50,8 @@ struct PyramidConfig {
   /// (coarse-to-fine), and stops refining when the next level would
   /// overflow the budget; unrefined cells stay solid-unsafe. 0 = unlimited.
   std::size_t max_bits = 4096;
+
+  friend bool operator==(const PyramidConfig&, const PyramidConfig&) = default;
 };
 
 /// Result of a client-side containment check.

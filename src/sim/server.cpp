@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/error.h"
@@ -10,8 +11,8 @@
 namespace salarm::sim {
 
 Server::Server(alarms::AlarmStore& store, const grid::GridOverlay& grid,
-               Metrics& metrics)
-    : store_(store), grid_(grid), metrics_(metrics) {}
+               Metrics& metrics, const geo::Rect& extent)
+    : store_(store), grid_(grid), metrics_(metrics), extent_(extent) {}
 
 std::vector<alarms::AlarmId> Server::handle_position_update(
     alarms::SubscriberId s, geo::Point position, std::uint64_t tick) {
@@ -115,13 +116,7 @@ saferegion::PyramidBitmap Server::compute_pyramid_region(
     return bitmap;
   };
 
-  const bool cacheable =
-      cache_config_.has_value() &&
-      cache_config_->fanout_u == config.fanout_u &&
-      cache_config_->fanout_v == config.fanout_v &&
-      cache_config_->height == config.height &&
-      cache_config_->max_bits == config.max_bits;
-  if (cacheable) {
+  if (cache_config_ == config) {
     auto& slot = public_cache_[grid_.flat_index(cell_id)];
     if (!slot.has_value()) {
       // One-time, subscriber-independent work for this cell.
@@ -173,16 +168,31 @@ saferegion::PyramidBitmap Server::compute_pyramid_region(
 
 double Server::compute_safe_period(alarms::SubscriberId s,
                                    geo::Point position, double max_speed_mps,
-                                   double tick_seconds,
-                                   double distance_bound) {
+                                   double tick_seconds) {
   SALARM_REQUIRE(max_speed_mps > 0.0, "speed bound must be positive");
   SALARM_REQUIRE(tick_seconds > 0.0, "tick must be positive");
-  SALARM_REQUIRE(distance_bound >= 0.0, "distance bound must be nonnegative");
   const double nearest = charged(&Metrics::server_region_ops, [&] {
     return store_.nearest_relevant_distance(position, s);
   });
   ++metrics_.safe_region_recomputes;
-  const double distance = std::min(nearest, distance_bound);
+  // Escape distance: only sides shared with a neighbouring shard count; a
+  // universe edge cannot be crossed, so capping at it would over-restrict
+  // the grant of an edge shard.
+  const geo::Rect& universe = grid_.universe();
+  double escape = std::numeric_limits<double>::infinity();
+  if (extent_.lo().x > universe.lo().x) {
+    escape = std::min(escape, position.x - extent_.lo().x);
+  }
+  if (extent_.hi().x < universe.hi().x) {
+    escape = std::min(escape, extent_.hi().x - position.x);
+  }
+  if (extent_.lo().y > universe.lo().y) {
+    escape = std::min(escape, position.y - extent_.lo().y);
+  }
+  if (extent_.hi().y < universe.hi().y) {
+    escape = std::min(escape, extent_.hi().y - position.y);
+  }
+  const double distance = std::min(nearest, std::max(escape, 0.0));
   if (std::isinf(distance)) {
     // No relevant alarm in reach: the client goes silent forever, so a
     // later install *anywhere* relevant to it must revoke the grant.

@@ -5,16 +5,18 @@
 // receives position reports, evaluates them against the shard's R*-tree
 // alarm index, and computes whatever the active strategy ships back
 // (rectangular safe regions, pyramid bitmaps, safe periods, or OPT alarm
-// pushes). Clients reach it only through the cluster, which routes each
-// call to the owning shard. All events are attributed to the Metrics
-// object: R*-tree node accesses from alarm processing land in
+// pushes). Each grant call is declared once, here: clients reach them
+// through net::ClientLink::request, which gates the call and hands it the
+// owning shard's Server (cluster::ShardedServer::contact). A Server knows
+// the extent it answers for, so it caps safe-period grants at that
+// extent's internal sides itself. All events are attributed to the
+// Metrics object: R*-tree node accesses from alarm processing land in
 // server_alarm_ops, everything spent on safe region / safe period
 // computation in server_region_ops, and downstream payload sizes (from
 // the real wire formats) in downstream_region_bytes.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -47,9 +49,14 @@ inline constexpr std::uint64_t kOpsPerDuplicateDrop = 5;
 
 class Server {
  public:
-  /// The store, grid and metrics must outlive the server.
+  /// The store, grid and metrics must outlive the server. `extent` is the
+  /// part of the grid's universe the server answers for: a shard's stripe,
+  /// or the whole universe (the default) for the facade and one-shard runs.
   Server(alarms::AlarmStore& store, const grid::GridOverlay& grid,
-         Metrics& metrics);
+         Metrics& metrics, const geo::Rect& extent);
+  Server(alarms::AlarmStore& store, const grid::GridOverlay& grid,
+         Metrics& metrics)
+      : Server(store, grid, metrics, grid.universe()) {}
 
   /// Handles one client position report: counts the uplink message and
   /// evaluates the position against the alarm index. Returns the alarms
@@ -93,16 +100,14 @@ class Server {
   void enable_public_bitmap_cache(const saferegion::PyramidConfig& config);
 
   /// Computes the safe-period grant: distance to the nearest relevant
-  /// alarm region, capped at `distance_bound` (meters), over the
-  /// worst-case speed bound, clamped below by one tick. Returns infinity
-  /// when no relevant alarm remains and the bound is infinite. The cluster
-  /// passes the shard's escape distance as the bound: a shard knows
-  /// nothing about alarms beyond its extent, so the grant must not exceed
-  /// the distance to its internal boundary.
-  double compute_safe_period(
-      alarms::SubscriberId s, geo::Point position, double max_speed_mps,
-      double tick_seconds,
-      double distance_bound = std::numeric_limits<double>::infinity());
+  /// alarm region, capped at the escape distance, over the worst-case
+  /// speed bound, clamped below by one tick. The escape distance is the
+  /// distance to the sides of the server's extent that lie strictly inside
+  /// the universe: a shard knows nothing about alarms beyond its extent,
+  /// while a universe edge cannot be crossed. Returns infinity when no
+  /// relevant alarm remains and the extent is the whole universe.
+  double compute_safe_period(alarms::SubscriberId s, geo::Point position,
+                             double max_speed_mps, double tick_seconds);
 
   /// OPT: all relevant alarms intersecting the subscriber's current cell,
   /// charged downstream at the alarm-push wire size.
@@ -223,6 +228,7 @@ class Server {
   alarms::AlarmStore& store_;
   const grid::GridOverlay& grid_;
   Metrics& metrics_;
+  geo::Rect extent_;
   std::vector<alarms::TriggerEvent> trigger_log_;
   /// Window-query scratch of the geometric safe-region computations,
   /// reused across contacts (a shard's contacts run on one thread).

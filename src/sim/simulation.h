@@ -117,7 +117,6 @@ class Simulation {
   /// client buffers until recovery.
   void set_failover(const failover::FailoverConfig& config,
                     std::uint64_t seed);
-  bool failover_enabled() const { return failover_config_.has_value(); }
 
   std::size_t ticks() const { return ticks_; }
   double tick_seconds() const { return source_.tick_seconds(); }

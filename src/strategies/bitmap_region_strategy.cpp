@@ -14,7 +14,9 @@ BitmapRegionStrategy::BitmapRegionStrategy(net::ClientLink& link,
 
 void BitmapRegionStrategy::refresh(alarms::SubscriberId s,
                                    geo::Point position) {
-  auto bitmap = link_.request_pyramid_region(s, position, config_);
+  auto bitmap = link_.request(s, position, [&](sim::Server& server) {
+    return server.compute_pyramid_region(s, position, config_);
+  });
   // nullopt: the response was lost or the client is in an outage. The
   // previous (still sound) bitmap — or none — stays in place, and the
   // client reports again next tick.

@@ -10,7 +10,9 @@ OptimalStrategy::OptimalStrategy(net::ClientLink& link,
 
 void OptimalStrategy::fetch_cell(alarms::SubscriberId s,
                                  geo::Point position) {
-  auto pushed = link_.request_alarms(s, position);
+  auto pushed = link_.request(s, position, [&](sim::Server& server) {
+    return server.push_alarms(s, position);
+  });
   // nullopt: the alarm push was lost or the client is in an outage. Holding
   // no list means report-every-tick until a fetch succeeds, during which
   // the server evaluates reports itself — no trigger can be missed.

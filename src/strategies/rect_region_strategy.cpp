@@ -15,9 +15,10 @@ void RectRegionStrategy::report_and_refresh(
     alarms::SubscriberId s, const mobility::VehicleSample& sample,
     std::uint64_t tick) {
   (void)link_.report(s, sample.pos, tick);
-  const auto region = link_.request_rect_region(s, sample.pos,
-                                                sample.heading, model_,
-                                                options_);
+  const auto region = link_.request(s, sample.pos, [&](sim::Server& server) {
+    return server.compute_rect_region(s, sample.pos, sample.heading, model_,
+                                      options_);
+  });
   // nullopt: the response was lost or the client is in an outage. The
   // previous region (if any) is still sound; without one the client
   // reports again next tick.

@@ -10,7 +10,7 @@
 // MwpsrOptions::weighted = false.
 //
 // Fault tolerance comes from the link, not the strategy: a lost region
-// response (request_rect_region -> nullopt) leaves the client with its
+// response (ClientLink::request -> nullopt) leaves the client with its
 // previous — still sound — region, or none, in which case it reports every
 // tick until a response gets through. bench/robustness_loss reproduces the
 // old *_with_loss figure purely via net::ChannelConfig::downlink_loss.

@@ -23,9 +23,10 @@ SafePeriodStrategy::SafePeriodStrategy(net::ClientLink& link,
 void SafePeriodStrategy::report(alarms::SubscriberId s, geo::Point position,
                                 std::uint64_t tick) {
   (void)link_.report(s, position, tick);
-  const auto period = link_.request_safe_period(s, position,
-                                                assumed_speed_mps_,
-                                                tick_seconds_);
+  const auto period = link_.request(s, position, [&](sim::Server& server) {
+    return server.compute_safe_period(s, position, assumed_speed_mps_,
+                                      tick_seconds_);
+  });
   const double now = static_cast<double>(tick) * tick_seconds_;
   if (!period.has_value()) {
     // Grant lost in flight or client disconnected: no safe period held, so

@@ -7,9 +7,10 @@
 // counters). All server contact goes through a net::ClientLink — the
 // reliable endpoint over the (possibly faulty) channel — so every
 // strategy transparently survives loss, reordering, duplication and
-// outages (DESIGN.md §9): a request_* returning nullopt just means "no
-// grant", and a grantless client reports every tick, which is always
-// sound. The simulation engine instantiates one strategy per run and
+// outages (DESIGN.md §9). A grant is one sim::Server call passed to
+// ClientLink::request, which runs it on the owning shard; nullopt just
+// means "no grant", and a grantless client reports every tick, which is
+// always sound. The simulation engine instantiates one strategy per run and
 // calls on_tick for every subscriber on every tick.
 #pragma once
 

@@ -27,6 +27,7 @@
 #include "common/parallel_executor.h"
 #include "core/experiment.h"
 #include "saferegion/wire_format.h"
+#include "sim/server.h"
 
 namespace salarm::cluster {
 namespace {
@@ -92,21 +93,44 @@ TEST(ShardMapTest, StripesByRowsWhenGridIsTaller) {
   EXPECT_EQ(map.shard_of_cell({0, 7}), 3u);
 }
 
+/// The safe period at 1 m/s that a sim::Server over the shard's extent,
+/// holding no alarm, grants at p: the shard's escape distance in meters,
+/// floored at one 1 s tick (infinity when the shard has no internal side).
+double escape_period(const grid::GridOverlay& grid, const ShardMap& map,
+                     std::size_t shard, Point p) {
+  alarms::AlarmStore store;
+  sim::Metrics metrics;
+  sim::Server server(store, grid, metrics, map.shard_extent(shard));
+  return server.compute_safe_period(0, p, 1.0, 1.0);
+}
+
 TEST(ShardMapTest, EscapeDistanceIgnoresUniverseEdges) {
   const grid::GridOverlay grid(Rect(0, 0, 4000, 4000), 4, 4);
   const ShardMap map(grid, 2);  // boundary at x = 2000
   // Shard 0: only its right side is internal.
-  EXPECT_DOUBLE_EQ(map.escape_distance(0, {100, 2000}), 1900.0);
+  EXPECT_DOUBLE_EQ(escape_period(grid, map, 0, {100, 2000}), 1900.0);
   // Shard 1: only its left side is internal.
-  EXPECT_DOUBLE_EQ(map.escape_distance(1, {3900, 100}), 1900.0);
-  // Point on the boundary itself: zero escape distance.
-  EXPECT_DOUBLE_EQ(map.escape_distance(1, {2000, 500}), 0.0);
+  EXPECT_DOUBLE_EQ(escape_period(grid, map, 1, {3900, 100}), 1900.0);
+  // Point on the boundary itself: zero escape distance, one tick.
+  EXPECT_DOUBLE_EQ(escape_period(grid, map, 1, {2000, 500}), 1.0);
 }
 
 TEST(ShardMapTest, SingleShardEscapesNowhere) {
   const grid::GridOverlay grid(Rect(0, 0, 4000, 4000), 4, 4);
   const ShardMap map(grid, 1);
-  EXPECT_TRUE(std::isinf(map.escape_distance(0, {2000, 2000})));
+  EXPECT_TRUE(std::isinf(escape_period(grid, map, 0, {2000, 2000})));
+}
+
+TEST(ShardMapTest, RowStripesEscapeOnlyThroughTheirInternalSides) {
+  const grid::GridOverlay grid(Rect(0, 0, 2000, 8000), 2, 8);
+  const ShardMap map(grid, 4);  // rows of 2000 m: boundaries at y = 2000k
+  ASSERT_EQ(map.shard_of({1000, 2500}), 1u);
+  // Shard 1 spans y in [2000, 4000]; its x sides are universe edges.
+  EXPECT_DOUBLE_EQ(escape_period(grid, map, 1, {1000, 2500}), 500.0);
+  EXPECT_DOUBLE_EQ(escape_period(grid, map, 1, {100, 3800}), 200.0);
+  // Shard 0 escapes only upwards, shard 3 only downwards.
+  EXPECT_DOUBLE_EQ(escape_period(grid, map, 0, {100, 100}), 1900.0);
+  EXPECT_DOUBLE_EQ(escape_period(grid, map, 3, {1900, 7900}), 1900.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -537,8 +561,8 @@ TEST(ShardedServerTest, SafePeriodGrantIsCappedByEscapeDistance) {
   // it. The clamp caps the granted travel distance at the escape distance.
   w.server->set_active_shard(0);
   (void)w.server->handle_position_update(5, {1900, 1200}, 1);  // spends 0
-  const double period =
-      w.server->compute_safe_period(5, {400, 1200}, 20.0, 1.0);
+  const double period = w.server->contact(5, {400, 1200})
+                            .compute_safe_period(5, {400, 1200}, 20.0, 1.0);
   EXPECT_TRUE(std::isfinite(period));
   EXPECT_LE(period, (2000.0 - 400.0) / 20.0);
 }

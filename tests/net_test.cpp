@@ -242,7 +242,7 @@ TEST(ClientLinkTest, OutageBuffersReportsAndFlushFiresAtStampTicks) {
 
   // Drive ticks until the carrier drops (p=0.9 per tick; bounded search).
   std::uint64_t t = 1;
-  for (; t < 100 && !link.in_outage(0); ++t) link.begin_tick(t);
+  for (; t < 100 && !link.in_outage(0); ++t) link.begin_tick(t, {});
   ASSERT_TRUE(link.in_outage(0));
 
   // The client detects the loss as a synthetic revoke: lease fallback.
@@ -252,7 +252,10 @@ TEST(ClientLinkTest, OutageBuffersReportsAndFlushFiresAtStampTicks) {
   EXPECT_TRUE(link.take_invalidations(0).empty());  // delivered once
 
   // Grant requests fail outright while disconnected.
-  EXPECT_FALSE(link.request_safe_period(0, {100, 100}, 20.0, 1.0).has_value());
+  EXPECT_FALSE(link.request(0, {100, 100}, [](sim::Server& server) {
+                     return server.compute_safe_period(0, {100, 100}, 20.0,
+                                                       1.0);
+                   }).has_value());
 
   // Reports inside the alarm region are buffered with their stamp ticks.
   EXPECT_TRUE(link.report(0, {1500, 550}, t).empty());
@@ -275,7 +278,7 @@ TEST(ClientLinkTest, OutageBuffersReportsAndFlushFiresAtStampTicks) {
 }
 
 // ---------------------------------------------------------------------------
-// The request gate every ClientLink::request_* shares: outage, degraded
+// The gate of ClientLink::request, for every grant kind: outage, degraded
 // mode, and pure pass-through on a perfect channel.
 // ---------------------------------------------------------------------------
 
@@ -320,24 +323,8 @@ Response flatten(const std::optional<T>& r) {
   return flatten(*r);
 }
 
-Response request_through(net::ClientLink& link, RequestKind kind) {
-  switch (kind) {
-    case RequestKind::kRect:
-    case RequestKind::kRectCornerBaseline:
-      return flatten(link.request_rect_region(
-          0, kGatePos, 0.0, saferegion::MotionModel::uniform(),
-          gate_options(kind)));
-    case RequestKind::kPyramid:
-      return flatten(link.request_pyramid_region(0, kGatePos, gate_pyramid()));
-    case RequestKind::kSafePeriod:
-      return flatten(link.request_safe_period(0, kGatePos, 20.0, 1.0));
-    case RequestKind::kAlarmList:
-      return flatten(link.request_alarms(0, kGatePos));
-  }
-  return std::nullopt;
-}
-
-Response request_direct(cluster::ShardedServer& server, RequestKind kind) {
+/// The grant call of each kind, as a strategy hands it to the link.
+std::vector<double> grant(sim::Server& server, RequestKind kind) {
   switch (kind) {
     case RequestKind::kRect:
     case RequestKind::kRectCornerBaseline:
@@ -352,7 +339,16 @@ Response request_direct(cluster::ShardedServer& server, RequestKind kind) {
     case RequestKind::kAlarmList:
       return flatten(server.push_alarms(0, kGatePos));
   }
-  return std::nullopt;
+  return {};
+}
+
+Response request_through(net::ClientLink& link, RequestKind kind) {
+  return link.request(0, kGatePos,
+                      [&](sim::Server& server) { return grant(server, kind); });
+}
+
+Response request_direct(cluster::ShardedServer& server, RequestKind kind) {
+  return grant(server.contact(0, kGatePos), kind);
 }
 
 /// Every counter and distribution moment a grant request can touch.
@@ -372,7 +368,7 @@ TEST_P(RequestGateTest, ChannelOutageReturnsNullopt) {
   c.outage_mean_ticks = 50.0;
   net::ClientLink link(w.server, c, 19, 1);
   for (std::uint64_t t = 1; t < 100 && !link.in_outage(0); ++t) {
-    link.begin_tick(t);
+    link.begin_tick(t, {});
   }
   ASSERT_TRUE(link.in_outage(0));
   EXPECT_FALSE(request_through(link, GetParam()).has_value());

@@ -133,7 +133,7 @@ sim::RunResult reference_monolithic_run(
           });
       (void)server.compact_graveyards(link.min_pending_stamp(t));
     }
-    link.begin_tick(t);
+    link.begin_tick(t, {});
     const auto& samples = source.samples();
     for (mobility::VehicleId v = 0; v < samples.size(); ++v) {
       strategy->on_tick(v, samples[v], t);

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -27,14 +29,38 @@ std::multiset<std::uint64_t> ids_of(const std::vector<Entry>& entries) {
   return out;
 }
 
+/// All entries whose rect (closed) intersects the window, via visit.
+std::vector<Entry> search(const RStarTree& tree, const Rect& window) {
+  std::vector<Entry> out;
+  tree.visit(window, [&](const Entry& e) {
+    out.push_back(e);
+    return true;
+  });
+  return out;
+}
+
+/// All entries whose rect (closed) contains the point.
+std::vector<Entry> search(const RStarTree& tree, Point p) {
+  return search(tree, Rect(p, p));
+}
+
+/// Brute-force k-NN reference: the entries sorted by rectangle distance.
+std::vector<Entry> by_distance(std::vector<Entry> entries, Point p) {
+  std::stable_sort(entries.begin(), entries.end(),
+                   [p](const Entry& a, const Entry& b) {
+                     return a.rect.distance(p) < b.rect.distance(p);
+                   });
+  return entries;
+}
+
 TEST(RStarTreeTest, EmptyTree) {
   RStarTree tree;
   EXPECT_TRUE(tree.empty());
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(tree.height(), 1u);
-  EXPECT_TRUE(tree.search(Rect(0, 0, 100, 100)).empty());
-  EXPECT_TRUE(tree.nearest({0, 0}, 3).empty());
+  EXPECT_TRUE(search(tree, Rect(0, 0, 100, 100)).empty());
   EXPECT_TRUE(std::isinf(tree.nearest_distance({0, 0})));
+  EXPECT_EQ(tree.node_accesses(), 0u);
   EXPECT_FALSE(tree.erase({Rect(0, 0, 1, 1), 7}));
   tree.check_invariants();
 }
@@ -48,12 +74,12 @@ TEST(RStarTreeTest, SingleEntry) {
   RStarTree tree;
   tree.insert({Rect(10, 10, 20, 20), 42});
   EXPECT_EQ(tree.size(), 1u);
-  const auto hits = tree.search(Rect(0, 0, 15, 15));
+  const auto hits = search(tree, Rect(0, 0, 15, 15));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].id, 42u);
-  EXPECT_TRUE(tree.search(Rect(21, 21, 30, 30)).empty());
+  EXPECT_TRUE(search(tree, Rect(21, 21, 30, 30)).empty());
   // Touching windows hit (closed semantics).
-  EXPECT_EQ(tree.search(Rect(20, 20, 30, 30)).size(), 1u);
+  EXPECT_EQ(search(tree, Rect(20, 20, 30, 30)).size(), 1u);
   tree.check_invariants();
 }
 
@@ -62,10 +88,10 @@ TEST(RStarTreeTest, PointSearchFindsContainingRects) {
   tree.insert({Rect(0, 0, 10, 10), 1});
   tree.insert({Rect(5, 5, 15, 15), 2});
   tree.insert({Rect(20, 20, 30, 30), 3});
-  const auto hits = ids_of(tree.search(Point{7, 7}));
+  const auto hits = ids_of(search(tree, Point{7, 7}));
   EXPECT_EQ(hits, (std::multiset<std::uint64_t>{1, 2}));
   // Boundary point hits (closed containment).
-  EXPECT_EQ(tree.search(Point{10, 10}).size(), 2u);
+  EXPECT_EQ(search(tree, Point{10, 10}).size(), 2u);
 }
 
 TEST(RStarTreeTest, DuplicateIdsAreAMultiset) {
@@ -119,11 +145,14 @@ TEST(RStarTreeTest, NodeAccessCounterAdvances) {
   }
   tree.reset_node_accesses();
   EXPECT_EQ(tree.node_accesses(), 0u);
-  (void)tree.search(Rect(0, 0, 100, 100));
+  (void)search(tree, Rect(0, 0, 100, 100));
   const auto after_big = tree.node_accesses();
   EXPECT_GT(after_big, 0u);
-  (void)tree.search(Rect(0, 0, 1, 1));
-  EXPECT_GT(tree.node_accesses(), after_big);
+  (void)search(tree, Rect(0, 0, 1, 1));
+  const auto after_small = tree.node_accesses();
+  EXPECT_GT(after_small, after_big);
+  (void)tree.nearest_distance({50, 50});
+  EXPECT_GT(tree.node_accesses(), after_small);
 }
 
 TEST(RStarTreeTest, NearestBasics) {
@@ -131,13 +160,14 @@ TEST(RStarTreeTest, NearestBasics) {
   tree.insert({Rect(10, 0, 12, 2), 1});
   tree.insert({Rect(20, 0, 22, 2), 2});
   tree.insert({Rect(-5, 0, -3, 2), 3});
-  const auto nn = tree.nearest({0, 1}, 2);
-  ASSERT_EQ(nn.size(), 2u);
-  EXPECT_EQ(nn[0].entry.id, 3u);
-  EXPECT_DOUBLE_EQ(nn[0].distance, 3.0);
-  EXPECT_EQ(nn[1].entry.id, 1u);
-  EXPECT_DOUBLE_EQ(nn[1].distance, 10.0);
   EXPECT_DOUBLE_EQ(tree.nearest_distance({0, 1}), 3.0);
+  // Filtering out the nearest yields the second nearest, and so on.
+  EXPECT_DOUBLE_EQ(
+      tree.nearest_distance({0, 1}, [](const Entry& e) { return e.id != 3; }),
+      10.0);
+  EXPECT_DOUBLE_EQ(
+      tree.nearest_distance({0, 1}, [](const Entry& e) { return e.id == 2; }),
+      20.0);
   // Inside a rect → distance 0.
   EXPECT_DOUBLE_EQ(tree.nearest_distance({11, 1}), 0.0);
 }
@@ -146,10 +176,7 @@ TEST(RStarTreeTest, NearestWithFilter) {
   RStarTree tree;
   tree.insert({Rect(1, 0, 2, 1), 1});
   tree.insert({Rect(5, 0, 6, 1), 2});
-  const auto nn = tree.nearest(
-      {0, 0.5}, 1, [](const Entry& e) { return e.id != 1; });
-  ASSERT_EQ(nn.size(), 1u);
-  EXPECT_EQ(nn[0].entry.id, 2u);
+  EXPECT_DOUBLE_EQ(tree.nearest_distance({0, 0.5}), 1.0);
   EXPECT_DOUBLE_EQ(
       tree.nearest_distance({0, 0.5},
                             [](const Entry& e) { return e.id != 1; }),
@@ -195,7 +222,7 @@ TEST_P(RStarSweepTest, SearchMatchesBruteForce) {
     for (const Entry& e : reference) {
       if (e.rect.intersects(window)) expected.insert(e.id);
     }
-    EXPECT_EQ(ids_of(tree.search(window)), expected);
+    EXPECT_EQ(ids_of(search(tree, window)), expected);
   }
 }
 
@@ -209,19 +236,18 @@ TEST_P(RStarSweepTest, KnnMatchesBruteForce) {
     tree.insert(e);
     reference.push_back(e);
   }
+  // The i-th nearest distance is nearest_distance with the i - 1 nearest
+  // entries of the brute-force reference filtered out.
   for (int q = 0; q < 20; ++q) {
     const Point p{rng.uniform(0, 500), rng.uniform(0, 500)};
     const std::size_t k = 1 + static_cast<std::size_t>(rng.index(10));
-    auto nn = tree.nearest(p, k);
-    ASSERT_EQ(nn.size(), std::min(k, reference.size()));
-    std::vector<double> expected;
-    for (const Entry& e : reference) expected.push_back(e.rect.distance(p));
-    std::sort(expected.begin(), expected.end());
-    for (std::size_t i = 0; i < nn.size(); ++i) {
-      EXPECT_NEAR(nn[i].distance, expected[i], 1e-9);
-      if (i > 0) {
-        EXPECT_GE(nn[i].distance, nn[i - 1].distance);
-      }
+    const std::vector<Entry> expected = by_distance(reference, p);
+    std::set<std::uint64_t> nearer;
+    for (std::size_t i = 0; i < k; ++i) {
+      const double distance = tree.nearest_distance(
+          p, [&](const Entry& e) { return !nearer.contains(e.id); });
+      EXPECT_EQ(distance, expected[i].rect.distance(p));
+      nearer.insert(expected[i].id);
     }
   }
 }
@@ -253,7 +279,7 @@ TEST_P(RStarSweepTest, EraseHalfKeepsQueriesCorrect) {
     for (const Entry& e : kept) {
       if (e.rect.intersects(window)) expected.insert(e.id);
     }
-    EXPECT_EQ(ids_of(tree.search(window)), expected);
+    EXPECT_EQ(ids_of(search(tree, window)), expected);
   }
   // Erase the rest; the tree must drain to empty cleanly.
   for (const Entry& e : kept) EXPECT_TRUE(tree.erase(e));
@@ -265,15 +291,22 @@ INSTANTIATE_TEST_SUITE_P(CapacityAndSize, RStarSweepTest,
                          ::testing::ValuesIn(kSweep));
 
 TEST(RStarTreeTest, NearestDistanceMatchesKnn) {
-  // nearest_distance is the k = 1 search: same distance, same node
-  // accesses, with and without a filter (which here rejects two thirds of
-  // the entries, or every one of them for some queries).
-  for (const auto& [capacity, n, seed] : kSweep) {
+  // nearest_distance against the brute-force k = 1 reference, with and
+  // without a filter (which here rejects two thirds of the entries, or
+  // every one of them for some queries). The node accesses per sweep row
+  // are pinned: they are what the best-first k-NN search read before it
+  // was folded into nearest_distance, and the cost model charges them.
+  const std::uint64_t kNodeAccesses[] = {483, 479, 684, 244, 1108};
+  for (std::size_t row = 0; row < std::size(kSweep); ++row) {
+    const auto [capacity, n, seed] = kSweep[row];
     Rng rng(seed + 3000);
     RStarTree tree(capacity);
+    std::vector<Entry> reference;
     for (std::uint64_t i = 0; i < n; ++i) {
-      tree.insert({random_rect(rng, 500.0, 40.0), i});
+      reference.push_back({random_rect(rng, 500.0, 40.0), i});
+      tree.insert(reference.back());
     }
+    std::uint64_t accesses = 0;
     for (int q = 0; q < 40; ++q) {
       const Point p{rng.uniform(-50, 550), rng.uniform(-50, 550)};
       const std::uint64_t residue = rng.index(3);
@@ -286,20 +319,19 @@ TEST(RStarTreeTest, NearestDistanceMatchesKnn) {
                                         << n << " q=" << q
                                         << " filtered=" << filtered);
         tree.reset_node_accesses();
-        const auto knn = filtered ? tree.nearest(p, 1, filter)
-                                  : tree.nearest(p, 1);
-        const std::uint64_t knn_accesses = tree.node_accesses();
-        tree.reset_node_accesses();
         const double distance = filtered ? tree.nearest_distance(p, filter)
                                          : tree.nearest_distance(p);
-        EXPECT_EQ(tree.node_accesses(), knn_accesses);
-        if (knn.empty()) {
-          EXPECT_TRUE(std::isinf(distance));
-        } else {
-          EXPECT_EQ(distance, knn.front().distance);
+        accesses += tree.node_accesses();
+        double expected = std::numeric_limits<double>::infinity();
+        for (const Entry& e : reference) {
+          if (!filtered || filter(e)) {
+            expected = std::min(expected, e.rect.distance(p));
+          }
         }
+        EXPECT_EQ(distance, expected);
       }
     }
+    EXPECT_EQ(accesses, kNodeAccesses[row]) << "capacity=" << capacity;
   }
 }
 
@@ -311,7 +343,7 @@ TEST(RStarTreeTest, BulkLoadEmptyAndTiny) {
   RStarTree one = RStarTree::bulk_load({{Rect(0, 0, 1, 1), 7}});
   EXPECT_EQ(one.size(), 1u);
   one.check_invariants();
-  EXPECT_EQ(one.search(Rect(0, 0, 2, 2)).size(), 1u);
+  EXPECT_EQ(search(one, Rect(0, 0, 2, 2)).size(), 1u);
 }
 
 class BulkLoadTest : public ::testing::TestWithParam<std::size_t> {};
@@ -333,7 +365,7 @@ TEST_P(BulkLoadTest, MatchesBruteForceAndStaysMutable) {
     for (const Entry& e : entries) {
       if (e.rect.intersects(window)) expected.insert(e.id);
     }
-    EXPECT_EQ(ids_of(tree.search(window)), expected);
+    EXPECT_EQ(ids_of(search(tree, window)), expected);
   }
 
   // The packed tree must accept further mutations.
@@ -362,7 +394,7 @@ TEST(RStarTreeTest, BulkLoadQueryQualityComparableToIncremental) {
   RStarTree packed = RStarTree::bulk_load(entries);
   // Same answers...
   const Rect probe(2000, 2000, 4000, 4000);
-  EXPECT_EQ(ids_of(packed.search(probe)), ids_of(incremental.search(probe)));
+  EXPECT_EQ(ids_of(search(packed, probe)), ids_of(search(incremental, probe)));
   // ...with comparable node reads per window query (STR's win is build
   // time; R*'s insertion heuristics already pack well).
   packed.reset_node_accesses();
@@ -370,12 +402,12 @@ TEST(RStarTreeTest, BulkLoadQueryQualityComparableToIncremental) {
   Rng qrng(11);
   for (int q = 0; q < 200; ++q) {
     const Rect window = random_rect(qrng, 10000.0, 400.0);
-    (void)packed.search(window);
+    (void)search(packed, window);
   }
   qrng = Rng(11);
   for (int q = 0; q < 200; ++q) {
     const Rect window = random_rect(qrng, 10000.0, 400.0);
-    (void)incremental.search(window);
+    (void)search(incremental, window);
   }
   EXPECT_LE(static_cast<double>(packed.node_accesses()),
             1.25 * static_cast<double>(incremental.node_accesses()));
@@ -402,7 +434,7 @@ TEST(RStarTreeTest, InterleavedInsertEraseStaysConsistent) {
   EXPECT_EQ(tree.size(), live.size());
   std::multiset<std::uint64_t> expected;
   for (const Entry& e : live) expected.insert(e.id);
-  EXPECT_EQ(ids_of(tree.search(Rect(-10, -10, 300, 300))), expected);
+  EXPECT_EQ(ids_of(search(tree, Rect(-10, -10, 300, 300))), expected);
 }
 
 }  // namespace
