@@ -200,6 +200,16 @@ void ShardedServer::enable_failover(const failover::FailoverConfig& config,
   failover_->config = config;
   failover_->plan = &plan;
   failover_->logs.resize(shards_.size());
+  // take_checkpoint touches only its own shard's store, server, log and
+  // metrics, so the shards may checkpoint in parallel.
+  failover_->checkpoint_tasks.reserve(shards_.size());
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    failover_->checkpoint_tasks.push_back([this, i] {
+      if (!failover_->logs[i].down) {
+        take_checkpoint(i, failover_->checkpoint_tick);
+      }
+    });
+  }
   // Baseline durability: a crash before the first periodic checkpoint must
   // still recover, so every shard checkpoints its initial slice now.
   for (std::size_t i = 0; i < shards_.size(); ++i) take_checkpoint(i, 0);
@@ -230,14 +240,8 @@ void ShardedServer::take_due_checkpoints(std::uint64_t tick,
   if (tick == 0 || tick % failover_->config.checkpoint_interval_ticks != 0) {
     return;
   }
-  // take_checkpoint touches only its own shard's store, server, log and
-  // metrics, so the shards may checkpoint in parallel.
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (failover_->logs[i].down) continue;
-    tasks.emplace_back([this, i, tick] { take_checkpoint(i, tick); });
-  }
-  ParallelTickExecutor::shared().run(tasks, threads);
+  failover_->checkpoint_tick = tick;
+  ParallelTickExecutor::shared().run(failover_->checkpoint_tasks, threads);
 }
 
 std::size_t ShardedServer::finish_failover(std::uint64_t ticks) {

@@ -36,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -59,6 +60,9 @@ class ShardedServer {
   ShardedServer(const alarms::AlarmStore& global_alarms,
                 const grid::GridOverlay& grid, std::size_t shard_count,
                 std::size_t subscriber_count);
+  // The checkpoint tasks hold `this`.
+  ShardedServer(const ShardedServer&) = delete;
+  ShardedServer& operator=(const ShardedServer&) = delete;
 
   // ---- Client-facing calls (all position-taking calls route to the
   // owning shard, which must be the active shard of the calling thread;
@@ -204,6 +208,10 @@ class ShardedServer {
     failover::FailoverConfig config;
     const failover::CrashPlan* plan = nullptr;
     std::vector<ShardLog> logs;
+    /// One checkpoint task per shard, built once: each checkpoints its
+    /// shard at `checkpoint_tick`, or returns at once if the shard is down.
+    std::vector<std::function<void()>> checkpoint_tasks;
+    std::uint64_t checkpoint_tick = 0;
   };
 
   void crash_shard(std::size_t shard, std::uint64_t tick);

@@ -1,8 +1,10 @@
 #include "net/link.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.h"
+#include "common/parallel_executor.h"
 #include "saferegion/wire_format.h"
 #include "sim/server.h"
 
@@ -23,7 +25,13 @@ ClientLink::ClientLink(cluster::ShardedServer& server,
     : server_(server),
       config_(config),
       channel_(config, seed, subscriber_count),
-      states_(subscriber_count) {}
+      states_(subscriber_count),
+      tallies_((subscriber_count + kChannelChunk - 1) / kChannelChunk) {
+  chunk_tasks_.reserve(tallies_.size());
+  for (std::size_t c = 0; c < tallies_.size(); ++c) {
+    chunk_tasks_.push_back([this, c] { advance_chunk(c); });
+  }
+}
 
 ClientLink::SubscriberState& ClientLink::state(alarms::SubscriberId s) {
   SALARM_REQUIRE(static_cast<std::size_t>(s) < states_.size(),
@@ -49,8 +57,11 @@ std::uint32_t ClientLink::uplink_seq(alarms::SubscriberId s) const {
 void ClientLink::attach_failover(const cluster::ShardMap& map,
                                  const failover::CrashPlan& plan) {
   SALARM_REQUIRE(fo_plan_ == nullptr, "failover already attached");
+  SALARM_REQUIRE(plan.shard_count() == map.shard_count(),
+                 "crash plan sized for a different shard count");
   fo_map_ = &map;
   fo_plan_ = &plan;
+  shard_ticks_.resize(plan.shard_count());
 }
 
 bool ClientLink::degraded(const SubscriberState& st, geo::Point position,
@@ -60,11 +71,10 @@ bool ClientLink::degraded(const SubscriberState& st, geo::Point position,
          fo_plan_->down(fo_map_->shard_of(position), tick);
 }
 
-bool ClientLink::buffer_flushable(const SubscriberState& st,
-                                  std::uint64_t tick) const {
-  if (fo_plan_ == nullptr || !fo_plan_->any_down(tick)) return true;
+bool ClientLink::buffer_flushable(const SubscriberState& st) const {
+  if (!tick_any_down_) return true;
   for (const BufferedReport& r : st.buffer) {
-    if (fo_plan_->down(fo_map_->shard_of(r.position), tick)) return false;
+    if (shard_ticks_[fo_map_->shard_of(r.position)].down) return false;
   }
   return true;
 }
@@ -214,51 +224,78 @@ void ClientLink::enable_public_bitmap_cache(
 }
 
 void ClientLink::begin_tick(std::uint64_t tick,
-                            std::span<const mobility::VehicleSample> samples) {
+                            std::span<const mobility::VehicleSample> samples,
+                            std::size_t threads) {
   current_tick_ = tick;
-  const bool fo = fo_plan_ != nullptr;
-  if (!config_.faulty() && !fo) return;
-  SALARM_REQUIRE(!fo || samples.size() == states_.size(),
+  tick_faulty_ = config_.faulty();
+  if (!tick_faulty_ && fo_plan_ == nullptr) return;
+  SALARM_REQUIRE(fo_plan_ == nullptr || samples.size() == states_.size(),
                  "failover begin_tick needs one sample per subscriber");
-  for (std::size_t i = 0; i < states_.size(); ++i) {
+  tick_samples_ = samples;
+  // One plan read per shard, not two binary searches per subscriber. The
+  // chunks read shard_ticks_ only when some shard is down.
+  tick_any_down_ = fo_plan_ != nullptr && fo_plan_->any_down(tick);
+  if (tick_any_down_) {
+    for (std::size_t i = 0; i < shard_ticks_.size(); ++i) {
+      shard_ticks_[i] = {fo_plan_->crashes_at(i, tick),
+                         fo_plan_->down(i, tick)};
+    }
+  }
+  ParallelTickExecutor::shared().run(chunk_tasks_, threads);
+  // The machines' counters add up in any order; the flushes write shard
+  // state and the latency statistic, so they keep subscriber order.
+  for (ChunkTally& c : tallies_) {
+    link_metrics_.net_lease_fallback_ticks +=
+        std::exchange(c.lease_fallback_ticks, 0);
+    link_metrics_.net_outages += std::exchange(c.outages, 0);
+    link_metrics_.fo_grant_voids += std::exchange(c.grant_voids, 0);
+    link_metrics_.fo_degraded_ticks += std::exchange(c.degraded_ticks, 0);
+    for (const alarms::SubscriberId s : c.due) flush_buffer(s);
+    c.due.clear();
+  }
+}
+
+void ClientLink::advance_chunk(std::size_t c) {
+  ChunkTally& out = tallies_[c];
+  const std::size_t end = std::min(states_.size(), (c + 1) * kChannelChunk);
+  for (std::size_t i = c * kChannelChunk; i < end; ++i) {
     const auto s = static_cast<alarms::SubscriberId>(i);
     auto& st = states_[i];
     // Channel outage machine (identical draws/counters to a failover-less
     // run: the channel never learns about crashes).
-    if (config_.faulty()) {
+    if (tick_faulty_) {
       if (st.outage_remaining > 0) {
         --st.outage_remaining;
-        if (st.outage_remaining > 0) {
-          ++link_metrics_.net_lease_fallback_ticks;
-        }
+        if (st.outage_remaining > 0) ++out.lease_fallback_ticks;
       } else if (channel_.outage_starts(s)) {
         st.outage_remaining = channel_.outage_duration_ticks(s);
         // Carrier loss voids the lease client-side: the client cannot ACK
         // pushes any more, so it conservatively drops whatever grant it
         // holds (synthetic revoke, drained at its next on_tick).
         st.pending_synthetic.push_back(dynamics::InvalidationPush{});
-        ++link_metrics_.net_outages;
-        ++link_metrics_.net_lease_fallback_ticks;
+        ++out.outages;
+        ++out.lease_fallback_ticks;
       }
     }
     // Degraded-mode machine: a crash of the subscriber's owning shard
     // voids its grant the same way a carrier loss does — the server side
     // of the lease just evaporated.
-    if (fo) {
-      const std::size_t shard = fo_map_->shard_of(samples[i].pos);
-      if (fo_plan_->crashes_at(shard, tick)) {
+    if (tick_any_down_) {
+      const ShardTick& shard =
+          shard_ticks_[fo_map_->shard_of(tick_samples_[i].pos)];
+      if (shard.crashes) {
         st.pending_synthetic.push_back(dynamics::InvalidationPush{});
-        ++link_metrics_.fo_grant_voids;
+        ++out.grant_voids;
       }
-      if (fo_plan_->down(shard, tick)) ++link_metrics_.fo_degraded_ticks;
+      if (shard.down) ++out.degraded_ticks;
     }
     // Reconnect: once the carrier is up and every buffered position's
-    // shard is back, flush the backlog through server-side checking
+    // shard is back, the backlog flushes through server-side checking
     // before the strategy runs. (Without failover this fires exactly on
-    // the outage's last tick, as before.)
+    // the outage's last tick.)
     if (st.outage_remaining == 0 && !st.buffer.empty() &&
-        buffer_flushable(st, tick)) {
-      flush_buffer(s);
+        buffer_flushable(st)) {
+      out.due.push_back(s);
     }
   }
 }

@@ -46,12 +46,19 @@
 // draws ever happen; only the crash plan (itself precomputed) is read.
 //
 // Threading (sharded runs): per-subscriber protocol state is only ever
-// touched by the shard task processing that subscriber's tick, and all
-// outage/flush bookkeeping runs in the serial begin_tick phase, so the
-// link needs no locks and results are bit-identical at any thread count.
+// touched by the shard task processing that subscriber's tick, or in the
+// channel phase (begin_tick) by the chunk task holding that subscriber.
+// begin_tick advances the outage and degraded-mode machines and decides
+// which buffers flush in fixed subscriber chunks on the shared pool; each
+// chunk touches only its subscribers' state and fault streams and counts
+// into its own tally. The caller then adds the tallies and runs the
+// flushes, which write shard state and the link's latency statistic,
+// serially in subscriber order. So the link needs no locks and results are
+// bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -71,24 +78,31 @@ class ClientLink {
  public:
   ClientLink(cluster::ShardedServer& server, const ChannelConfig& config,
              std::uint64_t seed, std::size_t subscriber_count);
+  // The chunk tasks hold `this`.
+  ClientLink(const ClientLink&) = delete;
+  ClientLink& operator=(const ClientLink&) = delete;
 
   /// Arms degraded-mode handling for a sharded crash-recovery run: the map
   /// resolves each subscriber's owning shard, the plan answers whether it
-  /// is down. Both must outlive the link. Requires the two-argument
-  /// begin_tick overload from then on (crash detection needs positions).
+  /// is down. Both must outlive the link. From then on begin_tick needs
+  /// one position per subscriber (crash detection needs positions).
   void attach_failover(const cluster::ShardMap& map,
                        const failover::CrashPlan& plan);
 
-  /// Serial per-tick bookkeeping: advances outage state machines, injects
+  /// Per-tick channel phase: advances outage state machines, injects
   /// synthetic revokes when a carrier drops or the subscriber's shard
   /// crashes (failover), and flushes buffered reports through the server
   /// once the client is connected and every buffered position's shard is
   /// up. Must run after crash/recovery and alarm churn are applied and
   /// before any strategy processes the tick. `samples` carries each
   /// subscriber's current position (indexed by subscriber id); required
-  /// when failover is attached, may be empty otherwise.
+  /// when failover is attached, may be empty otherwise. The machines run
+  /// in kChannelChunk-subscriber chunks on at most `threads` threads
+  /// (ParallelTickExecutor::run); the flushes run on the caller. Results
+  /// are bit-identical for any `threads`.
   void begin_tick(std::uint64_t tick,
-                  std::span<const mobility::VehicleSample> samples);
+                  std::span<const mobility::VehicleSample> samples,
+                  std::size_t threads = 1);
 
   /// Serial end-of-run bookkeeping: flushes reports still buffered by
   /// clients whose outage spans the end of the run, so no trigger is lost.
@@ -183,9 +197,35 @@ class ClientLink {
   /// at reconnect (or end of run). Serial phase only.
   void flush_buffer(alarms::SubscriberId s);
 
-  /// Whether the subscriber's buffer may flush at `tick`: every buffered
+  /// Whether the subscriber's buffer may flush this tick: every buffered
   /// position's owning shard must be up (always true without failover).
-  bool buffer_flushable(const SubscriberState& st, std::uint64_t tick) const;
+  /// Reads the shard states begin_tick took from the plan.
+  bool buffer_flushable(const SubscriberState& st) const;
+
+  /// Subscribers per channel-phase chunk: fixed, so the chunking never
+  /// depends on the thread count.
+  static constexpr std::size_t kChannelChunk = 128;
+
+  /// One chunk's share of the channel phase: its counter deltas and the
+  /// subscribers whose buffers flush this tick, in subscriber order. The
+  /// chunk's thread writes it, so it takes a cache line of its own.
+  struct alignas(64) ChunkTally {
+    std::uint64_t lease_fallback_ticks = 0;
+    std::uint64_t outages = 0;
+    std::uint64_t grant_voids = 0;
+    std::uint64_t degraded_ticks = 0;
+    std::vector<alarms::SubscriberId> due;
+  };
+
+  /// A shard's crash-plan answers for the tick being begun.
+  struct ShardTick {
+    bool crashes = false;
+    bool down = false;
+  };
+
+  /// Advances the outage and degraded-mode machines of chunk `c`'s
+  /// subscribers and lists those due to flush. Runs on the pool.
+  void advance_chunk(std::size_t c);
 
   /// Degraded mode: true when failover is attached and either the shard
   /// owning `position` is down at `tick` or older reports are still
@@ -205,6 +245,14 @@ class ClientLink {
   /// Tick being processed (set by begin_tick): request() carries no tick,
   /// but the degraded-mode check needs one.
   std::uint64_t current_tick_ = 0;
+
+  // Channel-phase state, written by begin_tick and read by its chunks.
+  bool tick_faulty_ = false;
+  bool tick_any_down_ = false;  // failover attached and a shard is down
+  std::span<const mobility::VehicleSample> tick_samples_;
+  std::vector<ShardTick> shard_ticks_;  // per shard (failover only)
+  std::vector<ChunkTally> tallies_;     // per chunk
+  std::vector<std::function<void()>> chunk_tasks_;
 };
 
 }  // namespace salarm::net

@@ -47,8 +47,9 @@ struct RunResult {
 struct ShardedRunOptions {
   /// Number of spatial shards (clamped to the grid's stripe count).
   std::size_t shards = 4;
-  /// Threads a tick's shard fan-out may use: the caller plus the lowest
-  /// `threads - 1` workers of the shared pool. 0 = usable_cores(); larger
+  /// Threads each of a tick's fan-outs (shard tasks, due checkpoints,
+  /// channel chunks) may use: the caller plus the lowest `threads - 1`
+  /// workers of the shared pool. 0 = usable_cores(); larger
   /// values are clamped to the pool. Results are bit-identical for any.
   std::size_t threads = 1;
 };

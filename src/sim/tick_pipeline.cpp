@@ -1,5 +1,8 @@
 #include "sim/tick_pipeline.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/parallel_executor.h"
 
 namespace salarm::sim {
@@ -15,14 +18,15 @@ TickPipeline::TickPipeline(mobility::PositionSource& source,
     : source_(source), server_(server), link_(link), strategy_(strategy),
       ticks_(ticks), scheduler_(scheduler), crash_plan_(crash_plan),
       observer_(std::move(observer)), threads_(threads),
-      groups_(server.shard_count()) {
+      groups_(server.shard_count()), order_(server.shard_count()) {
   // One task per shard, built once for the whole run. Each task declares
   // its shard active and then touches only that shard's state plus the
   // sessions of its own subscribers — the determinism contract of
-  // cluster/sharded_server.h.
+  // cluster/sharded_server.h — so the claim order changes no result.
   tasks_.reserve(server_.shard_count());
-  for (std::size_t i = 0; i < server_.shard_count(); ++i) {
-    tasks_.push_back([this, i] {
+  for (std::size_t k = 0; k < server_.shard_count(); ++k) {
+    tasks_.push_back([this, k] {
+      const std::size_t i = order_[k];
       server_.set_active_shard(i);
       const auto& samples = source_.samples();
       if (current_tick_ == 0) {
@@ -45,6 +49,12 @@ void TickPipeline::fan_out(std::uint64_t tick) {
   for (mobility::VehicleId v = 0; v < samples.size(); ++v) {
     groups_[server_.map().shard_of(samples[v].pos)].push_back(v);
   }
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+    const std::size_t na = groups_[a].size();
+    const std::size_t nb = groups_[b].size();
+    return na != nb ? na > nb : a < b;
+  });
   ParallelTickExecutor::shared().run(tasks_, threads_);
 }
 
@@ -88,12 +98,13 @@ void TickPipeline::run() {
       enter(TickPhase::kGraveyard, tick);
       (void)server_.compact_graveyards(link_.min_pending_stamp(tick));
     }
-    // 5. Channel: outage state machines advance, shard crashes void their
-    // clients' grants, and reconnect flushes see the post-churn alarm
+    // 5. Channel: outage state machines advance in subscriber chunks on
+    // the pool, shard crashes void their clients' grants, and reconnect
+    // flushes, run serially in subscriber order, see the post-churn alarm
     // state of this tick (no-op on a perfect channel). Per-subscriber
     // fault streams keep the in-tick draws independent of thread count.
     enter(TickPhase::kChannel, tick);
-    link_.begin_tick(tick, source_.samples());
+    link_.begin_tick(tick, source_.samples(), threads_);
     // 6. The parallel part of the tick.
     enter(TickPhase::kSubscribers, tick);
     fan_out(tick);

@@ -24,8 +24,9 @@
 // state (2 before 5), and no shard task may start until every serial
 // phase is done (6 last). A PhaseObserver can watch the sequence; the
 // phase-ordering test pins it. Phases 3 and 6 fan one task per shard over
-// the shared worker pool (DESIGN.md §7), so a checkpoint keeps its place in
-// the order while the shards checkpoint in parallel.
+// the shared worker pool (DESIGN.md §7), phase 6 largest group first, and
+// phase 5 fans fixed subscriber chunks over it (DESIGN.md §9), so each
+// phase keeps its place in the order while its work runs in parallel.
 #pragma once
 
 #include <cstddef>
@@ -81,8 +82,8 @@ class TickPipeline {
   }
 
   /// Groups subscribers by owning shard (stable subscriber order within a
-  /// group) and fans the prebuilt shard tasks over the pool. `tick` 0 is
-  /// the initialization pass.
+  /// group) and fans the prebuilt shard tasks over the pool, largest group
+  /// first. `tick` 0 is the initialization pass.
   void fan_out(std::uint64_t tick);
 
   mobility::PositionSource& source_;
@@ -99,6 +100,10 @@ class TickPipeline {
   /// tick: groups keep their capacity across clears and the task closures
   /// are never reallocated, so the steady-state fan-out allocates nothing.
   std::vector<std::vector<mobility::VehicleId>> groups_;
+  /// Claim order of the shards this tick: descending group size, ties in
+  /// shard order. Task k runs shard order_[k], so the caller, which claims
+  /// first, takes the largest group while the workers are still waking.
+  std::vector<std::size_t> order_;
   std::vector<std::function<void()>> tasks_;
   std::uint64_t current_tick_ = 0;
 };

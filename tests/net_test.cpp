@@ -2,6 +2,9 @@
 // reliability protocol of net::ClientLink, and the headline invariant —
 // every strategy stays oracle-exact under arbitrary loss / delay /
 // duplication / outage schedules, monolithic and sharded alike.
+#include <algorithm>
+#include <bit>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,6 +21,7 @@
 #include "net/channel.h"
 #include "net/link.h"
 #include "saferegion/wire_format.h"
+#include "sim/metrics.h"
 #include "sim/server.h"
 
 namespace salarm {
@@ -459,6 +463,167 @@ TEST(BufferedUpdateTest, RemovedAlarmStillFiresFromTheGraveyard) {
   ASSERT_EQ(w.server.trigger_log().size(), 1u);
   EXPECT_EQ(w.server.trigger_log()[0].tick, 3u);
 }
+
+// ---------------------------------------------------------------------------
+// The channel phase in subscriber chunks (DESIGN.md §9): the outage and
+// degraded-mode machines run on the pool, the flushes serially after them.
+// ---------------------------------------------------------------------------
+
+/// 64-bit FNV-1a over the exact bits of the values fed to it.
+class Digest {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ = (hash_ ^ ((v >> (8 * i)) & 0xffu)) * 0x100000001b3ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(const RunningStat& s) {
+    add(static_cast<std::uint64_t>(s.count()));
+    add(s.sum());
+    add(s.mean());
+    add(s.variance());
+    add(s.min());
+    add(s.max());
+  }
+  void add(const sim::Metrics& m) {
+    for (const std::uint64_t v :
+         {m.uplink_messages, m.uplink_bytes, m.downstream_region_bytes,
+          m.downstream_notice_bytes, m.client_checks, m.client_check_ops,
+          m.server_alarm_ops, m.server_region_ops, m.handoff_messages,
+          m.handoff_bytes, m.alarms_installed, m.alarms_removed,
+          m.invalidation_pushes, m.invalidation_bytes, m.net_retransmissions,
+          m.net_duplicates_dropped, m.net_ack_messages, m.net_ack_bytes,
+          m.net_lease_fallback_ticks, m.net_buffered_reports, m.net_outages,
+          m.fo_crashes, m.fo_recoveries, m.fo_recovery_ticks,
+          m.fo_checkpoints, m.fo_checkpoint_bytes, m.fo_journal_records,
+          m.fo_journal_bytes, m.fo_journal_replays, m.fo_redo_events,
+          m.fo_reregistrations, m.fo_reregistration_bytes, m.fo_grant_voids,
+          m.fo_degraded_ticks, m.fo_buffered_reports,
+          m.safe_region_recomputes, m.triggers}) {
+      add(v);
+    }
+    add(m.net_delivery_latency_ms);
+    add(m.region_payload_bytes);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+struct ChannelPhaseRun {
+  std::uint64_t digest = 0;
+  sim::Metrics link_metrics;
+};
+
+/// `n` subscribers random-walk an 8 km x 8 km, four-shard world under a
+/// lossy, outage-prone channel and a drawn crash plan, stepped in the
+/// pipeline's serial order with the channel phase on `threads` threads.
+/// The digest covers every subscriber's outage flag, sequence number and
+/// last backoffs, every link metric (statistics bit for bit) and the merged
+/// trigger log.
+ChannelPhaseRun run_channel_phase(std::size_t n, std::size_t threads) {
+  constexpr std::uint64_t kTicks = 80;
+  const Rect universe(0, 0, 8000, 8000);
+  const grid::GridOverlay grid(universe, 8, 8);
+  alarms::AlarmStore store;
+  alarms::AlarmWorkloadConfig workload;
+  workload.alarm_count = 300;
+  workload.subscriber_count = n;
+  workload.public_fraction = 0.3;
+  Rng alarm_rng(71);
+  store.install_bulk(
+      alarms::generate_alarm_workload(workload, universe, alarm_rng));
+
+  cluster::ShardedServer server(store, grid, /*shard_count=*/4, n);
+  server.enable_dynamics(n);
+  failover::FailoverConfig crashes;
+  crashes.crash_per_tick = 0.04;
+  crashes.crash_mean_down_ticks = 3.0;
+  crashes.checkpoint_interval_ticks = 10;
+  const failover::CrashPlan plan(crashes, server.shard_count(), kTicks, 29);
+  server.enable_failover(crashes, plan);
+  net::ChannelConfig channel;
+  channel.uplink_loss = 0.2;
+  channel.downlink_loss = 0.2;
+  channel.duplicate_rate = 0.1;
+  channel.latency_base_ms = 20.0;
+  channel.latency_jitter_ms = 30.0;
+  channel.outage_start_per_tick = 0.05;
+  channel.outage_mean_ticks = 3.0;
+  net::ClientLink link(server, channel, 37, n);
+  link.attach_failover(server.map(), plan);
+
+  Rng walk(43);
+  std::vector<mobility::VehicleSample> samples(n);
+  for (auto& v : samples) {
+    v.pos = {walk.uniform(0.0, 8000.0), walk.uniform(0.0, 8000.0)};
+  }
+  for (std::uint64_t t = 1; t < kTicks; ++t) {
+    server.begin_failover_tick(t);
+    server.take_due_checkpoints(t, threads);
+    for (auto& v : samples) {
+      v.pos = {std::clamp(v.pos.x + walk.uniform(-150.0, 150.0), 0.0, 8000.0),
+               std::clamp(v.pos.y + walk.uniform(-150.0, 150.0), 0.0, 8000.0)};
+    }
+    link.begin_tick(t, samples, threads);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto s = static_cast<alarms::SubscriberId>(i);
+      server.set_active_shard(server.map().shard_of(samples[i].pos));
+      (void)link.take_invalidations(s);
+      (void)link.report(s, samples[i].pos, t);
+    }
+  }
+  (void)server.finish_failover(kTicks);
+  link.finish();
+
+  Digest d;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto s = static_cast<alarms::SubscriberId>(i);
+    d.add(static_cast<std::uint64_t>(link.in_outage(s)));
+    d.add(static_cast<std::uint64_t>(link.uplink_seq(s)));
+    d.add(static_cast<std::uint64_t>(link.last_exchange_backoffs(s).size()));
+    for (const double b : link.last_exchange_backoffs(s)) d.add(b);
+  }
+  d.add(link.link_metrics());
+  for (const alarms::TriggerEvent& e : server.merged_trigger_log()) {
+    d.add(e.tick);
+    d.add(static_cast<std::uint64_t>(e.subscriber));
+    d.add(static_cast<std::uint64_t>(e.alarm));
+  }
+  return {d.value(), link.link_metrics()};
+}
+
+class ClientLinkChannelPhaseTest
+    : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ClientLinkChannelPhaseTest, ChunksAreBitIdenticalAcrossThreadCounts) {
+  const std::size_t n = GetParam();
+  // Digests of the same scenario under the serial channel phase it
+  // replaced, which walked every subscriber on the caller.
+  const std::map<std::size_t, std::uint64_t> serial_digest = {
+      {1, 16075785403499953691ULL},  {127, 12521866794079566288ULL},
+      {128, 1349834349385823349ULL}, {129, 10834259227873269180ULL},
+      {300, 7529952999633604722ULL}};
+  const ChannelPhaseRun ref = run_channel_phase(n, 1);
+  EXPECT_EQ(ref.digest, serial_digest.at(n));
+  // The scenario reaches every machine: outages, crash voids, degraded
+  // ticks and flushed backlogs.
+  EXPECT_GT(ref.link_metrics.net_outages, 0u);
+  EXPECT_GT(ref.link_metrics.fo_grant_voids, 0u);
+  EXPECT_GT(ref.link_metrics.fo_degraded_ticks, 0u);
+  EXPECT_GT(ref.link_metrics.net_delivery_latency_ms.count(), 0u);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    EXPECT_EQ(run_channel_phase(n, threads).digest, ref.digest)
+        << n << " subscribers at " << threads << " threads";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ChunkEdges, ClientLinkChannelPhaseTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{127},
+                                           std::size_t{128}, std::size_t{129},
+                                           std::size_t{300}));
 
 // ---------------------------------------------------------------------------
 // Integration: oracle-exactness for every strategy under chaos schedules.

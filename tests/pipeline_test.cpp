@@ -7,20 +7,25 @@
 // counter, every RunningStat moment, every trigger event. The phase tests
 // pin the documented serial-phase order (and its tier gating) through the
 // PhaseObserver hook; the ordering tests pin the canonical (tick,
-// subscriber, alarm) trigger-log contract for both run modes.
+// subscriber, alarm) trigger-log contract for both run modes; the claim-
+// order tests pin the largest-group-first fan-out and its bit-identity on
+// strongly skewed groups.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "alarms/alarm_store.h"
+#include "cluster/shard_map.h"
 #include "cluster/sharded_server.h"
 #include "core/experiment.h"
 #include "dynamics/churn.h"
+#include "failover/crash_plan.h"
 #include "grid/grid_overlay.h"
 #include "mobility/random_waypoint.h"
 #include "net/link.h"
@@ -29,6 +34,7 @@
 #include "sim/tick_pipeline.h"
 #include "strategies/rect_region_strategy.h"
 #include "strategies/safe_period.h"
+#include "strategies/strategy.h"
 
 namespace salarm {
 namespace {
@@ -347,6 +353,139 @@ TEST(PipelineTriggerOrderTest, BothRunModesReportCanonicalOrder) {
                              sharded.trigger_log.end()));
   // Sharding is exact: the merged log is the same canonical sequence.
   EXPECT_EQ(sharded.trigger_log, mono.trigger_log);
+}
+
+// ---------------------------------------------------------------------------
+// Fan-out claim order and skew: the shard tasks are claimed largest group
+// first, which changes which thread runs a shard but never a result.
+// ---------------------------------------------------------------------------
+
+/// Records, per tick, the subscribers in the order on_tick sees them.
+class RecordingStrategy final : public strategies::ProcessingStrategy {
+ public:
+  RecordingStrategy(std::vector<std::vector<mobility::VehicleId>>& ticks,
+                    std::size_t tick_count)
+      : ticks_(ticks) {
+    ticks_.assign(tick_count, {});
+  }
+  std::string_view name() const override { return "recording"; }
+  void initialize(alarms::SubscriberId s,
+                  const mobility::VehicleSample&) override {
+    ticks_[0].push_back(s);
+  }
+  void on_tick(alarms::SubscriberId s, const mobility::VehicleSample&,
+               std::uint64_t tick) override {
+    ticks_[tick].push_back(s);
+  }
+
+ private:
+  std::vector<std::vector<mobility::VehicleId>>& ticks_;
+};
+
+/// Vehicles roam only the west end of a 4-stripe, 8 km x 2 km universe, so
+/// shard 0 holds most of them, shard 1 a few and shards 2 and 3 none.
+struct SkewedWorkload {
+  static constexpr std::size_t kSkewVehicles = 150;
+  static constexpr std::size_t kSkewTicks = 120;
+
+  SkewedWorkload()
+      : universe(0.0, 0.0, 8000.0, 2000.0),
+        grid(universe, 8, 2),
+        source(geo::Rect(0.0, 0.0, 2600.0, 2000.0), waypoint_config()),
+        sim(source, store, grid, kSkewTicks) {
+    alarms::AlarmWorkloadConfig workload;
+    workload.alarm_count = 300;
+    workload.subscriber_count = kSkewVehicles;
+    Rng rng(777);
+    store.install_bulk(
+        alarms::generate_alarm_workload(workload, universe, rng));
+  }
+
+  static mobility::RandomWaypointConfig waypoint_config() {
+    mobility::RandomWaypointConfig cfg;
+    cfg.vehicle_count = kSkewVehicles;
+    cfg.tick_seconds = 1.0;
+    cfg.seed = 9191;
+    return cfg;
+  }
+
+  geo::Rect universe;
+  grid::GridOverlay grid;
+  mobility::RandomWaypointSource source;
+  alarms::AlarmStore store;
+  sim::Simulation sim;
+};
+
+TEST(PipelineClaimOrderTest, LargestGroupFirstTiesInShardOrder) {
+  SkewedWorkload w;
+  std::vector<std::vector<mobility::VehicleId>> seen;
+  const auto run = w.sim.run_sharded(
+      [&](net::ClientLink&) {
+        return std::make_unique<RecordingStrategy>(seen, w.sim.ticks());
+      },
+      {.shards = 4, .threads = 1});
+  ASSERT_EQ(run.subscribers, SkewedWorkload::kSkewVehicles);
+
+  const cluster::ShardMap map(w.grid, 4);
+  ASSERT_EQ(map.shard_count(), 4u);
+  w.source.reset();
+  bool saw_tie = false;
+  for (std::size_t t = 0; t < w.sim.ticks(); ++t) {
+    if (t > 0) w.source.step();
+    const auto& samples = w.source.samples();
+    std::vector<std::vector<mobility::VehicleId>> groups(4);
+    for (mobility::VehicleId v = 0; v < samples.size(); ++v) {
+      groups[map.shard_of(samples[v].pos)].push_back(v);
+    }
+    std::vector<std::size_t> order = {0, 1, 2, 3};
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return groups[a].size() != groups[b].size()
+                 ? groups[a].size() > groups[b].size()
+                 : a < b;
+    });
+    std::vector<mobility::VehicleId> expected;
+    for (const std::size_t i : order) {
+      expected.insert(expected.end(), groups[i].begin(), groups[i].end());
+      if (i > 0 && groups[i].size() == groups[i - 1].size()) saw_tie = true;
+    }
+    ASSERT_EQ(seen[t], expected) << "tick " << t;
+    // Shard 0 dominates, so the claim order is not the index order.
+    ASSERT_GT(groups[0].size(), groups[1].size()) << "tick " << t;
+  }
+  EXPECT_TRUE(saw_tie);  // the two empty shards tie every tick
+}
+
+TEST(PipelineSkewTest, SkewedGroupsAreBitIdenticalAcrossThreadCounts) {
+  SkewedWorkload w;
+  net::ChannelConfig channel;
+  channel.uplink_loss = 0.1;
+  channel.downlink_loss = 0.1;
+  channel.latency_jitter_ms = 40.0;
+  channel.outage_start_per_tick = 0.02;
+  channel.outage_mean_ticks = 3.0;
+  w.sim.set_channel(channel, kChannelSeed);
+  failover::FailoverConfig crashes;
+  crashes.crash_per_tick = 0.03;
+  crashes.crash_mean_down_ticks = 4.0;
+  crashes.checkpoint_interval_ticks = 15;
+  w.sim.set_failover(crashes, 61);
+  const auto factory = [](net::ClientLink& link) {
+    return std::make_unique<strategies::RectRegionStrategy>(
+        link, SkewedWorkload::kSkewVehicles, saferegion::MotionModel(1.0, 32),
+        saferegion::MwpsrOptions{});
+  };
+  const auto ref = w.sim.run_sharded(factory, {.shards = 4, .threads = 1});
+  EXPECT_EQ(ref.accuracy.missed, 0u);
+  EXPECT_EQ(ref.accuracy.spurious, 0u);
+  EXPECT_EQ(ref.accuracy.late, 0u);
+  EXPECT_GT(ref.accuracy.expected, 0u);
+  EXPECT_GT(ref.metrics.net_outages, 0u);
+  EXPECT_GT(ref.metrics.fo_crashes, 0u);
+  for (const std::size_t threads :
+       {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    expect_bit_identical(
+        ref, w.sim.run_sharded(factory, {.shards = 4, .threads = threads}));
+  }
 }
 
 }  // namespace
