@@ -96,11 +96,7 @@ std::vector<alarms::AlarmId> ShardedServer::handle_position_update(
     alarms::SubscriberId s, geo::Point position, std::uint64_t tick) {
   std::vector<alarms::AlarmId> fired =
       contact(s, position).handle_position_update(s, position, tick);
-  for (const alarms::AlarmId id : fired) {
-    append_spent(map_.shard_of(position), tick, id, s);
-  }
-  Session& session = sessions_[s];
-  session.fired.insert(session.fired.end(), fired.begin(), fired.end());
+  record_fired(s, map_.shard_of(position), tick, fired);
   return fired;
 }
 
@@ -112,12 +108,16 @@ std::vector<alarms::AlarmId> ShardedServer::handle_buffered_update(
   set_active_shard(map_.shard_of(position));
   std::vector<alarms::AlarmId> fired =
       contact(s, position).handle_buffered_update(s, position, stamp_tick);
-  for (const alarms::AlarmId id : fired) {
-    append_spent(map_.shard_of(position), stamp_tick, id, s);
-  }
+  record_fired(s, map_.shard_of(position), stamp_tick, fired);
+  return fired;
+}
+
+void ShardedServer::record_fired(alarms::SubscriberId s, std::size_t shard,
+                                 std::uint64_t tick,
+                                 const std::vector<alarms::AlarmId>& fired) {
+  for (const alarms::AlarmId id : fired) append_spent(shard, tick, id, s);
   Session& session = sessions_[s];
   session.fired.insert(session.fired.end(), fired.begin(), fired.end());
-  return fired;
 }
 
 void ShardedServer::enable_public_bitmap_cache(
@@ -192,14 +192,11 @@ bool ShardedServer::remove_alarm(alarms::AlarmId id, std::uint64_t tick) {
 }
 
 void ShardedServer::enable_failover(const failover::FailoverConfig& config,
-                                    const failover::CrashPlan& plan) {
+                                    failover::CrashPlan plan) {
   SALARM_REQUIRE(!failover_.has_value(), "failover already enabled");
   SALARM_REQUIRE(plan.shard_count() == shards_.size(),
                  "crash plan sized for a different shard count");
-  failover_.emplace();
-  failover_->config = config;
-  failover_->plan = &plan;
-  failover_->logs.resize(shards_.size());
+  failover_.emplace(config, std::move(plan), shards_.size());
   // take_checkpoint touches only its own shard's store, server, log and
   // metrics, so the shards may checkpoint in parallel.
   failover_->checkpoint_tasks.reserve(shards_.size());
@@ -215,14 +212,10 @@ void ShardedServer::enable_failover(const failover::FailoverConfig& config,
   for (std::size_t i = 0; i < shards_.size(); ++i) take_checkpoint(i, 0);
 }
 
-bool ShardedServer::shard_down(std::size_t shard) const {
-  return failover_.has_value() && failover_->logs[shard].down;
-}
-
 void ShardedServer::begin_failover_tick(std::uint64_t tick) {
   SALARM_REQUIRE(failover_.has_value(), "failover is not enabled");
   fo_tick_ = tick;
-  const failover::CrashPlan& plan = *failover_->plan;
+  const failover::CrashPlan& plan = failover_->plan;
   // Recoveries strictly before crashes: windows are non-adjacent (a shard
   // never crashes on its recovery tick), so the order only matters for
   // keeping the sweep deterministic.

@@ -39,6 +39,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "alarms/alarm_store.h"
@@ -114,14 +115,23 @@ class ShardedServer {
   /// Arms crash-recovery: every shard gets a durability log (checkpoint +
   /// journal or redo ledger per `config`) and a baseline tick-0 checkpoint
   /// is written immediately, so a crash before the first periodic
-  /// checkpoint still recovers. The plan (which must outlive the server)
-  /// is consulted only by assertions here — the simulation drives crashes
-  /// and recoveries explicitly through begin_failover_tick so the
+  /// checkpoint still recovers. The server keeps the plan and is its only
+  /// reader: begin_failover_tick applies it, and everything else asks the
+  /// accessors below. The tick pipeline calls begin_failover_tick so the
   /// orchestration order is visible in one place.
   void enable_failover(const failover::FailoverConfig& config,
-                       const failover::CrashPlan& plan);
+                       failover::CrashPlan plan);
+  /// Whether enable_failover has been called.
+  bool failover_armed() const { return failover_.has_value(); }
   /// Whether the shard is currently crashed (clients must not contact it).
-  bool shard_down(std::size_t shard) const;
+  /// Only the serial phase changes the answer.
+  bool shard_down(std::size_t shard) const {
+    return failover_.has_value() && failover_->logs[shard].down;
+  }
+  /// Whether the shard crashed at exactly `tick` and is still down.
+  bool shard_crashed_at(std::size_t shard, std::uint64_t tick) const {
+    return shard_down(shard) && failover_->logs[shard].crash_tick == tick;
+  }
 
   /// Serial-phase tick prologue: recovers every shard whose downtime
   /// window ends at `tick`, then crashes every shard whose window begins
@@ -205,8 +215,11 @@ class ShardedServer {
   };
 
   struct FailoverState {
+    FailoverState(const failover::FailoverConfig& c, failover::CrashPlan p,
+                  std::size_t shard_count)
+        : config(c), plan(std::move(p)), logs(shard_count) {}
     failover::FailoverConfig config;
-    const failover::CrashPlan* plan = nullptr;
+    failover::CrashPlan plan;
     std::vector<ShardLog> logs;
     /// One checkpoint task per shard, built once: each checkpoints its
     /// shard at `checkpoint_tick`, or returns at once if the shard is down.
@@ -214,6 +227,10 @@ class ShardedServer {
     std::uint64_t checkpoint_tick = 0;
   };
 
+  /// Journals each fired alarm as spent, then adds it to the session.
+  void record_fired(alarms::SubscriberId s, std::size_t shard,
+                    std::uint64_t tick,
+                    const std::vector<alarms::AlarmId>& fired);
   void crash_shard(std::size_t shard, std::uint64_t tick);
   void recover_shard(std::size_t shard, std::uint64_t tick);
   void take_checkpoint(std::size_t shard, std::uint64_t tick);

@@ -56,7 +56,6 @@ CrashPlan::CrashPlan(std::vector<std::vector<CrashWindow>> windows,
 
 void CrashPlan::validate() {
   SALARM_REQUIRE(ticks_ >= 2, "crash plan needs at least two ticks");
-  any_down_.assign(ticks_ + 1, false);
   for (const auto& shard_windows : windows_) {
     std::uint64_t previous_end = 0;
     for (const CrashWindow& w : shard_windows) {
@@ -66,7 +65,6 @@ void CrashPlan::validate() {
       SALARM_REQUIRE(previous_end == 0 || w.begin > previous_end,
                      "crash windows must be sorted and non-adjacent");
       previous_end = w.end;
-      for (std::uint64_t t = w.begin; t < w.end; ++t) any_down_[t] = true;
     }
   }
 }
@@ -83,11 +81,6 @@ const CrashWindow* CrashPlan::window_covering(std::size_t shard,
   return &*std::prev(it);
 }
 
-bool CrashPlan::down(std::size_t shard, std::uint64_t tick) const {
-  const CrashWindow* w = window_covering(shard, tick);
-  return w != nullptr && tick < w->end;
-}
-
 bool CrashPlan::crashes_at(std::size_t shard, std::uint64_t tick) const {
   const CrashWindow* w = window_covering(shard, tick);
   return w != nullptr && w->begin == tick;
@@ -97,16 +90,6 @@ bool CrashPlan::recovers_at(std::size_t shard, std::uint64_t tick) const {
   if (tick == 0) return false;
   const CrashWindow* w = window_covering(shard, tick - 1);
   return w != nullptr && w->end == tick;
-}
-
-bool CrashPlan::down_at_end(std::size_t shard) const {
-  SALARM_REQUIRE(shard < windows_.size(), "no such shard in crash plan");
-  const auto& ws = windows_[shard];
-  return !ws.empty() && ws.back().end >= ticks_;
-}
-
-bool CrashPlan::any_down(std::uint64_t tick) const {
-  return tick < any_down_.size() && any_down_[tick];
 }
 
 const std::vector<CrashWindow>& CrashPlan::windows(std::size_t shard) const {

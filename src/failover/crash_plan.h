@@ -5,10 +5,11 @@
 // net tier's FaultyChannel, determinism comes from forked salarm::Rng
 // streams: shard i's windows are a pure function of (seed, i), independent
 // of thread count and of every other shard's draws. Precomputing (rather
-// than drawing during the run) additionally makes crash state queryable at
-// any tick from any phase without mutating the plan: the serial
-// orchestration phase, the degraded-mode client link and the tests all
-// read the same immutable schedule, so a run replays bit-identically.
+// than drawing during the run) keeps the schedule immutable, so a run
+// replays bit-identically. cluster::ShardedServer owns the plan and is its
+// one reader: begin_failover_tick applies each tick's crashes and
+// recoveries, and the client link and the tick pipeline ask the server,
+// not the plan, whether a shard is down.
 #pragma once
 
 #include <cstddef>
@@ -64,18 +65,11 @@ class CrashPlan {
             std::uint64_t ticks);
 
   std::size_t shard_count() const { return windows_.size(); }
-  std::uint64_t ticks() const { return ticks_; }
 
-  /// Whether the shard is down while tick `tick` is processed.
-  bool down(std::size_t shard, std::uint64_t tick) const;
   /// Whether the shard crashes at exactly this tick (window begin).
   bool crashes_at(std::size_t shard, std::uint64_t tick) const;
   /// Whether the shard recovers at exactly this tick (window end).
   bool recovers_at(std::size_t shard, std::uint64_t tick) const;
-  /// Whether the shard's last window is clipped by the end of the run.
-  bool down_at_end(std::size_t shard) const;
-  /// Fast path for the per-tick sweeps: true when any shard is down.
-  bool any_down(std::uint64_t tick) const;
 
   const std::vector<CrashWindow>& windows(std::size_t shard) const;
 
@@ -86,9 +80,6 @@ class CrashPlan {
 
   std::uint64_t ticks_ = 0;
   std::vector<std::vector<CrashWindow>> windows_;
-  /// tick -> any shard down (sized ticks_ + 1; clipped windows mark the
-  /// final slot so end-of-run queries stay in range).
-  std::vector<bool> any_down_;
 };
 
 }  // namespace salarm::failover

@@ -26,6 +26,7 @@ ClientLink::ClientLink(cluster::ShardedServer& server,
       config_(config),
       channel_(config, seed, subscriber_count),
       states_(subscriber_count),
+      failover_armed_(server.failover_armed()),
       tallies_((subscriber_count + kChannelChunk - 1) / kChannelChunk) {
   chunk_tasks_.reserve(tallies_.size());
   for (std::size_t c = 0; c < tallies_.size(); ++c) {
@@ -54,27 +55,17 @@ std::uint32_t ClientLink::uplink_seq(alarms::SubscriberId s) const {
   return state(s).uplink_seq;
 }
 
-void ClientLink::attach_failover(const cluster::ShardMap& map,
-                                 const failover::CrashPlan& plan) {
-  SALARM_REQUIRE(fo_plan_ == nullptr, "failover already attached");
-  SALARM_REQUIRE(plan.shard_count() == map.shard_count(),
-                 "crash plan sized for a different shard count");
-  fo_map_ = &map;
-  fo_plan_ = &plan;
-  shard_ticks_.resize(plan.shard_count());
-}
-
-bool ClientLink::degraded(const SubscriberState& st, geo::Point position,
-                          std::uint64_t tick) const {
-  if (fo_plan_ == nullptr) return false;
+bool ClientLink::degraded(const SubscriberState& st,
+                          geo::Point position) const {
+  if (!failover_armed_) return false;
   return !st.buffer.empty() ||
-         fo_plan_->down(fo_map_->shard_of(position), tick);
+         server_.shard_down(server_.map().shard_of(position));
 }
 
 bool ClientLink::buffer_flushable(const SubscriberState& st) const {
   if (!tick_any_down_) return true;
   for (const BufferedReport& r : st.buffer) {
-    if (shard_ticks_[fo_map_->shard_of(r.position)].down) return false;
+    if (server_.shard_down(server_.map().shard_of(r.position))) return false;
   }
   return true;
 }
@@ -154,7 +145,7 @@ std::uint64_t ClientLink::reliable_exchange(alarms::SubscriberId s, bool uplink,
 std::vector<alarms::AlarmId> ClientLink::report(alarms::SubscriberId s,
                                                 geo::Point position,
                                                 std::uint64_t tick) {
-  if (!config_.faulty() && fo_plan_ == nullptr) {
+  if (!config_.faulty() && !failover_armed_) {
     return server_.handle_position_update(s, position, tick);
   }
   auto& st = state(s);
@@ -165,7 +156,7 @@ std::vector<alarms::AlarmId> ClientLink::report(alarms::SubscriberId s,
     ++server_.metrics().net_buffered_reports;
     return {};
   }
-  if (degraded(st, position, tick)) {
+  if (degraded(st, position)) {
     // The owning shard is crashed (or older reports are still queued
     // behind a crashed shard): buffer for the post-recovery flush.
     st.buffer.push_back(BufferedReport{position, tick});
@@ -183,7 +174,7 @@ std::vector<alarms::AlarmId> ClientLink::report(alarms::SubscriberId s,
 
 std::vector<dynamics::InvalidationPush> ClientLink::take_invalidations(
     alarms::SubscriberId s) {
-  if (!config_.faulty() && fo_plan_ == nullptr) {
+  if (!config_.faulty() && !failover_armed_) {
     return server_.take_invalidations(s);
   }
   auto& st = state(s);
@@ -226,20 +217,17 @@ void ClientLink::enable_public_bitmap_cache(
 void ClientLink::begin_tick(std::uint64_t tick,
                             std::span<const mobility::VehicleSample> samples,
                             std::size_t threads) {
-  current_tick_ = tick;
+  failover_armed_ = server_.failover_armed();
+  tick_ = tick;
   tick_faulty_ = config_.faulty();
-  if (!tick_faulty_ && fo_plan_ == nullptr) return;
-  SALARM_REQUIRE(fo_plan_ == nullptr || samples.size() == states_.size(),
+  if (!tick_faulty_ && !failover_armed_) return;
+  SALARM_REQUIRE(!failover_armed_ || samples.size() == states_.size(),
                  "failover begin_tick needs one sample per subscriber");
   tick_samples_ = samples;
-  // One plan read per shard, not two binary searches per subscriber. The
-  // chunks read shard_ticks_ only when some shard is down.
-  tick_any_down_ = fo_plan_ != nullptr && fo_plan_->any_down(tick);
-  if (tick_any_down_) {
-    for (std::size_t i = 0; i < shard_ticks_.size(); ++i) {
-      shard_ticks_[i] = {fo_plan_->crashes_at(i, tick),
-                         fo_plan_->down(i, tick)};
-    }
+  // The chunks read the server's shard flags only when some shard is down.
+  tick_any_down_ = false;
+  for (std::size_t i = 0; i < server_.shard_count(); ++i) {
+    tick_any_down_ = tick_any_down_ || server_.shard_down(i);
   }
   ParallelTickExecutor::shared().run(chunk_tasks_, threads);
   // The machines' counters add up in any order; the flushes write shard
@@ -281,13 +269,12 @@ void ClientLink::advance_chunk(std::size_t c) {
     // voids its grant the same way a carrier loss does — the server side
     // of the lease just evaporated.
     if (tick_any_down_) {
-      const ShardTick& shard =
-          shard_ticks_[fo_map_->shard_of(tick_samples_[i].pos)];
-      if (shard.crashes) {
+      const std::size_t shard = server_.map().shard_of(tick_samples_[i].pos);
+      if (server_.shard_crashed_at(shard, tick_)) {
         st.pending_synthetic.push_back(dynamics::InvalidationPush{});
         ++out.grant_voids;
       }
-      if (shard.down) ++out.degraded_ticks;
+      if (server_.shard_down(shard)) ++out.degraded_ticks;
     }
     // Reconnect: once the carrier is up and every buffered position's
     // shard is back, the backlog flushes through server-side checking
@@ -316,7 +303,7 @@ void ClientLink::flush_buffer(alarms::SubscriberId s) {
 }
 
 void ClientLink::finish() {
-  if (!config_.faulty() && fo_plan_ == nullptr) return;
+  if (!config_.faulty() && !failover_armed_) return;
   for (std::size_t i = 0; i < states_.size(); ++i) {
     // An outage spanning the end of the run still flushes: a real client
     // delivers its backlog on eventual reconnect, and the oracle's ground

@@ -29,21 +29,21 @@
 //    that was live at each report's original tick. Every uncovered tick is
 //    counted as net_lease_fallback_ticks.
 //
-// Degraded mode (failover tier, DESIGN.md §10): on sharded runs with
-// crash-recovery armed (attach_failover), a client whose owning shard
-// crashes voids its grant the moment the crash happens (the lease cannot
-// be renewed — same synthetic-revoke mechanism as a carrier loss) and
-// falls back to buffering its reports while the shard is down. The buffer
-// flushes through handle_buffered_update once every buffered position's
-// shard is back up, so mid-crash triggers fire at their true tick; while
-// any report is still buffered, newer reports keep buffering too —
-// flushing out of order could fire a border alarm at the wrong tick.
+// Degraded mode (failover tier, DESIGN.md §10): once the server has
+// crash-recovery armed (ShardedServer::enable_failover), a client whose
+// owning shard crashes voids its grant the moment the crash happens (the
+// lease cannot be renewed — same synthetic-revoke mechanism as a carrier
+// loss) and falls back to buffering its reports while the shard is down.
+// The buffer flushes through handle_buffered_update once every buffered
+// position's shard is back up, so mid-crash triggers fire at their true
+// tick; while any report is still buffered, newer reports keep buffering
+// too — flushing out of order could fire a border alarm at the wrong tick.
 //
 // With the all-zero ChannelConfig (the default) the protocol is a provable
 // no-op, so the link is a pure pass-through: zero Rng draws, zero extra
 // metrics, bit-identical accounting to calling the server directly.
-// Attaching failover to a perfect channel keeps that property: no channel
-// draws ever happen; only the crash plan (itself precomputed) is read.
+// Arming failover over a perfect channel keeps that property: no channel
+// draws ever happen; the link only reads the server's shard-down flags.
 //
 // Threading (sharded runs): per-subscriber protocol state is only ever
 // touched by the shard task processing that subscriber's tick, or in the
@@ -64,9 +64,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "cluster/shard_map.h"
 #include "cluster/sharded_server.h"
-#include "failover/crash_plan.h"
 #include "mobility/trace.h"
 #include "net/channel.h"
 
@@ -82,24 +80,18 @@ class ClientLink {
   ClientLink(const ClientLink&) = delete;
   ClientLink& operator=(const ClientLink&) = delete;
 
-  /// Arms degraded-mode handling for a sharded crash-recovery run: the map
-  /// resolves each subscriber's owning shard, the plan answers whether it
-  /// is down. Both must outlive the link. From then on begin_tick needs
-  /// one position per subscriber (crash detection needs positions).
-  void attach_failover(const cluster::ShardMap& map,
-                       const failover::CrashPlan& plan);
-
   /// Per-tick channel phase: advances outage state machines, injects
   /// synthetic revokes when a carrier drops or the subscriber's shard
   /// crashes (failover), and flushes buffered reports through the server
   /// once the client is connected and every buffered position's shard is
   /// up. Must run after crash/recovery and alarm churn are applied and
-  /// before any strategy processes the tick. `samples` carries each
-  /// subscriber's current position (indexed by subscriber id); required
-  /// when failover is attached, may be empty otherwise. The machines run
-  /// in kChannelChunk-subscriber chunks on at most `threads` threads
-  /// (ParallelTickExecutor::run); the flushes run on the caller. Results
-  /// are bit-identical for any `threads`.
+  /// before any strategy processes the tick; it reads the server's
+  /// shard-down flags as that serial phase left them. `samples` carries
+  /// each subscriber's current position (indexed by subscriber id);
+  /// required when the server has failover armed, may be empty otherwise.
+  /// The machines run in kChannelChunk-subscriber chunks on at most
+  /// `threads` threads (ParallelTickExecutor::run); the flushes run on the
+  /// caller. Results are bit-identical for any `threads`.
   void begin_tick(std::uint64_t tick,
                   std::span<const mobility::VehicleSample> samples,
                   std::size_t threads = 1);
@@ -124,7 +116,7 @@ class ClientLink {
   auto request(alarms::SubscriberId s, geo::Point position, Fn&& call)
       -> std::optional<std::invoke_result_t<Fn&, sim::Server&>> {
     const SubscriberState& st = state(s);
-    if (degraded(st, position, current_tick_)) return std::nullopt;
+    if (degraded(st, position)) return std::nullopt;
     if (config_.faulty() && st.outage_remaining > 0) return std::nullopt;
     // The request piggybacks on the report the client just delivered
     // reliably; only the best-effort response can be lost in flight.
@@ -199,7 +191,6 @@ class ClientLink {
 
   /// Whether the subscriber's buffer may flush this tick: every buffered
   /// position's owning shard must be up (always true without failover).
-  /// Reads the shard states begin_tick took from the plan.
   bool buffer_flushable(const SubscriberState& st) const;
 
   /// Subscribers per channel-phase chunk: fixed, so the chunking never
@@ -217,21 +208,14 @@ class ClientLink {
     std::vector<alarms::SubscriberId> due;
   };
 
-  /// A shard's crash-plan answers for the tick being begun.
-  struct ShardTick {
-    bool crashes = false;
-    bool down = false;
-  };
-
   /// Advances the outage and degraded-mode machines of chunk `c`'s
   /// subscribers and lists those due to flush. Runs on the pool.
   void advance_chunk(std::size_t c);
 
-  /// Degraded mode: true when failover is attached and either the shard
-  /// owning `position` is down at `tick` or older reports are still
-  /// buffered (report ordering discipline).
-  bool degraded(const SubscriberState& st, geo::Point position,
-                std::uint64_t tick) const;
+  /// Degraded mode: true when failover is armed and either the shard
+  /// owning `position` is down or older reports are still buffered
+  /// (report ordering discipline).
+  bool degraded(const SubscriberState& st, geo::Point position) const;
 
   cluster::ShardedServer& server_;
   ChannelConfig config_;
@@ -239,19 +223,16 @@ class ClientLink {
   std::vector<SubscriberState> states_;
   sim::Metrics link_metrics_;
 
-  // Failover tier (null unless attach_failover was called).
-  const cluster::ShardMap* fo_map_ = nullptr;
-  const failover::CrashPlan* fo_plan_ = nullptr;
-  /// Tick being processed (set by begin_tick): request() carries no tick,
-  /// but the degraded-mode check needs one.
-  std::uint64_t current_tick_ = 0;
+  /// server_.failover_armed(), read at construction and by every
+  /// begin_tick, so the pass-through checks stay one member read.
+  bool failover_armed_ = false;
 
   // Channel-phase state, written by begin_tick and read by its chunks.
+  std::uint64_t tick_ = 0;
   bool tick_faulty_ = false;
-  bool tick_any_down_ = false;  // failover attached and a shard is down
+  bool tick_any_down_ = false;  // some shard is down this tick
   std::span<const mobility::VehicleSample> tick_samples_;
-  std::vector<ShardTick> shard_ticks_;  // per shard (failover only)
-  std::vector<ChunkTally> tallies_;     // per chunk
+  std::vector<ChunkTally> tallies_;  // per chunk
   std::vector<std::function<void()>> chunk_tasks_;
 };
 

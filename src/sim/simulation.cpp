@@ -115,23 +115,22 @@ RunResult Simulation::run_sharded(const StrategyFactory& factory,
   }
   // Crash-recovery: the plan is drawn fresh per run from the armed seed —
   // a pure function of (seed, shard count, ticks) — so every strategy
-  // faces the identical crash schedule and replays are bit-identical.
-  std::optional<failover::CrashPlan> crash_plan;
+  // faces the identical crash schedule and replays are bit-identical. The
+  // server keeps it; the link and the pipeline ask the server.
   if (failover_config_.has_value()) {
-    crash_plan.emplace(*failover_config_, server.shard_count(), ticks_,
-                       failover_seed_);
-    server.enable_failover(*failover_config_, *crash_plan);
+    server.enable_failover(
+        *failover_config_,
+        failover::CrashPlan(*failover_config_, server.shard_count(), ticks_,
+                            failover_seed_));
   }
   net::ClientLink link(server, channel_config_, channel_seed_,
                        source_.vehicle_count());
-  if (crash_plan.has_value()) link.attach_failover(server.map(), *crash_plan);
   const auto strategy = factory(link);
   result.strategy = std::string(strategy->name());
 
   TickPipeline pipeline(source_, server, link, *strategy, ticks_,
                         options.threads,
                         scheduler_.has_value() ? &*scheduler_ : nullptr,
-                        crash_plan.has_value() ? &*crash_plan : nullptr,
                         phase_observer_);
   const auto start = std::chrono::steady_clock::now();
   pipeline.run();

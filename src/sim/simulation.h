@@ -109,10 +109,12 @@ class Simulation {
   void set_channel(const net::ChannelConfig& config, std::uint64_t seed);
 
   /// Arms shard crash-recovery for every subsequent run (DESIGN.md §10):
-  /// a fresh CrashPlan is drawn per run from (seed, shard count, ticks),
-  /// shards checkpoint/journal per `config`, and clients degrade while
-  /// their shard is down. Crashes never change the ground truth — the
-  /// oracle stays valid — only the recovery work needed to preserve it.
+  /// a fresh CrashPlan is drawn per run from (seed, shard count, ticks)
+  /// and handed to that run's ShardedServer, its only reader; shards
+  /// checkpoint/journal per `config`, and clients degrade while the
+  /// server reports their shard down. Crashes never change the ground
+  /// truth — the oracle stays valid — only the recovery work needed to
+  /// preserve it.
   /// Because run() is a one-shard cluster, single-server crash-recovery
   /// works too: a crash of shard 0 takes the whole service down and every
   /// client buffers until recovery.

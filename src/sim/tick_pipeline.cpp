@@ -13,12 +13,11 @@ TickPipeline::TickPipeline(mobility::PositionSource& source,
                            strategies::ProcessingStrategy& strategy,
                            std::size_t ticks, std::size_t threads,
                            dynamics::AlarmScheduler* scheduler,
-                           const failover::CrashPlan* crash_plan,
                            PhaseObserver observer)
     : source_(source), server_(server), link_(link), strategy_(strategy),
-      ticks_(ticks), scheduler_(scheduler), crash_plan_(crash_plan),
-      observer_(std::move(observer)), threads_(threads),
-      groups_(server.shard_count()), order_(server.shard_count()) {
+      ticks_(ticks), scheduler_(scheduler), observer_(std::move(observer)),
+      threads_(threads), groups_(server.shard_count()),
+      order_(server.shard_count()) {
   // One task per shard, built once for the whole run. Each task declares
   // its shard active and then touches only that shard's state plus the
   // sessions of its own subscribers — the determinism contract of
@@ -67,7 +66,7 @@ void TickPipeline::run() {
     // checkpoint + journal (or redo + re-registration) first, then shards
     // scheduled to crash lose their volatile state — so the churn below
     // sees the tick's final up/down picture and defers accordingly.
-    if (crash_plan_ != nullptr) {
+    if (server_.failover_armed()) {
       enter(TickPhase::kFailoverBegin, tick);
       server_.begin_failover_tick(tick);
     }
@@ -87,7 +86,7 @@ void TickPipeline::run() {
     }
     // 3. Periodic durability: up shards checkpoint on the configured
     // cadence (capturing this tick's churn), truncating their journals.
-    if (crash_plan_ != nullptr) {
+    if (server_.failover_armed()) {
       enter(TickPhase::kCheckpoints, tick);
       server_.take_due_checkpoints(tick, threads_);
     }
@@ -112,7 +111,7 @@ void TickPipeline::run() {
   // End-of-run epilogue: shards still down when the trace ends recover
   // now, so the flush below can deliver every buffered report before the
   // run is scored.
-  if (crash_plan_ != nullptr) {
+  if (server_.failover_armed()) {
     (void)server_.finish_failover(static_cast<std::uint64_t>(ticks_));
   }
   link_.finish();

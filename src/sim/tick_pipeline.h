@@ -36,7 +36,6 @@
 
 #include "cluster/sharded_server.h"
 #include "dynamics/churn.h"
-#include "failover/crash_plan.h"
 #include "mobility/position_source.h"
 #include "net/link.h"
 #include "strategies/strategy.h"
@@ -60,15 +59,14 @@ class TickPipeline {
   using PhaseObserver = std::function<void(TickPhase, std::uint64_t tick)>;
 
   /// All references must outlive the pipeline. `scheduler` (nullable)
-  /// enables the churn phases; `crash_plan` (nullable) enables the
-  /// failover phases and must be the plan the server was armed with.
-  /// `threads` caps each fan-out's threads, the caller's included (0 =
-  /// usable_cores()); results are bit-identical for any value.
+  /// enables the churn phases; the failover phases run when the server has
+  /// failover armed (ShardedServer::enable_failover). `threads` caps each
+  /// fan-out's threads, the caller's included (0 = usable_cores());
+  /// results are bit-identical for any value.
   TickPipeline(mobility::PositionSource& source,
                cluster::ShardedServer& server, net::ClientLink& link,
                strategies::ProcessingStrategy& strategy, std::size_t ticks,
                std::size_t threads, dynamics::AlarmScheduler* scheduler,
-               const failover::CrashPlan* crash_plan,
                PhaseObserver observer = {});
 
   /// Replays the whole trace: the tick-0 initialization fan-out, ticks
@@ -92,7 +90,6 @@ class TickPipeline {
   strategies::ProcessingStrategy& strategy_;
   std::size_t ticks_;
   dynamics::AlarmScheduler* scheduler_;
-  const failover::CrashPlan* crash_plan_;
   PhaseObserver observer_;
 
   std::size_t threads_;

@@ -94,25 +94,17 @@ TEST(CrashPlanTest, QueriesAgreeWithTheWindowList) {
       {{{2, 5}, {7, 9}}, {{1, 10}}}, /*ticks=*/10);
   EXPECT_EQ(plan.shard_count(), 2u);
   for (std::uint64_t t = 0; t < 10; ++t) {
-    bool any = false;
     for (std::size_t s = 0; s < 2; ++s) {
-      bool down = false;
       bool begins = false;
       bool ends = false;
       for (const auto& w : plan.windows(s)) {
-        down |= (t >= w.begin && t < w.end);
         begins |= (t == w.begin);
         ends |= (t == w.end);
       }
-      EXPECT_EQ(plan.down(s, t), down) << "shard " << s << " tick " << t;
       EXPECT_EQ(plan.crashes_at(s, t), begins);
       EXPECT_EQ(plan.recovers_at(s, t), ends);
-      any |= down;
     }
-    EXPECT_EQ(plan.any_down(t), any) << "tick " << t;
   }
-  EXPECT_FALSE(plan.down_at_end(0));  // last window ends at 9 < 10
-  EXPECT_TRUE(plan.down_at_end(1));   // clipped by the end of the run
 }
 
 TEST(CrashPlanTest, ExplicitScheduleRejectsMalformedWindows) {
@@ -338,7 +330,6 @@ struct CrashWorld {
     link = std::make_unique<net::ClientLink>(*server, net::ChannelConfig{},
                                              /*seed=*/1,
                                              /*subscriber_count=*/1);
-    link->attach_failover(server->map(), *plan);
   }
 
   /// One serial-phase tick for the single subscriber at `pos`, mirroring
@@ -440,6 +431,42 @@ TEST(ShardCrashRecoveryTest, JournallessRecoveryRebuildsSpentByReregistration) {
   EXPECT_EQ(m.fo_journal_replays, 0u);
   EXPECT_GT(m.fo_reregistrations, 0u);
   EXPECT_GT(m.fo_reregistration_bytes, 0u);
+}
+
+TEST(ShardFailoverStateTest, ServerFollowsItsCrashPlan) {
+  // The server is the plan's only reader; the link and the pipeline ask
+  // it. Its answers must match the window list at every tick. Shard 1's
+  // window is cut off by the end of the 10-tick run.
+  const std::vector<std::vector<failover::CrashWindow>> windows{
+      {{2, 5}, {7, 9}}, {{1, 10}}};
+  alarms::AlarmStore store;
+  store.install(crash_world_alarm(0, Rect(2500, 2500, 2800, 2800)));
+  const grid::GridOverlay grid(Rect(0, 0, 4000, 4000), 4, 4);
+  cluster::ShardedServer server(store, grid, /*shard_count=*/2,
+                                /*subscriber_count=*/1);
+  EXPECT_FALSE(server.failover_armed());
+  server.enable_failover(failover::FailoverConfig{},
+                         failover::CrashPlan(windows, /*ticks=*/10));
+  EXPECT_TRUE(server.failover_armed());
+  for (std::uint64_t t = 0; t < 10; ++t) {
+    server.begin_failover_tick(t);
+    for (std::size_t s = 0; s < 2; ++s) {
+      bool down = false;
+      bool begins = false;
+      for (const auto& w : windows[s]) {
+        down |= (t >= w.begin && t < w.end);
+        begins |= (t == w.begin);
+      }
+      EXPECT_EQ(server.shard_down(s), down) << "shard " << s << " tick " << t;
+      EXPECT_EQ(server.shard_crashed_at(s, t), begins)
+          << "shard " << s << " tick " << t;
+    }
+  }
+  EXPECT_EQ(server.finish_failover(10), 1u);
+  EXPECT_FALSE(server.shard_down(0));
+  EXPECT_FALSE(server.shard_down(1));
+  EXPECT_EQ(server.shard_metrics(0).fo_recoveries, 2u);
+  EXPECT_EQ(server.shard_metrics(1).fo_recoveries, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -384,7 +384,6 @@ TEST_P(RequestGateTest, DownShardReturnsNulloptAndChargesNoServerWork) {
       std::vector<std::vector<failover::CrashWindow>>{{{2, 5}}}, 10);
   w.server.enable_failover(failover::FailoverConfig{}, plan);
   net::ClientLink link(w.server, net::ChannelConfig{}, 1, 1);
-  link.attach_failover(w.server.map(), plan);
   w.server.begin_failover_tick(2);
   ASSERT_TRUE(w.server.shard_down(0));
   const std::vector<mobility::VehicleSample> samples{{kGatePos, 0.0, 0.0}};
@@ -553,7 +552,6 @@ ChannelPhaseRun run_channel_phase(std::size_t n, std::size_t threads) {
   channel.outage_start_per_tick = 0.05;
   channel.outage_mean_ticks = 3.0;
   net::ClientLink link(server, channel, 37, n);
-  link.attach_failover(server.map(), plan);
 
   Rng walk(43);
   std::vector<mobility::VehicleSample> samples(n);
