@@ -28,6 +28,7 @@ TraceGenerator::TraceGenerator(const roadnet::RoadNetwork& network,
   for (std::uint64_t& seed : vehicle_seeds_) seed = master.engine()();
   vehicle_rngs_.assign(config_.vehicle_count, master);
   vehicles_.resize(config_.vehicle_count);
+  first_routes_.resize(config_.vehicle_count);
   samples_.resize(config_.vehicle_count);
   next_samples_.resize(config_.vehicle_count);
   reset_tasks_ = chunk_tasks(&TraceGenerator::init_vehicle);
@@ -45,6 +46,19 @@ void TraceGenerator::discard_prefetch() noexcept {
   }
 }
 
+void TraceGenerator::prefetch_vehicle(VehicleId id) const {
+  const char* v = reinterpret_cast<const char*>(&vehicles_[id]);
+  __builtin_prefetch(v);
+  __builtin_prefetch(v + 64);
+  __builtin_prefetch(vehicle_rngs_[id].engine().index_address());
+}
+
+void TraceGenerator::prefetch_draw(VehicleId id) const {
+  const Vehicle& v = vehicles_[id];
+  __builtin_prefetch(vehicle_rngs_[id].engine().next_word_address());
+  __builtin_prefetch(v.route.nodes.data() + v.leg);
+}
+
 std::vector<std::function<void()>> TraceGenerator::chunk_tasks(
     void (TraceGenerator::*per_vehicle)(VehicleId, roadnet::Router&)) {
   std::vector<std::function<void()>> tasks;
@@ -54,7 +68,16 @@ std::vector<std::function<void()>> TraceGenerator::chunk_tasks(
     const auto end = static_cast<VehicleId>(
         std::min(config_.vehicle_count, (c + 1) * kGrain));
     tasks.emplace_back([this, per_vehicle, c, begin, end] {
+      constexpr std::size_t d = kPrefetchAhead;
+      for (VehicleId id = begin; id < end && id < begin + 2 * d; ++id) {
+        prefetch_vehicle(id);
+      }
+      for (VehicleId id = begin; id < end && id < begin + d; ++id) {
+        prefetch_draw(id);
+      }
       for (VehicleId id = begin; id < end; ++id) {
+        if (id + 2 * d < end) prefetch_vehicle(id + 2 * d);
+        if (id + d < end) prefetch_draw(id + d);
         (this->*per_vehicle)(id, routers_[c]);
       }
     });
@@ -78,15 +101,16 @@ void TraceGenerator::init_vehicle(VehicleId id, roadnet::Router& router) {
   v.speed_factor =
       rng.uniform(config_.speed_factor_lo, config_.speed_factor_hi);
   v.dwell_remaining_s = 0.0;
-  start_new_trip(v, rng, router);
-  if (v.first_route.empty()) v.first_route = v.route;  // the first reset
+  roadnet::Route& first = first_routes_[id];
+  start_new_trip(v, first, rng, router);
+  if (first.empty()) first = v.route;  // the first reset
   samples_[id].pos = network_.node(v.at_node).pos;
   samples_[id].heading = geo::heading(v.leg_end - v.leg_start);
   samples_[id].speed_mps = 0.0;
 }
 
-void TraceGenerator::start_new_trip(Vehicle& v, Rng& rng,
-                                    roadnet::Router& router) const {
+void TraceGenerator::start_new_trip(Vehicle& v, const roadnet::Route& first,
+                                    Rng& rng, roadnet::Router& router) const {
   // Redraw until a reachable, distinct destination is found. On a connected
   // network the loop ends on the first non-identical draw; the retry bound
   // turns a disconnected-network bug into a loud failure. The finished
@@ -95,7 +119,6 @@ void TraceGenerator::start_new_trip(Vehicle& v, Rng& rng,
     const auto dest =
         static_cast<roadnet::NodeId>(rng.index(network_.node_count()));
     if (dest == v.at_node) continue;
-    const roadnet::Route& first = v.first_route;
     if (!first.empty() && first.nodes.front() == v.at_node &&
         first.nodes.back() == dest) {
       v.route = first;  // A* is deterministic: same ends, same route
@@ -144,7 +167,7 @@ void TraceGenerator::advance_vehicle(VehicleId id, roadnet::Router& router) {
       next.speed_mps = 0.0;
       return;
     }
-    start_new_trip(v, rng, router);
+    start_new_trip(v, first_routes_[id], rng, router);
   }
 
   const geo::Point before = now.pos;

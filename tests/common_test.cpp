@@ -1,5 +1,8 @@
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <random>
 #include <tuple>
 #include <vector>
 
@@ -177,6 +180,123 @@ TEST(RngTest, RejectsBadArguments) {
   EXPECT_THROW(rng.index(0), PreconditionError);
   EXPECT_THROW(rng.chance(1.5), PreconditionError);
   EXPECT_THROW(rng.normal(0.0, -1.0), PreconditionError);
+}
+
+static_assert(std::uniform_random_bit_generator<Mt19937_64>);
+static_assert(std::is_same_v<Mt19937_64::result_type,
+                             std::mt19937_64::result_type>);
+static_assert(Mt19937_64::min() == std::mt19937_64::min() &&
+              Mt19937_64::max() == std::mt19937_64::max());
+
+constexpr std::uint64_t kEngineSeeds[] = {0, 1, 42, 5489, 0x9E3779B97F4A7C15u,
+                                          ~std::uint64_t{0}};
+
+TEST(Mt19937Test, MatchesTheStandardEngineWordForWord) {
+  std::size_t words = 0;
+  for (const std::uint64_t seed : kEngineSeeds) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Mt19937_64 ours(seed);
+    std::mt19937_64 want(seed);
+    for (int i = 0; i < 200'000; ++i, ++words) {
+      ASSERT_EQ(ours(), want()) << "word " << i;
+    }
+  }
+  EXPECT_GE(words, std::size_t{1'000'000});
+}
+
+TEST(Mt19937Test, TwistBoundariesAndReseedingMidStream) {
+  // Words 312 and 313 are the first two after the first twist that
+  // follows the seeding one; re-seeding at every offset around a boundary
+  // must rewind both engines to the same place.
+  for (const std::uint64_t seed : kEngineSeeds) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Mt19937_64 ours(seed);
+    std::mt19937_64 want(seed);
+    std::vector<std::uint64_t> first(314);
+    for (std::uint64_t& w : first) {
+      w = want();
+      ASSERT_EQ(ours(), w);
+    }
+    EXPECT_NE(first[312], first[0]);
+    for (const int drawn : {0, 1, 311, 312, 313, 623, 624, 625, 1000}) {
+      SCOPED_TRACE(::testing::Message() << "re-seeded after " << drawn);
+      for (int i = 0; i < drawn; ++i) ASSERT_EQ(ours(), want());
+      const std::uint64_t next_seed = seed + static_cast<std::uint64_t>(drawn);
+      ours.seed(next_seed);
+      want.seed(next_seed);
+      for (int i = 0; i < 700; ++i) ASSERT_EQ(ours(), want()) << "word " << i;
+    }
+    ours.seed(seed);
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      ASSERT_EQ(ours(), first[i]) << "word " << i;
+    }
+  }
+}
+
+TEST(Mt19937Test, NextWordAddressIsTheWordTheNextDrawReads) {
+  Mt19937_64 engine(7);
+  const auto* index = static_cast<const std::size_t*>(engine.index_address());
+  EXPECT_EQ(*index, Mt19937_64::kStateSize);  // seeded: the next draw twists
+  const void* word0 = engine.next_word_address();
+  for (std::size_t i = 0; i < 2 * Mt19937_64::kStateSize + 3; ++i) {
+    engine();
+    const std::size_t at = *index < Mt19937_64::kStateSize ? *index : 0;
+    EXPECT_EQ(engine.next_word_address(),
+              static_cast<const std::uint64_t*>(word0) + at);
+  }
+}
+
+/// Bit-identity of two doubles, so -0.0 and NaN payloads count too.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(RngTest, DrawsMatchTheStandardDistributionsOverTheStandardEngine) {
+  for (const std::uint64_t seed : kEngineSeeds) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng ours(seed);
+    std::mt19937_64 std_engine(seed);
+    for (int i = 0; i < 20'000; ++i) {
+      SCOPED_TRACE(::testing::Message() << "round " << i);
+      const double lo = -3.5 * (i % 7);
+      const double hi = lo + 0.25 * (i % 13);
+      ASSERT_TRUE(same_bits(
+          ours.uniform(lo, hi),
+          std::uniform_real_distribution<double>(lo, hi)(std_engine)));
+      // Small and large ranges take the scaled-down draw; every 17th is
+      // the engine's whole range, which is drawn unscaled.
+      const bool whole = i % 17 == 0;
+      const std::int64_t ilo =
+          whole ? std::numeric_limits<std::int64_t>::min() : -(i % 50);
+      const std::int64_t ihi =
+          whole ? std::numeric_limits<std::int64_t>::max()
+                : ilo + (i % 3 == 0 ? 1'000'000'007 : i % 97);
+      ASSERT_EQ(ours.uniform_int(ilo, ihi),
+                std::uniform_int_distribution<std::int64_t>(ilo, ihi)(
+                    std_engine));
+      const std::size_t n = 1 + static_cast<std::size_t>(i) * 7919 % 40'000;
+      ASSERT_EQ(ours.index(n),
+                std::uniform_int_distribution<std::size_t>(0, n - 1)(
+                    std_engine));
+      const double p = (i % 11) / 10.0;
+      ASSERT_EQ(ours.chance(p), std::bernoulli_distribution(p)(std_engine));
+      const double sigma = 0.05 * (i % 5);  // 0 draws nothing
+      const double mean = 100.0 - i;
+      const double want =
+          sigma == 0.0
+              ? mean
+              : std::normal_distribution<double>(mean, sigma)(std_engine);
+      ASSERT_TRUE(same_bits(ours.normal(mean, sigma), want));
+    }
+    // Forks seed children from the same word, so they match too.
+    Rng child = ours.fork();
+    std::mt19937_64 std_child(std_engine());
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_TRUE(same_bits(child.normal(0.0, 1.0),
+                            std::normal_distribution<double>(0.0, 1.0)(
+                                std_child)));
+    }
+  }
 }
 
 TEST(UnitsTest, Conversions) {

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,11 +60,34 @@ TraceConfig small_trace_config() {
   return cfg;
 }
 
+/// salarm::Rng's draws over the standard engine, so the reference below
+/// shares no random source with the generator under test, whose Rng holds
+/// salarm::Mt19937_64.
+class StdRng {
+ public:
+  explicit StdRng(std::uint64_t seed) : engine_(seed) {}
+
+  double uniform(double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+  }
+  std::size_t index(std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(engine_);
+  }
+  double normal(double mean, double sigma) {
+    if (sigma == 0.0) return mean;
+    return std::normal_distribution<double>(mean, sigma)(engine_);
+  }
+  StdRng fork() { return StdRng(engine_()); }
+
+ private:
+  std::mt19937_64 engine_;
+};
+
 /// The serial TraceGenerator as it stood before its vehicle loops were
-/// fanned over fixed chunks, preserved verbatim: one Router, and reset()
-/// and step() walk the vehicles in id order. The only addition is the
-/// mid_run_trips_ counter. The chunked generator must reproduce it bit for
-/// bit.
+/// fanned over fixed chunks, preserved verbatim but for its random source,
+/// StdRng: one Router, and reset() and step() walk the vehicles in id
+/// order. The only addition is the mid_run_trips_ counter. The chunked
+/// generator must reproduce it bit for bit.
 class SerialReference {
  public:
   SerialReference(const roadnet::RoadNetwork& network, TraceConfig config)
@@ -72,7 +96,7 @@ class SerialReference {
   }
 
   void reset() {
-    Rng master(config_.seed);
+    StdRng master(config_.seed);
     vehicles_.assign(config_.vehicle_count, Vehicle{});
     samples_.assign(config_.vehicle_count, VehicleSample{});
     vehicle_rngs_.clear();
@@ -82,7 +106,7 @@ class SerialReference {
     }
     for (std::size_t i = 0; i < config_.vehicle_count; ++i) {
       Vehicle& v = vehicles_[i];
-      Rng& rng = vehicle_rngs_[i];
+      StdRng& rng = vehicle_rngs_[i];
       v.at_node =
           static_cast<roadnet::NodeId>(rng.index(network_.node_count()));
       v.speed_factor =
@@ -122,7 +146,7 @@ class SerialReference {
     roadnet::NodeId at_node = 0;
   };
 
-  void start_new_trip(Vehicle& v, Rng& rng) {
+  void start_new_trip(Vehicle& v, StdRng& rng) {
     for (int attempt = 0; attempt < 64; ++attempt) {
       const auto dest =
           static_cast<roadnet::NodeId>(rng.index(network_.node_count()));
@@ -160,7 +184,7 @@ class SerialReference {
 
   void advance_vehicle(VehicleId id, double dt) {
     Vehicle& v = vehicles_[id];
-    Rng& rng = vehicle_rngs_[id];
+    StdRng& rng = vehicle_rngs_[id];
     VehicleSample& sample = samples_[id];
 
     if (v.dwell_remaining_s > 0.0) {
@@ -216,7 +240,7 @@ class SerialReference {
   roadnet::Router router_;
   std::vector<Vehicle> vehicles_;
   std::vector<VehicleSample> samples_;
-  std::vector<Rng> vehicle_rngs_;
+  std::vector<StdRng> vehicle_rngs_;
   double time_s_ = 0.0;
   std::size_t tick_ = 0;
   std::size_t mid_run_trips_ = 0;
