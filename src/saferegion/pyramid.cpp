@@ -19,6 +19,11 @@ void PyramidBitmap::validate(const geo::Rect& cell,
                  "bit budget cannot encode even the root");
 }
 
+void PyramidBitmap::require_room(std::size_t size, std::size_t count) {
+  SALARM_REQUIRE(count <= kMaxNodes - size,
+                 "pyramid exceeds the 26-bit node index");
+}
+
 PyramidBitmap PyramidBitmap::build(const geo::Rect& cell,
                                    std::span<const geo::Rect> alarm_regions,
                                    const PyramidConfig& config,
@@ -85,28 +90,29 @@ PyramidBitmap PyramidBitmap::build(const geo::Rect& cell,
       }
       const auto touching =
           static_cast<std::uint32_t>(next_arena.size()) - first_touching;
-      const std::uint8_t level = nodes[item.node].level;
+      const int level = nodes[item.node].level;
       if (touching == 0) {
-        nodes[item.node].state = State::kSafe;
+        nodes[item.node].set_state(State::kSafe);
         committed_bits += 1;
         continue;
       }
       if (covered || level >= config.height || !budget_allows_refinement) {
-        nodes[item.node].state = State::kSolidUnsafe;
+        nodes[item.node].set_state(State::kSolidUnsafe);
         committed_bits += level < config.height ? 2 : 1;
         next_arena.resize(first_touching);  // no child reads the span
         continue;
       }
       committed_bits += 2;
+      require_room(nodes.size(), uv);
       const auto first_child = static_cast<std::uint32_t>(nodes.size());
-      nodes[item.node].state = State::kSubdivided;
+      nodes[item.node].set_state(State::kSubdivided);
       nodes[item.node].first_child = first_child;
       const double w = item.rect.width() / config.fanout_u;
       const double h = item.rect.height() / config.fanout_v;
       for (int row = 0; row < config.fanout_v; ++row) {
         for (int col = 0; col < config.fanout_u; ++col) {
           Node child;
-          child.level = static_cast<std::uint8_t>(level + 1);
+          child.level = level + 1;
           const auto idx = static_cast<std::uint32_t>(nodes.size());
           nodes.push_back(child);
           const geo::Point lo{item.rect.lo().x + w * col,
@@ -134,11 +140,11 @@ PyramidContainment PyramidBitmap::locate(geo::Point p) const {
   for (;;) {
     ++result.levels;
     const Node& node = nodes_[index];
-    if (node.state == State::kSafe) {
+    if (node.state() == State::kSafe) {
       result.safe = true;
       return result;
     }
-    if (node.state == State::kSolidUnsafe) {
+    if (node.state() == State::kSolidUnsafe) {
       result.safe = false;
       return result;
     }
@@ -172,11 +178,11 @@ void PyramidBitmap::mark_unsafe(const geo::Rect& region) {
     // cannot fire inside it (trigger semantics are open-interior).
     if (!region.interiors_intersect(item.rect)) continue;
     Node& node = nodes_[item.node];
-    if (node.state == State::kSafe) {
-      node.state = State::kSolidUnsafe;
+    if (node.state() == State::kSafe) {
+      node.set_state(State::kSolidUnsafe);
       continue;
     }
-    if (node.state == State::kSolidUnsafe) continue;
+    if (node.state() == State::kSolidUnsafe) continue;
     const double w = item.rect.width() / config_.fanout_u;
     const double h = item.rect.height() / config_.fanout_v;
     for (int row = 0; row < config_.fanout_v; ++row) {
@@ -196,7 +202,7 @@ double PyramidBitmap::coverage() const {
   const double uv = static_cast<double>(config_.fanout_u) * config_.fanout_v;
   double covered = 0.0;
   for (const Node& node : nodes_) {
-    if (node.state == State::kSafe) {
+    if (node.state() == State::kSafe) {
       covered += std::pow(uv, -static_cast<double>(node.level));
     }
   }
@@ -206,7 +212,8 @@ double PyramidBitmap::coverage() const {
 std::size_t PyramidBitmap::bit_size() const {
   std::size_t bits = 0;
   for (const Node& node : nodes_) {
-    bits += (node.state != State::kSafe && node.level < config_.height) ? 2 : 1;
+    bits +=
+        (node.state() != State::kSafe && node.level < config_.height) ? 2 : 1;
   }
   return bits;
 }
@@ -216,7 +223,7 @@ std::size_t PyramidBitmap::paper_bit_size() const {
                   static_cast<std::uint64_t>(config_.fanout_v);
   std::uint64_t bits = 0;
   for (const Node& node : nodes_) {
-    if (node.state == State::kSolidUnsafe && node.level < config_.height) {
+    if (node.state() == State::kSolidUnsafe && node.level < config_.height) {
       // The paper refines every unsafe cell: a solid block at level L drags
       // an all-zero subtree of depth height-L into the bitmap.
       std::uint64_t subtree = 0;
@@ -266,23 +273,24 @@ PyramidBitmap PyramidBitmap::intersect(const PyramidBitmap& other,
     // Level bookkeeping: the target's level was set when it was created
     // (root = 0, children = parent + 1).
 
-    const bool a_safe = na == nullptr || na->state == State::kSafe;
-    const bool b_safe = nb == nullptr || nb->state == State::kSafe;
-    const bool a_solid = na != nullptr && na->state == State::kSolidUnsafe;
-    const bool b_solid = nb != nullptr && nb->state == State::kSolidUnsafe;
+    const bool a_safe = na == nullptr || na->state() == State::kSafe;
+    const bool b_safe = nb == nullptr || nb->state() == State::kSafe;
+    const bool a_solid = na != nullptr && na->state() == State::kSolidUnsafe;
+    const bool b_solid = nb != nullptr && nb->state() == State::kSolidUnsafe;
     if (a_solid || b_solid) {
-      target.state = State::kSolidUnsafe;
+      target.set_state(State::kSolidUnsafe);
       continue;
     }
     if (a_safe && b_safe) {
-      target.state = State::kSafe;
+      target.set_state(State::kSafe);
       continue;
     }
     // At least one side is subdivided (and neither is solid): recurse.
-    target.state = State::kSubdivided;
+    target.set_state(State::kSubdivided);
+    require_room(out.nodes_.size(), uv);
     const auto first_child = static_cast<std::uint32_t>(out.nodes_.size());
     out.nodes_[item.target].first_child = first_child;
-    const std::uint8_t child_level = out.nodes_[item.target].level + 1;
+    const int child_level = out.nodes_[item.target].level + 1;
     for (std::uint32_t c = 0; c < uv; ++c) {
       Node child;
       child.level = child_level;
@@ -290,11 +298,11 @@ PyramidBitmap PyramidBitmap::intersect(const PyramidBitmap& other,
     }
     for (std::uint32_t c = 0; c < uv; ++c) {
       const std::uint32_t ca =
-          (na != nullptr && na->state == State::kSubdivided)
+          (na != nullptr && na->state() == State::kSubdivided)
               ? na->first_child + c
               : kNone;
       const std::uint32_t cb =
-          (nb != nullptr && nb->state == State::kSubdivided)
+          (nb != nullptr && nb->state() == State::kSubdivided)
               ? nb->first_child + c
               : kNone;
       queue.push_back({ca, cb, first_child + c});
@@ -308,13 +316,13 @@ std::vector<std::uint8_t> PyramidBitmap::serialize() const {
   // nodes_ is already in level order, so a single pass emits the paper's
   // level-by-level raster scan.
   for (const Node& node : nodes_) {
-    if (node.state == State::kSafe) {
+    if (node.state() == State::kSafe) {
       writer.push(true);
       continue;
     }
     writer.push(false);
     if (node.level < config_.height) {
-      writer.push(node.state == State::kSubdivided);
+      writer.push(node.state() == State::kSubdivided);
     }
   }
   SALARM_ASSERT(writer.bit_count() == bit_size(), "bit accounting mismatch");
@@ -333,34 +341,31 @@ PyramidBitmap PyramidBitmap::deserialize(const geo::Rect& cell,
                   static_cast<std::uint32_t>(config.fanout_v);
 
   out.nodes_.push_back(Node{});
-  // Indices of the nodes forming the current level.
-  std::vector<std::uint32_t> level_nodes{0};
-  int level = 0;
-  while (!level_nodes.empty()) {
-    SALARM_REQUIRE(level <= config.height, "bit stream deeper than height");
-    std::vector<std::uint32_t> next_level;
-    for (const std::uint32_t idx : level_nodes) {
-      const bool safe = reader.next();
-      Node& node = out.nodes_[idx];
-      node.level = static_cast<std::uint8_t>(level);
-      if (safe) {
-        node.state = State::kSafe;
-        continue;
-      }
-      const bool subdivided = level < config.height && reader.next();
-      if (!subdivided) {
-        node.state = State::kSolidUnsafe;
-        continue;
-      }
-      node.state = State::kSubdivided;
-      node.first_child = static_cast<std::uint32_t>(out.nodes_.size());
-      for (std::uint32_t c = 0; c < uv; ++c) {
-        next_level.push_back(static_cast<std::uint32_t>(out.nodes_.size()));
-        out.nodes_.push_back(Node{});
-      }
+  // Level order is index order: every node before idx has been read, and
+  // every node after it is allocated but still unread.
+  for (std::size_t idx = 0; idx < out.nodes_.size(); ++idx) {
+    Node& node = out.nodes_[idx];
+    if (reader.next()) {
+      node.set_state(State::kSafe);
+      continue;
     }
-    level_nodes = std::move(next_level);
-    ++level;
+    const int level = node.level;
+    if (level >= config.height || !reader.next()) {
+      node.set_state(State::kSolidUnsafe);
+      continue;
+    }
+    // Each unread node costs at least one bit, so the stream must hold a
+    // bit for every one of them and for every new child: allocation stays
+    // within the stream's bit count, whatever fan-out it claims.
+    const std::size_t unread = out.nodes_.size() - idx - 1;
+    SALARM_REQUIRE(unread + uv <= reader.remaining(),
+                   "subdivision needs more bits than remain");
+    require_room(out.nodes_.size(), uv);
+    node.set_state(State::kSubdivided);
+    node.first_child = static_cast<std::uint32_t>(out.nodes_.size());
+    Node child;
+    child.level = level + 1;
+    out.nodes_.insert(out.nodes_.end(), uv, child);
   }
   SALARM_REQUIRE(reader.exhausted(), "trailing bits after the pyramid");
   return out;
@@ -374,10 +379,11 @@ bool operator==(const PyramidBitmap& a, const PyramidBitmap& b) {
     return false;
   }
   for (std::size_t i = 0; i < a.nodes_.size(); ++i) {
-    if (a.nodes_[i].state != b.nodes_[i].state ||
-        a.nodes_[i].level != b.nodes_[i].level ||
-        (a.nodes_[i].state == PyramidBitmap::State::kSubdivided &&
-         a.nodes_[i].first_child != b.nodes_[i].first_child)) {
+    const PyramidBitmap::Node& na = a.nodes_[i];
+    const PyramidBitmap::Node& nb = b.nodes_[i];
+    if (na.state() != nb.state() || na.level != nb.level ||
+        (na.state() == PyramidBitmap::State::kSubdivided &&
+         na.first_child != nb.first_child)) {
       return false;
     }
   }

@@ -102,6 +102,9 @@ class PyramidBitmap {
   const geo::Rect& cell() const { return cell_; }
   const PyramidConfig& config() const { return config_; }
   std::size_t node_count() const { return nodes_.size(); }
+  /// Reserves room for `count` nodes, so that copy-assigning a bitmap of
+  /// at most that many nodes into this one reuses its storage.
+  void reserve(std::size_t count) { nodes_.reserve(count); }
 
   /// Intersection of safe sets: the returned pyramid marks a point safe
   /// iff both inputs do. Both pyramids must describe the same cell with
@@ -128,11 +131,24 @@ class PyramidBitmap {
  private:
   enum class State : std::uint8_t { kSafe, kSolidUnsafe, kSubdivided };
 
+  /// One pyramid cell in 32 bits. The 26-bit child index caps a pyramid
+  /// at kMaxNodes nodes (build, intersect and deserialize require it); the
+  /// 4-bit level holds the maximum height 12.
   struct Node {
-    State state = State::kSolidUnsafe;
-    std::uint32_t first_child = 0;  ///< meaningful when kSubdivided
-    std::uint8_t level = 0;         ///< 0 = root (the base cell itself)
+    std::uint32_t first_child : 26 = 0;  ///< meaningful when kSubdivided
+    std::uint32_t level : 4 = 0;         ///< 0 = root (the base cell itself)
+    std::uint32_t state_bits : 2 =
+        static_cast<std::uint32_t>(State::kSolidUnsafe);
+
+    State state() const { return static_cast<State>(state_bits); }
+    void set_state(State s) { state_bits = static_cast<std::uint32_t>(s); }
   };
+  static_assert(sizeof(Node) == 4);
+  static constexpr std::size_t kMaxNodes = std::size_t{1} << 26;
+
+  /// Requires that a pyramid of `size` nodes can take `count` more without
+  /// a child index overflowing its 26 bits.
+  static void require_room(std::size_t size, std::size_t count);
 
   PyramidBitmap(const geo::Rect& cell, const PyramidConfig& config)
       : cell_(cell), config_(config) {}

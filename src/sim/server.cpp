@@ -159,11 +159,48 @@ saferegion::PyramidBitmap Server::compute_pyramid_region(
   }
 
   load_regions(cell, s, alarms::AlarmStore::Scopes::kAll);
+  return finish(memoized_build(grid_.flat_index(cell_id), cell, config));
+}
+
+saferegion::PyramidBitmap Server::memoized_build(
+    std::size_t flat, const geo::Rect& cell,
+    const saferegion::PyramidConfig& config) {
+  if (pyramid_memo_.empty()) pyramid_memo_.resize(grid_.cell_count());
+  PyramidMemoCell& memo = pyramid_memo_[flat];
+  std::vector<PyramidBuild>& ways = memo.ways;
+  const auto hit = std::ranges::find_if(ways, [&](const PyramidBuild& way) {
+    return way.bitmap.config() == config &&
+           std::ranges::equal(way.regions, regions_);
+  });
+  if (hit != ways.end()) {
+    std::rotate(ways.begin(), hit, hit + 1);
+    metrics_.server_region_ops += ways.front().ops;
+    return ways.front().bitmap;
+  }
   std::uint64_t build_ops = 0;
   auto bitmap =
       saferegion::PyramidBitmap::build(cell, regions_, config, &build_ops);
   metrics_.server_region_ops += build_ops;
-  return finish(std::move(bitmap));
+  if (ways.size() < kPyramidMemoWays) {
+    ways.reserve(kPyramidMemoWays);
+    ways.push_back({{}, 0, bitmap});
+  }
+  // Every way keeps room for the largest key and bitmap stored in this
+  // cell, so overwriting one allocates only when a build outgrows them all.
+  memo.max_regions = std::max(memo.max_regions, regions_.size());
+  memo.max_nodes = std::max(memo.max_nodes, bitmap.node_count());
+  for (PyramidBuild& way : ways) {
+    way.regions.reserve(memo.max_regions);
+    way.bitmap.reserve(memo.max_nodes);
+  }
+  // The least recent way (or the new one) moves to the front and takes
+  // this build.
+  std::rotate(ways.begin(), ways.end() - 1, ways.end());
+  PyramidBuild& way = ways.front();
+  way.regions.assign(regions_.begin(), regions_.end());
+  way.ops = build_ops;
+  way.bitmap = bitmap;
+  return bitmap;
 }
 
 double Server::compute_safe_period(alarms::SubscriberId s,
@@ -367,6 +404,7 @@ void Server::crash() {
   if (cache_config_.has_value()) {
     public_cache_.assign(grid_.cell_count(), std::nullopt);
   }
+  pyramid_memo_.clear();
 }
 
 void Server::restore_install(const alarms::SpatialAlarm& alarm,

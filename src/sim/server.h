@@ -90,7 +90,11 @@ class Server {
   /// is computed once per cell and intersected with the subscriber's
   /// private-alarm bitmap; the full rebuild runs only when the subscriber
   /// has already spent a public alarm in the cell (the cached bitmap would
-  /// be needlessly conservative there).
+  /// be needlessly conservative there). The full rebuild is served from a
+  /// per-cell memo of exact builds (pyramid_memo_): a build whose cell,
+  /// ordered relevant regions and configuration all match returns a copy
+  /// of the stored bitmap and charges the stored build ops, so grants and
+  /// counted ops are those of a server that rebuilds every time.
   saferegion::PyramidBitmap compute_pyramid_region(
       alarms::SubscriberId s, geo::Point position,
       const saferegion::PyramidConfig& config);
@@ -154,10 +158,11 @@ class Server {
   /// Simulates a process crash: everything a real shard process keeps in
   /// memory is dropped — the alarm index (spent state included), the
   /// install-tick map, the removal graveyard, the outstanding-grant table,
-  /// the invalidation mailboxes and the public-bitmap cache (reset cold;
-  /// its configuration survives in the restarted binary). Metrics and the
-  /// trigger log survive on purpose: they are the run's *measurements*
-  /// (delivered notices live with the clients), not server state.
+  /// the invalidation mailboxes, the public-bitmap cache (reset cold; its
+  /// configuration survives in the restarted binary) and the pyramid build
+  /// memo. Metrics and the trigger log survive on purpose: they are the
+  /// run's *measurements* (delivered notices live with the clients), not
+  /// server state.
   void crash();
 
   /// Recovery restore paths. They rebuild durable state without
@@ -209,6 +214,13 @@ class Server {
     return result;
   }
 
+  /// Builds the pyramid of the cell at flat index `flat` over regions_,
+  /// from the memo when an equal build is stored there; charges the build
+  /// ops to server_region_ops either way.
+  saferegion::PyramidBitmap memoized_build(
+      std::size_t flat, const geo::Rect& cell,
+      const saferegion::PyramidConfig& config);
+
   /// Refills regions_ with the regions of the alarms relevant to s (of the
   /// given scopes) in the cell, charging the window query's node accesses
   /// to server_region_ops.
@@ -254,6 +266,29 @@ class Server {
   };
   std::optional<saferegion::PyramidConfig> cache_config_;
   std::vector<std::optional<PublicCacheEntry>> public_cache_;
+
+  /// One stored exact build: its key (the ordered regions; the
+  /// configuration is the bitmap's own) and its result. The key is
+  /// complete because a build is a pure function of (cell, ordered
+  /// regions, configuration).
+  struct PyramidBuild {
+    std::vector<geo::Rect> regions;
+    std::uint64_t ops = 0;
+    saferegion::PyramidBitmap bitmap;
+  };
+  /// Up to kPyramidMemoWays builds of one cell, most recent first. A miss
+  /// overwrites the least recent way in place; since every way's buffers
+  /// are kept at the cell's largest stored key and bitmap, that reuses
+  /// them, and a cell allocates only when a build outgrows all before it.
+  struct PyramidMemoCell {
+    std::vector<PyramidBuild> ways;
+    std::size_t max_regions = 0;
+    std::size_t max_nodes = 0;
+  };
+  static constexpr std::size_t kPyramidMemoWays = 4;
+  /// Sized to the grid on the first pyramid contact, so runs that grant no
+  /// pyramid carry none of it.
+  std::vector<PyramidMemoCell> pyramid_memo_;
 };
 
 }  // namespace salarm::sim

@@ -5,7 +5,9 @@
 // fires nothing all run allocation-free. Neither may a contact, once its
 // thread and server are warm: the safe-period nearest-neighbour search
 // allocates nothing, an MWPSR contact allocates nothing, and a pyramid
-// build or a PBSR contact allocates only the returned bitmap's node array.
+// build or a PBSR contact allocates only the returned bitmap's node array,
+// whether the server's build memo hits or overwrites a way. A malformed
+// pyramid stream is rejected without any large request.
 // Nor may the ground-truth oracle's ticks: once its table and
 // buffers are built, a tick that fires nothing allocates nothing, so a run
 // of 10N ticks allocates exactly what a run of N does. The same holds for
@@ -17,6 +19,7 @@
 // salarm_tests. Each test builds its fixture first, warms the thread's
 // scratch with one unmeasured pass where the path has any, and counts only
 // across the measured calls.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
@@ -28,6 +31,8 @@
 #include <gtest/gtest.h>
 
 #include "alarms/alarm_store.h"
+#include "common/bitio.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "geometry/rect.h"
 #include "grid/grid_overlay.h"
@@ -45,11 +50,23 @@
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+/// The largest single request since the last reset.
+std::atomic<std::size_t> g_largest_request{0};
+
+// Out of line, so that the operators below stay small enough to inline:
+// GCC then sees their malloc/free pairs match (-Wmismatched-new-delete).
+[[gnu::noinline]] void count_request(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest_request.load(std::memory_order_relaxed);
+  while (n > largest && !g_largest_request.compare_exchange_weak(
+                            largest, n, std::memory_order_relaxed)) {
+  }
+}
 
 }  // namespace
 
 void* operator new(std::size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_request(n);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -58,7 +75,7 @@ void* operator new[](std::size_t n) { return ::operator new(n); }
 // every plain new is counted and freed by the matching delete below —
 // AddressSanitizer rejects a free() of its own operator new's memory.
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_request(n);
   return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
@@ -301,6 +318,85 @@ TEST(AllocationTest, WarmPyramidContactAllocatesOnlyTheBitmap) {
   const std::size_t bits = contacts();
   EXPECT_EQ(allocations() - before, points.size());
   EXPECT_EQ(bits, warm_bits);
+}
+
+TEST(AllocationTest, WarmPyramidContactsThatEvictAWayAllocateOnlyTheBitmap) {
+  ServerFixture f;
+  const saferegion::PyramidConfig config;
+  // Cells in which five subscribers have pairwise different relevant
+  // regions. Cycling the five through a cell's four memo ways makes every
+  // contact a miss that overwrites the least recent way.
+  constexpr std::size_t kKeys = 5;
+  struct Cycle {
+    Point position;
+    std::vector<alarms::SubscriberId> subscribers;
+  };
+  std::vector<Cycle> cycles;
+  std::vector<std::size_t> cells;
+  for (const Point p : random_points(10)) {
+    const grid::CellId cell = f.grid.cell_of(p);
+    if (std::ranges::find(cells, f.grid.flat_index(cell)) != cells.end()) {
+      continue;
+    }
+    Cycle cycle{p, {}};
+    std::vector<std::vector<Rect>> keys;
+    for (alarms::SubscriberId s = 0; s < 50 && keys.size() < kKeys; ++s) {
+      std::vector<Rect> regions;
+      f.store.relevant_regions_in_window(f.grid.cell_rect(cell), s,
+                                         alarms::AlarmStore::Scopes::kAll,
+                                         regions);
+      if (std::ranges::find(keys, regions) != keys.end()) continue;
+      keys.push_back(std::move(regions));
+      cycle.subscribers.push_back(s);
+    }
+    if (keys.size() < kKeys) continue;
+    cells.push_back(f.grid.flat_index(cell));
+    cycles.push_back(std::move(cycle));
+  }
+  ASSERT_GE(cycles.size(), 100u);
+  const auto rounds = [&] {
+    std::size_t bits = 0;
+    for (int round = 0; round < 2; ++round) {
+      for (const Cycle& cycle : cycles) {
+        for (const alarms::SubscriberId s : cycle.subscribers) {
+          bits += f.server.compute_pyramid_region(s, cycle.position, config)
+                      .bit_size();
+        }
+      }
+    }
+    return bits;
+  };
+  const std::size_t warm_bits = rounds();
+  const std::uint64_t warm_ops = f.metrics.server_region_ops;
+  const std::size_t before = allocations();
+  const std::size_t bits = rounds();
+  EXPECT_EQ(allocations() - before, 2 * kKeys * cycles.size());
+  EXPECT_EQ(bits, warm_bits);
+  EXPECT_EQ(f.metrics.server_region_ops, 2 * warm_ops);
+}
+
+TEST(AllocationTest, MalformedPyramidStreamMakesNoLargeRequest) {
+  // 259 bytes claiming a 255 x 255 fan-out: a subdivided root, then 1,033
+  // subdivided level-1 nodes before the bits run out. Allocating each
+  // subdivided node's children before reading them would request
+  // gigabytes; the decoder must reject the stream within its bit count.
+  saferegion::PyramidConfig config;
+  config.fanout_u = 255;
+  config.fanout_v = 255;
+  config.height = 2;
+  BitWriter writer;
+  for (int node = 0; node < 1034; ++node) {
+    writer.push(false);
+    writer.push(true);
+  }
+  ASSERT_EQ(writer.bytes().size(), 259u);
+  g_largest_request.store(0, std::memory_order_relaxed);
+  EXPECT_THROW((void)saferegion::PyramidBitmap::deserialize(
+                   Rect(0.0, 0.0, 900.0, 900.0), config, writer.bytes(),
+                   writer.bit_count()),
+               PreconditionError);
+  EXPECT_LE(g_largest_request.load(std::memory_order_relaxed),
+            std::size_t{1} << 20);
 }
 
 /// Vehicles that drift by a fixed step, wrapping inside the universe, with

@@ -62,6 +62,7 @@ TEST(PyramidTest, GbsrIsHeightOne) {
   const std::vector<Rect> alarms{Rect(350, 350, 550, 550)};
   PyramidConfig cfg;
   cfg.height = 1;
+  cfg.max_bits = 0;
   const auto bm = PyramidBitmap::build(kCell, alarms, cfg);
   // Root (2 bits: unsafe+subdivided) + 9 leaf bits.
   EXPECT_EQ(bm.bit_size(), 11u);
@@ -223,6 +224,57 @@ TEST(PyramidTest, DeserializeRejectsMalformedStreams) {
   EXPECT_THROW(PyramidBitmap::deserialize(kCell, cfg, bytes,
                                           bytes.size() * 8 + 1),
                salarm::PreconditionError);
+}
+
+TEST(PyramidTest, DeserializeAllocatesNoMoreNodesThanBitsRemain) {
+  // 259 bytes claiming a 255 x 255 fan-out: a subdivided root, then 1,033
+  // subdivided level-1 nodes before the bits run out. Every node costs at
+  // least one bit, so the root's 65,025 children already overrun the
+  // stream: it is rejected before they are allocated.
+  PyramidConfig cfg;
+  cfg.fanout_u = 255;
+  cfg.fanout_v = 255;
+  cfg.height = 2;
+  BitWriter writer;
+  for (int node = 0; node < 1034; ++node) {
+    writer.push(false);
+    writer.push(true);
+  }
+  ASSERT_EQ(writer.bytes().size(), 259u);
+  EXPECT_THROW(PyramidBitmap::deserialize(kCell, cfg, writer.bytes(),
+                                          writer.bit_count()),
+               salarm::PreconditionError);
+
+  // The bound is tight: a root whose 65,025 children take one bit each
+  // leaves exactly as many bits as children, and decodes.
+  cfg.height = 1;
+  cfg.max_bits = 0;
+  const auto bm =
+      PyramidBitmap::build(kCell, {{Rect(100.0, 100.0, 101.0, 101.0)}}, cfg);
+  ASSERT_EQ(bm.bit_size(), 2u + 255u * 255u);
+  EXPECT_TRUE(PyramidBitmap::deserialize(kCell, cfg, bm.serialize(),
+                                         bm.bit_size()) == bm);
+}
+
+TEST(PyramidTest, MaximumHeightReachesItsLastLevelAndRoundTrips) {
+  // Height 12, the most validate allows, with no bit budget, around a
+  // tiny alarm: every level's cell holding the alarm's corner is partly
+  // covered, so the pyramid refines down to level 12.
+  PyramidConfig cfg;
+  cfg.height = 12;
+  cfg.max_bits = 0;
+  const Rect tiny(450.0, 450.0, 450.001, 450.001);
+  const auto bm = PyramidBitmap::build(kCell, {{tiny}}, cfg);
+  const auto deepest = bm.locate({450.0005, 450.0005});
+  EXPECT_FALSE(deepest.safe);
+  EXPECT_EQ(deepest.levels, 13);
+  EXPECT_TRUE(bm.locate({100.0, 100.0}).safe);
+
+  const auto restored =
+      PyramidBitmap::deserialize(kCell, cfg, bm.serialize(), bm.bit_size());
+  EXPECT_TRUE(restored == bm);
+  EXPECT_EQ(restored.locate({450.0005, 450.0005}).levels, 13);
+  EXPECT_EQ(restored.bit_size(), bm.bit_size());
 }
 
 TEST(PyramidTest, NonSquareFanout) {
