@@ -197,16 +197,6 @@ void ShardedServer::enable_failover(const failover::FailoverConfig& config,
   SALARM_REQUIRE(plan.shard_count() == shards_.size(),
                  "crash plan sized for a different shard count");
   failover_.emplace(config, std::move(plan), shards_.size());
-  // take_checkpoint touches only its own shard's store, server, log and
-  // metrics, so the shards may checkpoint in parallel.
-  failover_->checkpoint_tasks.reserve(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    failover_->checkpoint_tasks.push_back([this, i] {
-      if (!failover_->logs[i].down) {
-        take_checkpoint(i, failover_->checkpoint_tick);
-      }
-    });
-  }
   // Baseline durability: a crash before the first periodic checkpoint must
   // still recover, so every shard checkpoints its initial slice now.
   for (std::size_t i = 0; i < shards_.size(); ++i) take_checkpoint(i, 0);
@@ -233,8 +223,14 @@ void ShardedServer::take_due_checkpoints(std::uint64_t tick,
   if (tick == 0 || tick % failover_->config.checkpoint_interval_ticks != 0) {
     return;
   }
-  failover_->checkpoint_tick = tick;
-  ParallelTickExecutor::shared().run(failover_->checkpoint_tasks, threads);
+  // take_checkpoint touches only its own shard's store, server, log and
+  // metrics, so the up shards checkpoint in parallel.
+  ParallelTickExecutor::shared().run(
+      shards_.size(),
+      [&](std::size_t i) {
+        if (!failover_->logs[i].down) take_checkpoint(i, tick);
+      },
+      threads);
 }
 
 std::size_t ShardedServer::finish_failover(std::uint64_t ticks) {

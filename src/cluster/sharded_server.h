@@ -36,7 +36,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -61,9 +60,6 @@ class ShardedServer {
   ShardedServer(const alarms::AlarmStore& global_alarms,
                 const grid::GridOverlay& grid, std::size_t shard_count,
                 std::size_t subscriber_count);
-  // The checkpoint tasks hold `this`.
-  ShardedServer(const ShardedServer&) = delete;
-  ShardedServer& operator=(const ShardedServer&) = delete;
 
   // ---- Client-facing calls (all position-taking calls route to the
   // owning shard, which must be the active shard of the calling thread;
@@ -221,10 +217,6 @@ class ShardedServer {
     failover::FailoverConfig config;
     failover::CrashPlan plan;
     std::vector<ShardLog> logs;
-    /// One checkpoint task per shard, built once: each checkpoints its
-    /// shard at `checkpoint_tick`, or returns at once if the shard is down.
-    std::vector<std::function<void()>> checkpoint_tasks;
-    std::uint64_t checkpoint_tick = 0;
   };
 
   /// Journals each fired alarm as spent, then adds it to the session.

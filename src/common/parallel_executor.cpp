@@ -47,38 +47,39 @@ ParallelTickExecutor& ParallelTickExecutor::shared() { return shared_pool; }
 
 std::size_t ParallelTickExecutor::current_worker() { return this_worker; }
 
-void ParallelTickExecutor::run(const std::vector<std::function<void()>>& tasks,
+void ParallelTickExecutor::run(std::size_t count, Body body,
                                std::size_t threads) {
-  if (tasks.empty()) return;
+  if (count == 0) return;
   Batch batch;
   // threads == 0 wraps to every worker; at 1 the caller runs it all.
-  submit(batch, tasks, critical_, std::min(threads - 1, workers_.size()));
+  submit(batch, count, body, critical_,
+         std::min(threads - 1, workers_.size()));
   finish(batch, critical_);
 }
 
-void ParallelTickExecutor::start(
-    Batch& batch, const std::vector<std::function<void()>>& tasks) {
-  SALARM_REQUIRE(batch.tasks_ == nullptr, "start() while a batch is in flight");
-  if (!tasks.empty()) submit(batch, tasks, background_, workers_.size());
+void ParallelTickExecutor::start_body(Batch& batch, std::size_t count,
+                                      Body body) {
+  SALARM_REQUIRE(!batch.body_, "start() while a batch is in flight");
+  if (count != 0) submit(batch, count, body, background_, workers_.size());
 }
 
 void ParallelTickExecutor::wait(Batch& batch) {
-  // Only the batch's owner writes tasks_, so it may read it unlocked.
-  if (batch.tasks_ != nullptr) finish(batch, background_);
+  // Only the batch's owner writes body_, so it may read it unlocked.
+  if (batch.body_) finish(batch, background_);
 }
 
-void ParallelTickExecutor::submit(
-    Batch& batch, const std::vector<std::function<void()>>& tasks,
-    Batch*& lane, std::size_t limit) {
+void ParallelTickExecutor::submit(Batch& batch, std::size_t count, Body body,
+                                  Batch*& lane, std::size_t limit) {
   const bool critical = &lane == &critical_;
   std::lock_guard lock(mutex_);
-  batch.tasks_ = &tasks;
+  batch.body_ = body;
+  batch.count_ = count;
   batch.next_ = 0;
   batch.worker_limit_ = limit;
   batch.link_ = lane;
   lane = &batch;
   // The caller of a critical batch runs one task itself.
-  std::size_t wanted = critical ? tasks.size() - 1 : tasks.size();
+  std::size_t wanted = critical ? count - 1 : count;
   for (std::size_t k = 0; k < limit && wanted > 0; ++k) {
     Worker& w = workers_[critical ? k : limit - 1 - k];
     if (w.idle) {
@@ -93,7 +94,7 @@ ParallelTickExecutor::Batch* ParallelTickExecutor::claimable(
     std::size_t index) const {
   for (Batch* lane : {critical_, background_}) {
     for (Batch* b = lane; b != nullptr; b = b->link_) {
-      if (index < b->worker_limit_ && b->next_ < b->tasks_->size()) return b;
+      if (index < b->worker_limit_ && b->next_ < b->count_) return b;
     }
   }
   return nullptr;
@@ -101,19 +102,20 @@ ParallelTickExecutor::Batch* ParallelTickExecutor::claimable(
 
 void ParallelTickExecutor::run_next(Batch& batch,
                                     std::unique_lock<std::mutex>& lock) {
-  const std::function<void()>& task = (*batch.tasks_)[batch.next_++];
+  const Body body = *batch.body_;
+  const std::size_t index = batch.next_++;
   ++batch.in_flight_;
   lock.unlock();
   std::exception_ptr err;
   try {
-    task();
+    body(index);
   } catch (...) {
     err = std::current_exception();
   }
   lock.lock();
   if (err && !batch.error_) batch.error_ = err;
   // The owner cannot return before this thread lets go of the lock.
-  if (--batch.in_flight_ == 0 && batch.next_ == batch.tasks_->size()) {
+  if (--batch.in_flight_ == 0 && batch.next_ == batch.count_) {
     batch.done_.notify_one();
   }
 }
@@ -122,12 +124,12 @@ void ParallelTickExecutor::finish(Batch& batch, Batch*& lane) {
   std::exception_ptr err;
   {
     std::unique_lock lock(mutex_);
-    while (batch.next_ < batch.tasks_->size()) run_next(batch, lock);
+    while (batch.next_ < batch.count_) run_next(batch, lock);
     batch.done_.wait(lock, [&] { return batch.in_flight_ == 0; });
     Batch** at = &lane;
     while (*at != &batch) at = &(*at)->link_;
     *at = batch.link_;
-    batch.tasks_ = nullptr;
+    batch.body_.reset();
     err = std::exchange(batch.error_, nullptr);
   }
   if (err) std::rethrow_exception(err);

@@ -23,6 +23,8 @@ class RunningStat {
   /// Merges another accumulator into this one (parallel Welford merge).
   void merge(const RunningStat& other);
 
+  bool operator==(const RunningStat&) const = default;
+
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;

@@ -27,9 +27,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "geometry/point.h"
 #include "geometry/rect.h"
 
@@ -41,27 +41,9 @@ struct Entry {
   std::uint64_t id = 0;
 };
 
-/// Non-owning, allocation-free reference to a `bool(const Entry&)`
-/// callable (the visitor of RStarTree::visit/probe and the filter of
-/// nearest_distance). It must not outlive the callable; passing a
-/// lambda straight into the call is the intended use.
-class EntryVisitor {
- public:
-  template <class F>
-    requires(!std::is_same_v<std::remove_cvref_t<F>, EntryVisitor> &&
-             std::is_invocable_r_v<bool, F&, const Entry&>)
-  EntryVisitor(F&& f) noexcept
-      : object_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
-        call_([](void* object, const Entry& e) -> bool {
-          return (*static_cast<std::remove_reference_t<F>*>(object))(e);
-        }) {}
-
-  bool operator()(const Entry& e) const { return call_(object_, e); }
-
- private:
-  void* object_;
-  bool (*call_)(void*, const Entry&);
-};
+/// The visitor of RStarTree::visit/probe and the filter of
+/// nearest_distance.
+using EntryVisitor = FunctionRef<bool(const Entry&)>;
 
 /// The default filter of nearest_distance: every entry.
 inline constexpr auto kAcceptAll = [](const Entry&) { return true; };

@@ -31,8 +31,6 @@ TraceGenerator::TraceGenerator(const roadnet::RoadNetwork& network,
   first_routes_.resize(config_.vehicle_count);
   samples_.resize(config_.vehicle_count);
   next_samples_.resize(config_.vehicle_count);
-  reset_tasks_ = chunk_tasks(&TraceGenerator::init_vehicle);
-  step_tasks_ = chunk_tasks(&TraceGenerator::advance_vehicle);
   reset();  // routes every vehicle's first trip, which later resets reuse
 }
 
@@ -59,38 +57,34 @@ void TraceGenerator::prefetch_draw(VehicleId id) const {
   __builtin_prefetch(v.route.nodes.data() + v.leg);
 }
 
-std::vector<std::function<void()>> TraceGenerator::chunk_tasks(
+void TraceGenerator::run_chunk(
+    std::size_t c,
     void (TraceGenerator::*per_vehicle)(VehicleId, roadnet::Router&)) {
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(routers_.size());
-  for (std::size_t c = 0; c < routers_.size(); ++c) {
-    const auto begin = static_cast<VehicleId>(c * kGrain);
-    const auto end = static_cast<VehicleId>(
-        std::min(config_.vehicle_count, (c + 1) * kGrain));
-    tasks.emplace_back([this, per_vehicle, c, begin, end] {
-      constexpr std::size_t d = kPrefetchAhead;
-      for (VehicleId id = begin; id < end && id < begin + 2 * d; ++id) {
-        prefetch_vehicle(id);
-      }
-      for (VehicleId id = begin; id < end && id < begin + d; ++id) {
-        prefetch_draw(id);
-      }
-      for (VehicleId id = begin; id < end; ++id) {
-        if (id + 2 * d < end) prefetch_vehicle(id + 2 * d);
-        if (id + d < end) prefetch_draw(id + d);
-        (this->*per_vehicle)(id, routers_[c]);
-      }
-    });
+  const auto begin = static_cast<VehicleId>(c * kGrain);
+  const auto end = static_cast<VehicleId>(
+      std::min(config_.vehicle_count, (c + 1) * kGrain));
+  constexpr std::size_t d = kPrefetchAhead;
+  for (VehicleId id = begin; id < end && id < begin + 2 * d; ++id) {
+    prefetch_vehicle(id);
   }
-  return tasks;
+  for (VehicleId id = begin; id < end && id < begin + d; ++id) {
+    prefetch_draw(id);
+  }
+  for (VehicleId id = begin; id < end; ++id) {
+    if (id + 2 * d < end) prefetch_vehicle(id + 2 * d);
+    if (id + d < end) prefetch_draw(id + d);
+    (this->*per_vehicle)(id, routers_[c]);
+  }
 }
 
 void TraceGenerator::reset() {
   discard_prefetch();
-  pool_.run(reset_tasks_);
+  pool_.run(routers_.size(), [this](std::size_t c) {
+    run_chunk(c, &TraceGenerator::init_vehicle);
+  });
   time_s_ = 0.0;
   tick_ = 0;
-  pool_.start(prefetch_, step_tasks_);
+  pool_.start(prefetch_, routers_.size(), step_chunk_);
 }
 
 void TraceGenerator::init_vehicle(VehicleId id, roadnet::Router& router) {
@@ -211,7 +205,7 @@ void TraceGenerator::advance_vehicle(VehicleId id, roadnet::Router& router) {
 void TraceGenerator::step() {
   pool_.wait(prefetch_);  // rethrows the error of the tick it hands out
   samples_.swap(next_samples_);
-  pool_.start(prefetch_, step_tasks_);
+  pool_.start(prefetch_, routers_.size(), step_chunk_);
   time_s_ += config_.tick_seconds;
   ++tick_;
 }

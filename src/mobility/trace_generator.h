@@ -50,7 +50,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/parallel_executor.h"
@@ -90,9 +89,11 @@ class TraceGenerator final : public PositionSource {
   /// The network must outlive the generator.
   TraceGenerator(const roadnet::RoadNetwork& network, TraceConfig config);
 
-  /// Waits for the tick in flight; the chunk tasks hold `this`.
+  /// Waits for the tick in flight.
   ~TraceGenerator() override;
 
+  // The tick in flight is a batch over this object's vectors, whose body,
+  // step_chunk_, holds `this`.
   TraceGenerator(const TraceGenerator&) = delete;
   TraceGenerator& operator=(const TraceGenerator&) = delete;
 
@@ -167,9 +168,10 @@ class TraceGenerator final : public PositionSource {
   void prefetch_draw(VehicleId id) const;
   /// Waits for the tick in flight and drops its error.
   void discard_prefetch() noexcept;
-  /// Builds one task per chunk that runs `per_vehicle` over its vehicles.
-  std::vector<std::function<void()>> chunk_tasks(
-      void (TraceGenerator::*per_vehicle)(VehicleId, roadnet::Router&));
+  /// Runs `per_vehicle` over chunk `c`'s vehicles: one pool task.
+  void run_chunk(std::size_t c,
+                 void (TraceGenerator::*per_vehicle)(VehicleId,
+                                                     roadnet::Router&));
 
   const roadnet::RoadNetwork& network_;
   TraceConfig config_;
@@ -182,8 +184,14 @@ class TraceGenerator final : public PositionSource {
   std::vector<Rng> vehicle_rngs_;
   ParallelTickExecutor& pool_ = ParallelTickExecutor::shared();
   ParallelTickExecutor::Batch prefetch_;  ///< tick_ + 1
-  std::vector<std::function<void()>> reset_tasks_;
-  std::vector<std::function<void()>> step_tasks_;
+  /// The body of prefetch_: a member, because the workers call it after
+  /// start() returns, until the batch is waited.
+  struct StepChunk {
+    TraceGenerator* generator;
+    void operator()(std::size_t c) const {
+      generator->run_chunk(c, &TraceGenerator::advance_vehicle);
+    }
+  } step_chunk_{this};
   double time_s_ = 0.0;
   std::size_t tick_ = 0;
 };

@@ -27,12 +27,7 @@ ClientLink::ClientLink(cluster::ShardedServer& server,
       channel_(config, seed, subscriber_count),
       states_(subscriber_count),
       failover_armed_(server.failover_armed()),
-      tallies_((subscriber_count + kChannelChunk - 1) / kChannelChunk) {
-  chunk_tasks_.reserve(tallies_.size());
-  for (std::size_t c = 0; c < tallies_.size(); ++c) {
-    chunk_tasks_.push_back([this, c] { advance_chunk(c); });
-  }
-}
+      tallies_((subscriber_count + kChannelChunk - 1) / kChannelChunk) {}
 
 ClientLink::SubscriberState& ClientLink::state(alarms::SubscriberId s) {
   SALARM_REQUIRE(static_cast<std::size_t>(s) < states_.size(),
@@ -229,7 +224,8 @@ void ClientLink::begin_tick(std::uint64_t tick,
   for (std::size_t i = 0; i < server_.shard_count(); ++i) {
     tick_any_down_ = tick_any_down_ || server_.shard_down(i);
   }
-  ParallelTickExecutor::shared().run(chunk_tasks_, threads);
+  ParallelTickExecutor::shared().run(
+      tallies_.size(), [this](std::size_t c) { advance_chunk(c); }, threads);
   // The machines' counters add up in any order; the flushes write shard
   // state and the latency statistic, so they keep subscriber order.
   for (ChunkTally& c : tallies_) {

@@ -58,7 +58,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -76,10 +75,6 @@ class ClientLink {
  public:
   ClientLink(cluster::ShardedServer& server, const ChannelConfig& config,
              std::uint64_t seed, std::size_t subscriber_count);
-  // The chunk tasks hold `this`.
-  ClientLink(const ClientLink&) = delete;
-  ClientLink& operator=(const ClientLink&) = delete;
-
   /// Per-tick channel phase: advances outage state machines, injects
   /// synthetic revokes when a carrier drops or the subscriber's shard
   /// crashes (failover), and flushes buffered reports through the server
@@ -233,7 +228,6 @@ class ClientLink {
   bool tick_any_down_ = false;  // some shard is down this tick
   std::span<const mobility::VehicleSample> tick_samples_;
   std::vector<ChunkTally> tallies_;  // per chunk
-  std::vector<std::function<void()>> chunk_tasks_;
 };
 
 }  // namespace salarm::net

@@ -1,7 +1,5 @@
 #include "sim/metrics.h"
 
-#include <sstream>
-
 namespace salarm::sim {
 
 void Metrics::merge(const Metrics& other) {
@@ -44,45 +42,6 @@ void Metrics::merge(const Metrics& other) {
   safe_region_recomputes += other.safe_region_recomputes;
   triggers += other.triggers;
   region_payload_bytes.merge(other.region_payload_bytes);
-}
-
-std::string Metrics::to_string() const {
-  std::ostringstream os;
-  os << "uplink_messages=" << uplink_messages
-     << " downstream_region_bytes=" << downstream_region_bytes
-     << " client_checks=" << client_checks
-     << " client_check_ops=" << client_check_ops
-     << " server_alarm_ops=" << server_alarm_ops
-     << " server_region_ops=" << server_region_ops
-     << " handoff_messages=" << handoff_messages
-     << " handoff_bytes=" << handoff_bytes
-     << " alarms_installed=" << alarms_installed
-     << " alarms_removed=" << alarms_removed
-     << " invalidation_pushes=" << invalidation_pushes
-     << " invalidation_bytes=" << invalidation_bytes
-     << " net_retransmissions=" << net_retransmissions
-     << " net_duplicates_dropped=" << net_duplicates_dropped
-     << " net_ack_messages=" << net_ack_messages
-     << " net_ack_bytes=" << net_ack_bytes
-     << " net_lease_fallback_ticks=" << net_lease_fallback_ticks
-     << " net_buffered_reports=" << net_buffered_reports
-     << " net_outages=" << net_outages
-     << " fo_crashes=" << fo_crashes << " fo_recoveries=" << fo_recoveries
-     << " fo_recovery_ticks=" << fo_recovery_ticks
-     << " fo_checkpoints=" << fo_checkpoints
-     << " fo_checkpoint_bytes=" << fo_checkpoint_bytes
-     << " fo_journal_records=" << fo_journal_records
-     << " fo_journal_bytes=" << fo_journal_bytes
-     << " fo_journal_replays=" << fo_journal_replays
-     << " fo_redo_events=" << fo_redo_events
-     << " fo_reregistrations=" << fo_reregistrations
-     << " fo_reregistration_bytes=" << fo_reregistration_bytes
-     << " fo_grant_voids=" << fo_grant_voids
-     << " fo_degraded_ticks=" << fo_degraded_ticks
-     << " fo_buffered_reports=" << fo_buffered_reports
-     << " recomputes=" << safe_region_recomputes
-     << " triggers=" << triggers;
-  return os.str();
 }
 
 }  // namespace salarm::sim

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/stats.h"
 
@@ -121,7 +120,7 @@ struct Metrics {
   RunningStat region_payload_bytes;
 
   void merge(const Metrics& other);
-  std::string to_string() const;
+  bool operator==(const Metrics&) const = default;
 };
 
 }  // namespace salarm::sim

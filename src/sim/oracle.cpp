@@ -270,20 +270,6 @@ struct Chunk {
   std::vector<TriggerEvent> fired;
 };
 
-/// What every match task of the current tick reads.
-struct TickView {
-  const AlarmTable* table = nullptr;
-  const SpentSet* spent = nullptr;
-  const std::vector<mobility::VehicleSample>* samples = nullptr;
-  std::uint64_t tick = 0;
-};
-
-void match_next(const TickView& view, Chunk& chunk) {
-  const mobility::VehicleId v = chunk.next++;
-  view.table->match(v, (*view.samples)[v].pos, view.tick, *view.spent,
-                    chunk.fired);
-}
-
 }  // namespace
 
 std::vector<alarms::TriggerEvent> ground_truth_triggers(
@@ -309,22 +295,6 @@ std::vector<alarms::TriggerEvent> ground_truth_triggers(
     chunks[i].end =
         static_cast<mobility::VehicleId>(std::min(vehicles, (i + 1) * kGrain));
   }
-  TickView view{&table, &spent, nullptr, 0};
-  // A worker matches its next subscriber only while its buffer has room
-  // for every alarm of the fullest cell; otherwise it stops and the calling
-  // thread finishes the chunk, so the workers never grow (allocate) it.
-  std::size_t headroom = 0;
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(chunks.size());
-  for (Chunk& chunk : chunks) {
-    tasks.emplace_back([&view, &headroom, &chunk] {
-      while (chunk.next < chunk.end &&
-             chunk.fired.capacity() - chunk.fired.size() >= headroom) {
-        match_next(view, chunk);
-      }
-    });
-  }
-
   std::vector<alarms::TriggerEvent> events;
   for (std::size_t t = 0; t < ticks; ++t) {
     if (t > 0) {
@@ -334,23 +304,35 @@ std::vector<alarms::TriggerEvent> ground_truth_triggers(
         table.reconcile(store.all());
       }
     }
-    view.samples = &source.samples();
-    view.tick = t;
-    SALARM_ASSERT(view.samples->size() == vehicles,
+    const auto& samples = source.samples();
+    SALARM_ASSERT(samples.size() == vehicles,
                   "position source changed its vehicle count");
-    headroom = table.max_cell_load();
+    const std::size_t headroom = table.max_cell_load();
     for (Chunk& chunk : chunks) {
       chunk.next = chunk.begin;
       chunk.fired.clear();
       chunk.fired.reserve(kGrain + headroom);
     }
+    const auto match_next = [&](Chunk& chunk) {
+      const mobility::VehicleId v = chunk.next++;
+      table.match(v, samples[v].pos, t, spent, chunk.fired);
+    };
     // Read-only matches in parallel; the table and the spent set are not
-    // mutated until every task has returned.
-    ParallelTickExecutor::shared().run(tasks);
+    // mutated until every task has returned. A worker matches its next
+    // subscriber only while its buffer has room for every alarm of the
+    // fullest cell; otherwise it stops and the calling thread finishes the
+    // chunk, so the workers never grow (allocate) it.
+    ParallelTickExecutor::shared().run(chunks.size(), [&](std::size_t c) {
+      Chunk& chunk = chunks[c];
+      while (chunk.next < chunk.end &&
+             chunk.fired.capacity() - chunk.fired.size() >= headroom) {
+        match_next(chunk);
+      }
+    });
     // Ordered merge on this thread: chunk order is subscriber order, and
     // each subscriber's pairs are in alarm order.
     for (Chunk& chunk : chunks) {
-      while (chunk.next < chunk.end) match_next(view, chunk);
+      while (chunk.next < chunk.end) match_next(chunk);
       for (const TriggerEvent& e : chunk.fired) {
         spent.insert(spent_key(e.alarm, e.subscriber));
         events.push_back(e);

@@ -17,32 +17,9 @@ TickPipeline::TickPipeline(mobility::PositionSource& source,
     : source_(source), server_(server), link_(link), strategy_(strategy),
       ticks_(ticks), scheduler_(scheduler), observer_(std::move(observer)),
       threads_(threads), groups_(server.shard_count()),
-      order_(server.shard_count()) {
-  // One task per shard, built once for the whole run. Each task declares
-  // its shard active and then touches only that shard's state plus the
-  // sessions of its own subscribers — the determinism contract of
-  // cluster/sharded_server.h — so the claim order changes no result.
-  tasks_.reserve(server_.shard_count());
-  for (std::size_t k = 0; k < server_.shard_count(); ++k) {
-    tasks_.push_back([this, k] {
-      const std::size_t i = order_[k];
-      server_.set_active_shard(i);
-      const auto& samples = source_.samples();
-      if (current_tick_ == 0) {
-        for (const mobility::VehicleId v : groups_[i]) {
-          strategy_.initialize(v, samples[v]);
-        }
-      } else {
-        for (const mobility::VehicleId v : groups_[i]) {
-          strategy_.on_tick(v, samples[v], current_tick_);
-        }
-      }
-    });
-  }
-}
+      order_(server.shard_count()) {}
 
 void TickPipeline::fan_out(std::uint64_t tick) {
-  current_tick_ = tick;
   const auto& samples = source_.samples();
   for (auto& group : groups_) group.clear();
   for (mobility::VehicleId v = 0; v < samples.size(); ++v) {
@@ -54,7 +31,26 @@ void TickPipeline::fan_out(std::uint64_t tick) {
     const std::size_t nb = groups_[b].size();
     return na != nb ? na > nb : a < b;
   });
-  ParallelTickExecutor::shared().run(tasks_, threads_);
+  // Task k runs shard order_[k]: it declares its shard active and then
+  // touches only that shard's state plus the sessions of its own
+  // subscribers — the determinism contract of cluster/sharded_server.h —
+  // so the claim order changes no result.
+  ParallelTickExecutor::shared().run(
+      order_.size(),
+      [&](std::size_t k) {
+        const std::size_t i = order_[k];
+        server_.set_active_shard(i);
+        if (tick == 0) {
+          for (const mobility::VehicleId v : groups_[i]) {
+            strategy_.initialize(v, samples[v]);
+          }
+        } else {
+          for (const mobility::VehicleId v : groups_[i]) {
+            strategy_.on_tick(v, samples[v], tick);
+          }
+        }
+      },
+      threads_);
 }
 
 void TickPipeline::run() {

@@ -80,7 +80,7 @@ class TickPipeline {
   }
 
   /// Groups subscribers by owning shard (stable subscriber order within a
-  /// group) and fans the prebuilt shard tasks over the pool, largest group
+  /// group) and fans one task per shard over the pool, largest group
   /// first. `tick` 0 is the initialization pass.
   void fan_out(std::uint64_t tick);
 
@@ -93,16 +93,13 @@ class TickPipeline {
   PhaseObserver observer_;
 
   std::size_t threads_;
-  /// Per-shard subscriber groups and tasks, built once and reused every
-  /// tick: groups keep their capacity across clears and the task closures
-  /// are never reallocated, so the steady-state fan-out allocates nothing.
+  /// Per-shard subscriber groups, reused every tick: they keep their
+  /// capacity across clears, so the steady-state fan-out allocates nothing.
   std::vector<std::vector<mobility::VehicleId>> groups_;
   /// Claim order of the shards this tick: descending group size, ties in
   /// shard order. Task k runs shard order_[k], so the caller, which claims
   /// first, takes the largest group while the workers are still waking.
   std::vector<std::size_t> order_;
-  std::vector<std::function<void()>> tasks_;
-  std::uint64_t current_tick_ = 0;
 };
 
 }  // namespace salarm::sim

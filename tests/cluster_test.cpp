@@ -10,14 +10,13 @@
 #include <cmath>
 #include <condition_variable>
 #include <filesystem>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -137,19 +136,55 @@ TEST(ShardMapTest, RowStripesEscapeOnlyThroughTheirInternalSides) {
 // ParallelTickExecutor
 // ---------------------------------------------------------------------------
 
-using Tasks = std::vector<std::function<void()>>;
+using Body = ParallelTickExecutor::Body;
+
+/// start() keeps calling its body after it returns, so only an lvalue body
+/// is accepted; a temporary would dangle.
+template <class F>
+concept StartAccepts =
+    requires(ParallelTickExecutor& e, ParallelTickExecutor::Batch& b, F&& f) {
+      e.start(b, std::size_t{1}, std::forward<F>(f));
+    };
+using NoopBody = decltype([](std::size_t) {});
+static_assert(StartAccepts<NoopBody&>);
+static_assert(StartAccepts<const NoopBody&>);
+static_assert(StartAccepts<Body&>);
+static_assert(!StartAccepts<NoopBody>);
+static_assert(!StartAccepts<NoopBody&&>);
+static_assert(!StartAccepts<Body>);
 
 TEST(ParallelTickExecutorTest, RunsEveryTaskExactlyOnce) {
   for (const std::size_t threads : {1u, 2u, 4u}) {
     ParallelTickExecutor executor(threads);
     std::vector<int> hits(64, 0);
-    Tasks tasks;
+    executor.run(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
     for (std::size_t i = 0; i < hits.size(); ++i) {
-      tasks.push_back([&hits, i] { ++hits[i]; });
+      EXPECT_EQ(hits[i], 1) << "threads=" << threads << " task " << i;
     }
-    executor.run(tasks);
-    EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0),
-              static_cast<int>(hits.size()));
+  }
+}
+
+TEST(ParallelTickExecutorTest, CountChangesFromBatchToBatch) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ParallelTickExecutor executor(threads);
+    ParallelTickExecutor::Batch batch;
+    std::vector<std::atomic<int>> hits(200);
+    const auto hit = [&hits](std::size_t i) { ++hits[i]; };
+    for (std::size_t count = 0; count <= hits.size(); ++count) {
+      for (auto& h : hits) h = 0;
+      executor.run(count, hit, threads);
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i].load(), i < count ? 1 : 0)
+            << "run: threads=" << threads << " count=" << count;
+      }
+      for (auto& h : hits) h = 0;
+      executor.start(batch, count, hit);
+      executor.wait(batch);
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i].load(), i < count ? 1 : 0)
+            << "start: threads=" << threads << " count=" << count;
+      }
+    }
   }
 }
 
@@ -158,14 +193,10 @@ TEST(ParallelTickExecutorTest, ReusableAcrossBatches) {
   int total = 0;
   std::mutex m;
   for (int batch = 0; batch < 50; ++batch) {
-    Tasks tasks;
-    for (int i = 0; i < 8; ++i) {
-      tasks.push_back([&] {
-        std::lock_guard lock(m);
-        ++total;
-      });
-    }
-    executor.run(tasks);
+    executor.run(8, [&](std::size_t) {
+      std::lock_guard lock(m);
+      ++total;
+    });
   }
   EXPECT_EQ(total, 50 * 8);
 }
@@ -173,14 +204,13 @@ TEST(ParallelTickExecutorTest, ReusableAcrossBatches) {
 TEST(ParallelTickExecutorTest, RethrowsTaskException) {
   for (const std::size_t threads : {1u, 3u}) {
     ParallelTickExecutor executor(threads);
-    Tasks tasks;
-    tasks.push_back([] {});
-    tasks.push_back([] { throw std::runtime_error("boom"); });
-    tasks.push_back([] {});
-    EXPECT_THROW(executor.run(tasks), std::runtime_error);
+    EXPECT_THROW(executor.run(3,
+                              [](std::size_t i) {
+                                if (i == 1) throw std::runtime_error("boom");
+                              }),
+                 std::runtime_error);
     // The pool survives a throwing batch.
-    Tasks ok{[] {}, [] {}};
-    executor.run(ok);
+    executor.run(2, [](std::size_t) {});
   }
 }
 
@@ -189,12 +219,9 @@ TEST(ParallelTickExecutorTest, StartThenWaitRunsEveryTaskOnce) {
     ParallelTickExecutor executor(threads);
     ParallelTickExecutor::Batch batch;
     std::vector<int> hits(64, 0);
-    Tasks tasks;
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      tasks.push_back([&hits, i] { ++hits[i]; });
-    }
+    const auto hit = [&hits](std::size_t i) { ++hits[i]; };
     for (int round = 0; round < 20; ++round) {
-      executor.start(batch, tasks);
+      executor.start(batch, hits.size(), hit);
       // The caller's own work overlaps the batch.
       double busy = 0.0;
       for (int i = 1; i < 20000; ++i) busy += std::sqrt(static_cast<double>(i));
@@ -213,14 +240,13 @@ TEST(ParallelTickExecutorTest, WaitWithoutBatchIsNoOp) {
     ParallelTickExecutor::Batch batch;
     EXPECT_NO_THROW(executor.wait(batch));
     int ran = 0;
-    Tasks tasks{[&ran] { ++ran; }};
-    executor.run(tasks);
+    const auto count = [&ran](std::size_t) { ++ran; };
+    executor.run(1, count);
     EXPECT_NO_THROW(executor.wait(batch));
-    executor.start(batch, tasks);
+    executor.start(batch, 1, count);
     executor.wait(batch);
     EXPECT_NO_THROW(executor.wait(batch));
-    const Tasks none;
-    executor.start(batch, none);
+    executor.start(batch, 0, count);
     EXPECT_NO_THROW(executor.wait(batch));
     EXPECT_EQ(ran, 2);
   }
@@ -232,20 +258,22 @@ TEST(ParallelTickExecutorTest, WaitRethrowsAndPoolIsReusable) {
     ParallelTickExecutor::Batch batch;
     int ran = 0;
     std::mutex m;
-    const auto count = [&] {
+    const auto count = [&](std::size_t) {
       std::lock_guard lock(m);
       ++ran;
     };
-    Tasks tasks{count, [] { throw std::runtime_error("boom"); }, count};
-    executor.start(batch, tasks);
+    const auto second_throws = [&](std::size_t i) {
+      if (i == 1) throw std::runtime_error("boom");
+      count(i);
+    };
+    executor.start(batch, 3, second_throws);
     EXPECT_THROW(executor.wait(batch), std::runtime_error);
     // The other tasks still ran, and the error is not reported twice.
     EXPECT_EQ(ran, 2);
     EXPECT_NO_THROW(executor.wait(batch));
-    Tasks ok{count, count};
-    executor.start(batch, ok);
+    executor.start(batch, 2, count);
     EXPECT_NO_THROW(executor.wait(batch));
-    executor.run(ok);
+    executor.run(2, count);
     EXPECT_EQ(ran, 6);
   }
 }
@@ -256,15 +284,14 @@ TEST(ParallelTickExecutorTest, OneThreadPoolRunsBatchInWait) {
   ParallelTickExecutor::Batch batch;
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::thread::id> ran_on;
-  Tasks tasks;
-  for (int i = 0; i < 4; ++i) {
-    tasks.push_back([&] { ran_on.push_back(std::this_thread::get_id()); });
-  }
-  executor.start(batch, tasks);
+  const auto record = [&](std::size_t) {
+    ran_on.push_back(std::this_thread::get_id());
+  };
+  executor.start(batch, 4, record);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_TRUE(ran_on.empty());  // no worker to start it
   executor.wait(batch);
-  ASSERT_EQ(ran_on.size(), tasks.size());
+  ASSERT_EQ(ran_on.size(), 4u);
   for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
 }
 
@@ -297,19 +324,17 @@ TEST(ParallelTickExecutorTest, CriticalBatchRunsWhileBackgroundWaitsOnIt) {
     ParallelTickExecutor::Batch background;
     Latch latch;
     std::atomic<int> timed_out{0};
-    Tasks blocked(6, [&] {
+    const auto blocked = [&](std::size_t) {
       if (!latch.wait()) ++timed_out;
-    });
-    executor.start(background, blocked);
+    };
+    executor.start(background, 6, blocked);
     // Give the workers time to take (and block in) background tasks.
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     std::atomic<int> critical_ran{0};
-    Tasks critical(4, [&] { ++critical_ran; });
-    critical[2] = [&] {
+    executor.run(4, [&](std::size_t i) {
       ++critical_ran;
-      latch.release();
-    };
-    executor.run(critical);
+      if (i == 2) latch.release();
+    });
     EXPECT_EQ(critical_ran.load(), 4);
     executor.wait(background);
     EXPECT_EQ(timed_out.load(), 0) << "threads=" << threads;
@@ -322,11 +347,11 @@ TEST(ParallelTickExecutorTest, FreedWorkerTakesCriticalTaskBeforeBackground) {
   Latch blocker_started;
   Latch release_blocker;
   ParallelTickExecutor::Batch blocking;
-  const Tasks blocker{[&] {
+  const auto blocker = [&](std::size_t) {
     blocker_started.release();
     EXPECT_TRUE(release_blocker.wait());
-  }};
-  executor.start(blocking, blocker);
+  };
+  executor.start(blocking, 1, blocker);
   ASSERT_TRUE(blocker_started.wait());  // the one worker is now busy
   std::mutex m;
   std::vector<std::string> order;
@@ -335,20 +360,23 @@ TEST(ParallelTickExecutorTest, FreedWorkerTakesCriticalTaskBeforeBackground) {
     order.emplace_back(what);
   };
   ParallelTickExecutor::Batch background;
-  const Tasks pending{[&] { log("background"); }};
-  executor.start(background, pending);
+  const auto pending = [&](std::size_t) { log("background"); };
+  executor.start(background, 1, pending);
   // Both lanes now hold an unclaimed task. The caller keeps the second
   // critical task unclaimed until the freed worker has made its choice.
   Latch critical_started;
-  const Tasks critical{[&] {
-                         release_blocker.release();
-                         EXPECT_TRUE(critical_started.wait());
-                       },
-                       [&] {
-                         log("critical");
-                         critical_started.release();
-                       }};
-  executor.run(critical, 2);
+  executor.run(
+      2,
+      [&](std::size_t i) {
+        if (i == 0) {
+          release_blocker.release();
+          EXPECT_TRUE(critical_started.wait());
+        } else {
+          log("critical");
+          critical_started.release();
+        }
+      },
+      2);
   executor.wait(background);
   executor.wait(blocking);
   ASSERT_EQ(order.size(), 2u);
@@ -360,15 +388,17 @@ TEST(ParallelTickExecutorTest, ThreadCapKeepsBatchOnCallerAndLowestWorker) {
   ASSERT_EQ(executor.worker_count(), 3u);
   // Background work on every worker must not widen the cap either.
   ParallelTickExecutor::Batch background;
-  Tasks busy(64, [] { std::this_thread::sleep_for(std::chrono::microseconds(50)); });
-  executor.start(background, busy);
+  const auto busy = [](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  };
+  executor.start(background, 64, busy);
   const std::thread::id caller = std::this_thread::get_id();
   std::mutex m;
   int active = 0;
   int max_active = 0;
   std::vector<std::size_t> workers;
   bool foreign_thread = false;
-  const auto task = [&] {
+  const auto task = [&](std::size_t) {
     {
       std::lock_guard lock(m);
       max_active = std::max(max_active, ++active);
@@ -383,16 +413,14 @@ TEST(ParallelTickExecutorTest, ThreadCapKeepsBatchOnCallerAndLowestWorker) {
     std::lock_guard lock(m);
     --active;
   };
-  for (int round = 0; round < 30; ++round) {
-    executor.run(Tasks(6, task), 2);
-  }
+  for (int round = 0; round < 30; ++round) executor.run(6, task, 2);
   executor.wait(background);
   EXPECT_LE(max_active, 2);
   EXPECT_FALSE(foreign_thread);
   for (const std::size_t w : workers) EXPECT_EQ(w, 0u);
   // A cap above the pool is clamped to it: all four threads may join.
   max_active = 0;
-  executor.run(Tasks(16, task), 64);
+  executor.run(16, task, 64);
   EXPECT_LE(max_active, 4);
 }
 
@@ -403,16 +431,12 @@ TEST(ParallelTickExecutorTest, TwoBackgroundBatchesInFlightAtOnce) {
     ParallelTickExecutor::Batch second;
     std::vector<int> a(40, 0);
     std::vector<int> b(40, 0);
-    Tasks ta;
-    Tasks tb;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ta.push_back([&a, i] { ++a[i]; });
-      tb.push_back([&b, i] { ++b[i]; });
-    }
+    const auto hit_a = [&a](std::size_t i) { ++a[i]; };
+    const auto hit_b = [&b](std::size_t i) { ++b[i]; };
     for (int round = 0; round < 10; ++round) {
-      executor.start(first, ta);
-      executor.start(second, tb);
-      executor.run(Tasks(3, [] {}));
+      executor.start(first, a.size(), hit_a);
+      executor.start(second, b.size(), hit_b);
+      executor.run(3, [](std::size_t) {});
       // Waited in the other order than started.
       executor.wait(second);
       executor.wait(first);
@@ -429,13 +453,15 @@ TEST(ParallelTickExecutorTest, BackgroundErrorSurfacesOnlyInItsOwnWait) {
     ParallelTickExecutor executor(threads);
     ParallelTickExecutor::Batch failing;
     ParallelTickExecutor::Batch healthy;
-    Tasks bad{[] {}, [] { throw std::runtime_error("boom"); }, [] {}};
+    const auto bad = [](std::size_t i) {
+      if (i == 1) throw std::runtime_error("boom");
+    };
     std::atomic<int> good_ran{0};
-    Tasks good(5, [&] { ++good_ran; });
-    executor.start(failing, bad);
-    executor.start(healthy, good);
+    const auto good = [&](std::size_t) { ++good_ran; };
+    executor.start(failing, 3, bad);
+    executor.start(healthy, 5, good);
     std::atomic<int> critical_ran{0};
-    EXPECT_NO_THROW(executor.run(Tasks(4, [&] { ++critical_ran; })));
+    EXPECT_NO_THROW(executor.run(4, [&](std::size_t) { ++critical_ran; }));
     EXPECT_EQ(critical_ran.load(), 4);
     EXPECT_NO_THROW(executor.wait(healthy));
     EXPECT_EQ(good_ran.load(), 5);
@@ -449,11 +475,10 @@ TEST(ParallelTickExecutorTest, TwoSubmittingThreadsAtOnce) {
   std::atomic<int> total{0};
   const auto submitter = [&] {
     ParallelTickExecutor::Batch batch;
-    const Tasks background(7, [&] { ++total; });
-    const Tasks critical(5, [&] { ++total; });
+    const auto add = [&](std::size_t) { ++total; };
     for (int round = 0; round < 200; ++round) {
-      executor.start(batch, background);
-      executor.run(critical, 1 + round % 3);
+      executor.start(batch, 7, add);
+      executor.run(5, add, 1 + round % 3);
       executor.wait(batch);
     }
   };

@@ -2,13 +2,17 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <random>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/function_ref.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/units.h"
@@ -311,6 +315,66 @@ TEST(ErrorTest, MacrosThrowTypedExceptions) {
   EXPECT_THROW(SALARM_ASSERT(false, "bug"), InvariantError);
   EXPECT_NO_THROW(SALARM_REQUIRE(true, ""));
   EXPECT_NO_THROW(SALARM_ASSERT(true, ""));
+}
+
+TEST(FunctionRefTest, CallsAnLvalueCallableItDoesNotCopy) {
+  int calls = 0;
+  auto count = [&calls](int by) { calls += by; };
+  const FunctionRef<void(int)> ref(count);
+  ref(2);
+  ref(3);
+  EXPECT_EQ(calls, 5);
+  // Copies refer to the same callable.
+  const FunctionRef<void(int)> copy = ref;
+  copy(1);
+  EXPECT_EQ(calls, 6);
+}
+
+TEST(FunctionRefTest, ConstAndMutableCallables) {
+  const auto twice = [](int x) { return 2 * x; };
+  EXPECT_EQ(FunctionRef<int(int)>(twice)(21), 42);
+  // A mutable callable's state changes in place, seen by the owner.
+  auto counter = [n = 0]() mutable { return ++n; };
+  const FunctionRef<int()> next(counter);
+  EXPECT_EQ(next(), 1);
+  EXPECT_EQ(next(), 2);
+  EXPECT_EQ(counter(), 3);
+  // A const call operator on a const object.
+  struct Offset {
+    int by;
+    int operator()(int x) const { return x + by; }
+  };
+  const Offset plus_seven{7};
+  EXPECT_EQ(FunctionRef<int(int)>(plus_seven)(1), 8);
+}
+
+TEST(FunctionRefTest, ForwardsArgumentsAndReturnValues) {
+  // References reach the callable as references.
+  int target = 0;
+  const auto assign = [](int& out, int value) { out = value; };
+  const FunctionRef<void(int&, int)> assign_ref(assign);
+  assign_ref(target, 9);
+  EXPECT_EQ(target, 9);
+  // Move-only arguments are forwarded, not copied.
+  const auto take = [](std::unique_ptr<int> p) { return *p; };
+  EXPECT_EQ(FunctionRef<int(std::unique_ptr<int>)>(take)(
+                std::make_unique<int>(4)),
+            4);
+  // Return values convert to the signature's result; a void signature
+  // drops them.
+  const auto name = [](const char* s) { return s; };
+  EXPECT_EQ(FunctionRef<std::string(const char*)>(name)("abc"), "abc");
+  int seen = 0;
+  const auto returns_int = [&seen](int x) { return seen = x; };
+  const FunctionRef<void(int)> drop(returns_int);
+  drop(11);
+  EXPECT_EQ(seen, 11);
+  // A reference result refers to the callable's object.
+  int stored = 1;
+  const auto ref_to = [&stored]() -> int& { return stored; };
+  const FunctionRef<int&()> get(ref_to);
+  get() = 5;
+  EXPECT_EQ(stored, 5);
 }
 
 }  // namespace

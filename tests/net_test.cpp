@@ -355,14 +355,6 @@ Response request_direct(cluster::ShardedServer& server, RequestKind kind) {
   return grant(server.contact(0, kGatePos), kind);
 }
 
-/// Every counter and distribution moment a grant request can touch.
-std::string metrics_fingerprint(const sim::Metrics& m) {
-  return m.to_string() + " uplink_bytes=" + std::to_string(m.uplink_bytes) +
-         " notice_bytes=" + std::to_string(m.downstream_notice_bytes) +
-         " payloads=" + std::to_string(m.region_payload_bytes.count()) +
-         " payload_sum=" + std::to_string(m.region_payload_bytes.sum());
-}
-
 class RequestGateTest : public ::testing::TestWithParam<RequestKind> {};
 
 TEST_P(RequestGateTest, ChannelOutageReturnsNullopt) {
@@ -389,9 +381,9 @@ TEST_P(RequestGateTest, DownShardReturnsNulloptAndChargesNoServerWork) {
   const std::vector<mobility::VehicleSample> samples{{kGatePos, 0.0, 0.0}};
   link.begin_tick(2, samples);
 
-  const std::string before = metrics_fingerprint(w.metrics);
+  const sim::Metrics before = w.metrics;
   EXPECT_FALSE(request_through(link, GetParam()).has_value());
-  EXPECT_EQ(metrics_fingerprint(w.metrics), before);
+  EXPECT_EQ(w.metrics, before);
 }
 
 TEST_P(RequestGateTest, PerfectChannelReturnsExactlyTheDirectCall) {
@@ -403,8 +395,7 @@ TEST_P(RequestGateTest, PerfectChannelReturnsExactlyTheDirectCall) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got, want);
   EXPECT_EQ(via_link.metrics.safe_region_recomputes, 1u);
-  EXPECT_EQ(metrics_fingerprint(via_link.metrics),
-            metrics_fingerprint(direct.metrics));
+  EXPECT_EQ(via_link.metrics, direct.metrics);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -762,29 +753,7 @@ TEST(ChaosChurnTest, FaultsAndChurnComposeWithoutLosingExactness) {
 void expect_bit_identical_with_net(const sim::RunResult& a,
                                    const sim::RunResult& b) {
   EXPECT_EQ(b.trigger_log, a.trigger_log);
-  const sim::Metrics& m = a.metrics;
-  const sim::Metrics& n = b.metrics;
-  EXPECT_EQ(n.uplink_messages, m.uplink_messages);
-  EXPECT_EQ(n.uplink_bytes, m.uplink_bytes);
-  EXPECT_EQ(n.downstream_region_bytes, m.downstream_region_bytes);
-  EXPECT_EQ(n.downstream_notice_bytes, m.downstream_notice_bytes);
-  EXPECT_EQ(n.client_checks, m.client_checks);
-  EXPECT_EQ(n.client_check_ops, m.client_check_ops);
-  EXPECT_EQ(n.server_alarm_ops, m.server_alarm_ops);
-  EXPECT_EQ(n.server_region_ops, m.server_region_ops);
-  EXPECT_EQ(n.handoff_messages, m.handoff_messages);
-  EXPECT_EQ(n.handoff_bytes, m.handoff_bytes);
-  EXPECT_EQ(n.triggers, m.triggers);
-  EXPECT_EQ(n.net_retransmissions, m.net_retransmissions);
-  EXPECT_EQ(n.net_duplicates_dropped, m.net_duplicates_dropped);
-  EXPECT_EQ(n.net_ack_messages, m.net_ack_messages);
-  EXPECT_EQ(n.net_ack_bytes, m.net_ack_bytes);
-  EXPECT_EQ(n.net_lease_fallback_ticks, m.net_lease_fallback_ticks);
-  EXPECT_EQ(n.net_buffered_reports, m.net_buffered_reports);
-  EXPECT_EQ(n.net_outages, m.net_outages);
-  EXPECT_EQ(n.net_delivery_latency_ms.count(),
-            m.net_delivery_latency_ms.count());
-  EXPECT_EQ(n.net_delivery_latency_ms.sum(), m.net_delivery_latency_ms.sum());
+  EXPECT_EQ(b.metrics, a.metrics);
 }
 
 class ShardedChaosTest : public ::testing::Test {

@@ -160,41 +160,7 @@ void expect_bit_identical(const sim::RunResult& ref,
                           const sim::RunResult& got) {
   EXPECT_EQ(got.strategy, ref.strategy);
   EXPECT_EQ(got.trigger_log, ref.trigger_log);
-  const sim::Metrics& m = ref.metrics;
-  const sim::Metrics& n = got.metrics;
-  EXPECT_EQ(n.uplink_messages, m.uplink_messages);
-  EXPECT_EQ(n.uplink_bytes, m.uplink_bytes);
-  EXPECT_EQ(n.downstream_region_bytes, m.downstream_region_bytes);
-  EXPECT_EQ(n.downstream_notice_bytes, m.downstream_notice_bytes);
-  EXPECT_EQ(n.client_checks, m.client_checks);
-  EXPECT_EQ(n.client_check_ops, m.client_check_ops);
-  EXPECT_EQ(n.server_alarm_ops, m.server_alarm_ops);
-  EXPECT_EQ(n.server_region_ops, m.server_region_ops);
-  EXPECT_EQ(n.handoff_messages, m.handoff_messages);
-  EXPECT_EQ(n.handoff_bytes, m.handoff_bytes);
-  EXPECT_EQ(n.alarms_installed, m.alarms_installed);
-  EXPECT_EQ(n.alarms_removed, m.alarms_removed);
-  EXPECT_EQ(n.invalidation_pushes, m.invalidation_pushes);
-  EXPECT_EQ(n.invalidation_bytes, m.invalidation_bytes);
-  EXPECT_EQ(n.net_retransmissions, m.net_retransmissions);
-  EXPECT_EQ(n.net_duplicates_dropped, m.net_duplicates_dropped);
-  EXPECT_EQ(n.net_ack_messages, m.net_ack_messages);
-  EXPECT_EQ(n.net_ack_bytes, m.net_ack_bytes);
-  EXPECT_EQ(n.net_lease_fallback_ticks, m.net_lease_fallback_ticks);
-  EXPECT_EQ(n.net_buffered_reports, m.net_buffered_reports);
-  EXPECT_EQ(n.net_outages, m.net_outages);
-  EXPECT_EQ(n.fo_crashes, m.fo_crashes);
-  EXPECT_EQ(n.fo_recoveries, m.fo_recoveries);
-  EXPECT_EQ(n.fo_checkpoints, m.fo_checkpoints);
-  EXPECT_EQ(n.safe_region_recomputes, m.safe_region_recomputes);
-  EXPECT_EQ(n.triggers, m.triggers);
-  EXPECT_EQ(n.region_payload_bytes.count(), m.region_payload_bytes.count());
-  EXPECT_EQ(n.region_payload_bytes.sum(), m.region_payload_bytes.sum());
-  EXPECT_EQ(n.region_payload_bytes.variance(),
-            m.region_payload_bytes.variance());
-  EXPECT_EQ(n.net_delivery_latency_ms.count(),
-            m.net_delivery_latency_ms.count());
-  EXPECT_EQ(n.net_delivery_latency_ms.sum(), m.net_delivery_latency_ms.sum());
+  EXPECT_EQ(got.metrics, ref.metrics);
 }
 
 TEST(PipelineGoldenTest, StaticRunMatchesHistoricalMonolithicLoop) {
