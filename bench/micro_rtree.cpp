@@ -71,6 +71,26 @@ void BM_RTreePointQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreePointQuery)->Arg(1000)->Arg(10000);
 
+// The alarm probe of a position update: probe(), which returns its node
+// accesses instead of counting them.
+void BM_RTreeProbe(benchmark::State& state) {
+  const auto tree = build_tree(static_cast<std::size_t>(state.range(0)),
+                               32000.0);
+  Rng rng(9);
+  for (auto _ : state) {
+    const Point p{rng.uniform(0, 32000), rng.uniform(0, 32000)};
+    std::size_t hits = 0;
+    const std::uint64_t accesses = tree.probe(p, [&](const Entry&) {
+      ++hits;
+      return true;
+    });
+    benchmark::DoNotOptimize(hits);
+    benchmark::DoNotOptimize(accesses);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RTreeProbe)->Arg(1000)->Arg(10000);
+
 void BM_RTreeWindowQuery(benchmark::State& state) {
   const auto tree = build_tree(static_cast<std::size_t>(state.range(0)),
                                32000.0);

@@ -152,10 +152,10 @@ std::uint64_t AlarmStore::probe_position(SubscriberId s, geo::Point p,
 std::vector<AlarmId> AlarmStore::process_position(
     SubscriberId s, geo::Point p, std::uint64_t tick,
     std::vector<TriggerEvent>* log,
-    const std::function<bool(AlarmId)>& filter) {
+    FunctionRef<bool(AlarmId)> filter) {
   std::vector<AlarmId> fired;
   tree_.add_node_accesses(probe_position(s, p, fired));
-  if (filter) std::erase_if(fired, [&](AlarmId id) { return !filter(id); });
+  std::erase_if(fired, [&](AlarmId id) { return !filter(id); });
   for (const AlarmId id : fired) {
     mark_spent(id, s);
     if (log != nullptr) log->push_back({id, s, tick});

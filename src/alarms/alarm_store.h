@@ -4,13 +4,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "alarms/spatial_alarm.h"
+#include "common/function_ref.h"
 #include "common/rng.h"
 #include "geometry/point.h"
 #include "geometry/rect.h"
@@ -36,6 +36,9 @@ struct AlarmWorkloadConfig {
   std::size_t shared_subscribers_lo = 2;
   std::size_t shared_subscribers_hi = 5;
 };
+
+/// The default filter of AlarmStore::process_position: every alarm.
+inline constexpr auto kAcceptAll = [](AlarmId) { return true; };
 
 /// Holds all installed alarms and answers the server's spatial questions.
 /// The R*-tree node-access counter doubles as the alarm-processing cost
@@ -132,14 +135,14 @@ class AlarmStore {
 
   /// Server-side alarm processing of one position update: probe_position,
   /// then marks the fired pairs spent and returns their alarm ids (empty
-  /// in the common case, which allocates nothing). A non-empty `filter`
-  /// restricts evaluation to alarms it accepts — the buffered-report path
+  /// in the common case, which allocates nothing). `filter` restricts
+  /// evaluation to alarms it accepts — the buffered-report path
   /// (sim/server.h handle_buffered_update) uses it to evaluate a late
   /// report only against alarms already installed at its original tick.
   std::vector<AlarmId> process_position(
       SubscriberId s, geo::Point p, std::uint64_t tick,
       std::vector<TriggerEvent>* log,
-      const std::function<bool(AlarmId)>& filter = {});
+      FunctionRef<bool(AlarmId)> filter = kAcceptAll);
 
   /// Marks an (alarm, subscriber) pair spent without going through
   /// process_position; used by client-side evaluation strategies (OPT)

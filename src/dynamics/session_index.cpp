@@ -42,9 +42,8 @@ SessionIndex::snapshot() const {
   return entries;
 }
 
-void SessionIndex::visit_intersecting(
-    const geo::Rect& window,
-    const std::function<bool(alarms::SubscriberId, const Grant&)>& fn) const {
+void SessionIndex::visit_intersecting(const geo::Rect& window,
+                                      GrantVisitor fn) const {
   tree_.visit(window, [&](const index::Entry& entry) {
     const auto s = static_cast<alarms::SubscriberId>(entry.id);
     auto it = grants_.find(s);

@@ -16,12 +16,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "alarms/spatial_alarm.h"
+#include "common/function_ref.h"
 #include "dynamics/invalidation.h"
 #include "geometry/rect.h"
 #include "index/rstar_tree.h"
@@ -51,11 +51,12 @@ class SessionIndex {
   /// until the next record/clear.
   const Grant* lookup(alarms::SubscriberId s) const;
 
+  /// The visitor of visit_intersecting; false stops the visit.
+  using GrantVisitor = FunctionRef<bool(alarms::SubscriberId, const Grant&)>;
+
   /// Visits every (subscriber, grant) whose bounds (closed) intersect the
   /// window; the visitor returns false to stop early.
-  void visit_intersecting(
-      const geo::Rect& window,
-      const std::function<bool(alarms::SubscriberId, const Grant&)>& fn) const;
+  void visit_intersecting(const geo::Rect& window, GrantVisitor fn) const;
 
   std::size_t size() const { return grants_.size(); }
 

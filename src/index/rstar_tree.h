@@ -15,18 +15,29 @@
 // Every node visit increments an accesses counter; the simulator's server
 // cost model is built on these counts, so they are part of the public API.
 //
-// Window visits and point probes share one heap-free traversal: a LIFO
-// descent over a fixed on-stack node stack (bounded by height × node
-// capacity) that reports hits through a non-owning EntryVisitor, so the
-// hot server and oracle paths allocate nothing. probe() is const in the
-// strong sense — it returns its node accesses instead of counting them —
-// so threads may probe a tree nobody mutates concurrently. The
+// The nodes live in one arena indexed by 32-bit node ids. Node n owns the
+// slot range [n × (capacity + 1), (n + 1) × (capacity + 1)), stored as
+// parallel arrays of box coordinates (lo_x, lo_y, hi_x, hi_y) and a ref:
+// a child's node id in an inner node, an entry id in a leaf. A child's box
+// lives in its parent's slot, so a descent tests a whole node's children
+// from one node's contiguous slots without touching the children. Nodes
+// that condensing frees go on a free list for the next split to reuse, and
+// a mutation's scratch (reinsert orphans, split items, condense orphans) is
+// kept in the tree, so warm inserts and erases allocate nothing.
+//
+// Window visits and point probes share one heap-free traversal: per node,
+// a branch-free pass over its slots builds a 64-bit hit mask (hence
+// capacity + 1 <= 64), and a LIFO descent over a fixed on-stack node stack
+// (bounded by height × node capacity) walks its set bits in slot order,
+// reporting leaf hits through a non-owning EntryVisitor. probe() is const
+// in the strong sense — it returns its node accesses instead of counting
+// them — so threads may probe a tree nobody mutates concurrently. The
 // nearest-neighbour distance takes the same EntryVisitor as its filter and
 // runs best-first on a reused thread-local heap.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/function_ref.h"
@@ -52,14 +63,12 @@ inline constexpr auto kAcceptAll = [](const Entry&) { return true; };
 class RStarTree {
  public:
   /// Constructs a tree with the given node capacity (max entries per node,
-  /// >= 4). Minimum fill is 40% of capacity per the R* paper.
+  /// 4 to kMaxCapacity). Minimum fill is 40% of capacity per the R* paper.
   explicit RStarTree(std::size_t node_capacity = 16);
-  ~RStarTree();
 
-  RStarTree(RStarTree&&) noexcept;
-  RStarTree& operator=(RStarTree&&) noexcept;
-  RStarTree(const RStarTree&) = delete;
-  RStarTree& operator=(const RStarTree&) = delete;
+  /// The largest node capacity: a node's capacity + 1 slots (one over, for
+  /// the overflowing insert) must fit one 64-bit hit mask.
+  static constexpr std::size_t kMaxCapacity = 63;
 
   /// Inserts an entry. Duplicate ids are allowed (the tree is a multiset);
   /// erase removes one matching (id, rect) pair.
@@ -111,40 +120,98 @@ class RStarTree {
   void reset_node_accesses() { node_accesses_ = 0; }
   void add_node_accesses(std::uint64_t n) { node_accesses_ += n; }
 
-  /// Verifies structural invariants (MBR correctness, fill factors, uniform
-  /// leaf depth). Throws InvariantError on violation. Test hook.
+  /// Verifies structural invariants: fill factors, levels, each parent
+  /// slot's box equal to the union of its child's slots, parent ids that
+  /// match the slots referring to them, the size counter, and every arena
+  /// node either live or on the free list, never both. Throws
+  /// InvariantError on violation. Test hook.
   void check_invariants() const;
 
  private:
-  struct Node;
+  using NodeId = std::uint32_t;
+  static constexpr NodeId kNoNode = ~NodeId{0};
+
+  struct Meta {
+    std::uint32_t level = 0;  ///< 0 for leaves, parent level = child + 1
+    std::uint32_t count = 0;  ///< slots in use
+    NodeId parent = kNoNode;  ///< kNoNode for the root (and freed nodes)
+  };
+
+  /// A slot's contents out of the arena: mutation scratch.
+  struct Slot {
+    geo::Rect box;
+    std::uint64_t ref = 0;
+  };
+
+  /// Levels whose first overflow of the current insertion was already
+  /// treated by reinsertion (bit l = level l); all set = split only.
+  using LevelSet = std::uint64_t;
+  static constexpr LevelSet kSplitOnly = ~LevelSet{0};
 
   /// Fixed depth of the on-stack traversal stack. A LIFO descent holds at
   /// most node-capacity entries per level, so height() × capacity must fit
   /// (asserted per traversal).
   static constexpr std::size_t kTraversalStack = 1024;
 
-  /// The shared visit/probe traversal: descends into every node whose MBR
-  /// `hit` accepts, reports accepted leaf entries to the visitor (false
-  /// stops), and returns the number of nodes read.
-  template <class Hit>
-  std::uint64_t descend(const Hit& hit, EntryVisitor visitor) const;
+  /// The shared visit/probe traversal: descends into every child whose box
+  /// `pair_hits` accepts (called on two slots' lo_x, lo_y, hi_x, hi_y at a
+  /// time), reports accepted leaf entries to the visitor (false stops), and
+  /// returns the number of nodes read.
+  template <class PairHits>
+  std::uint64_t descend(const PairHits& pair_hits, EntryVisitor visitor) const;
 
-  void insert_entry(const Entry& entry, std::size_t target_level,
-                    std::vector<bool>& reinserted);
-  Node* choose_subtree(const Entry& entry, std::size_t target_level);
-  void overflow_treatment(Node* node, std::vector<bool>& reinserted);
-  void reinsert(Node* node, std::vector<bool>& reinserted);
-  void split(Node* node);
-  void adjust_upward(Node* node);
-  void recompute_upward(Node* node);
-  Node* find_leaf(Node* node, const Entry& entry) const;
-  void condense(Node* leaf);
+  std::size_t first_slot(NodeId n) const { return n * stride_; }
+  geo::Rect box(std::size_t slot) const;
+  void set_box(std::size_t slot, const geo::Rect& box);
+  Slot slot_at(std::size_t slot) const { return {box(slot), ref_[slot]}; }
+  /// box(slot).distance(p) and geo::overlap_area(r, box(slot)), without
+  /// building the box.
+  double slot_distance(std::size_t slot, geo::Point p) const;
+  double slot_overlap(const geo::Rect& r, std::size_t slot) const;
+  /// The union of n's slots (n's MBR). Requires a non-empty node.
+  geo::Rect node_box(NodeId n) const;
+  /// The slot of n's parent that holds n. Requires a non-root node.
+  std::size_t parent_slot(NodeId n) const;
+  /// Stores n's MBR in its parent's slot; the root's MBR is not stored.
+  void set_mbr(NodeId n, const geo::Rect& mbr);
+  /// Appends a slot to n (re-parenting the child in an inner node).
+  void append(NodeId n, const Slot& slot);
+  void append_slots(NodeId n, const std::vector<Slot>& from,
+                    std::size_t begin, std::size_t end);
+  /// Removes one of n's slots, keeping the others in order.
+  void remove_slot(NodeId n, std::size_t slot);
+  /// Copies n's slots into `out`, replacing its contents.
+  void gather(NodeId n, std::vector<Slot>& out) const;
+  NodeId alloc_node(std::uint32_t level);
+  void free_node(NodeId n);
 
-  std::unique_ptr<Node> root_;
+  void insert_entry(const Slot& entry, LevelSet& reinserted);
+  /// R* ChooseSubtree from the root down to a leaf.
+  NodeId choose_leaf(const geo::Rect& rect);
+  void overflow_treatment(NodeId node, LevelSet& reinserted);
+  void reinsert(NodeId node, LevelSet& reinserted);
+  void split(NodeId node);
+  void adjust_upward(NodeId node);
+  void recompute_upward(NodeId node);
+  NodeId find_leaf(NodeId node, const Entry& entry) const;
+  void condense(NodeId leaf);
+
   std::size_t capacity_;
   std::size_t min_fill_;
+  std::size_t stride_;  ///< slots per node: capacity + 1
+  // The arena: slot arrays (stride_ per node) and per-node metadata.
+  std::vector<double> lo_x_, lo_y_, hi_x_, hi_y_;
+  std::vector<std::uint64_t> ref_;
+  std::vector<Meta> meta_;
+  std::vector<NodeId> free_;
+  NodeId root_ = kNoNode;
   std::size_t size_ = 0;
   mutable std::uint64_t node_accesses_ = 0;
+  // Mutation scratch, kept so warm inserts and erases allocate nothing.
+  std::vector<Slot> split_items_;
+  std::vector<Slot> reinsert_orphans_;
+  std::vector<Slot> orphan_entries_;
+  std::vector<Slot> orphan_nodes_;
 };
 
 }  // namespace salarm::index

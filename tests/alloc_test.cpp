@@ -2,7 +2,8 @@
 //
 // The steady state of a run must not touch the heap per position update:
 // the R*-tree point probe, a window visit, and a process_position that
-// fires nothing all run allocation-free. Neither may a contact, once its
+// fires nothing all run allocation-free. Neither may the grant index's
+// updates once the tree's node arena is warm. Neither may a contact, once its
 // thread and server are warm: the safe-period nearest-neighbour search
 // allocates nothing, an MWPSR contact allocates nothing, and a pyramid
 // build or a PBSR contact allocates only the returned bitmap's node array,
@@ -34,6 +35,7 @@
 #include "common/bitio.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "dynamics/session_index.h"
 #include "geometry/rect.h"
 #include "grid/grid_overlay.h"
 #include "index/rstar_tree.h"
@@ -169,6 +171,39 @@ TEST(AllocationTest, VisitAllocatesNothing) {
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_GT(hits, 0u);
   EXPECT_EQ(intersecting, hits);
+}
+
+TEST(AllocationTest, WarmSessionIndexUpdatesAllocateNothing) {
+  // The grant index's write path: every grant replaces its subscriber's
+  // last one, so the R*-tree erases the old box and inserts the new one,
+  // with forced reinserts, splits and condensing along the way. At a
+  // steady size, once the node arena and the mutation scratch have grown
+  // to fit, that allocates nothing. (A clear() followed by a record() of
+  // the same subscriber also allocates the side map's node.)
+  constexpr std::size_t kSubscribers = 400;
+  dynamics::SessionIndex index;
+  Rng rng(12);
+  const auto regrant = [&](alarms::SubscriberId s) {
+    const Point c{rng.uniform(0.0, kUniverse.width()),
+                  rng.uniform(0.0, kUniverse.height())};
+    index.record(s, dynamics::GrantKind::kRect,
+                 Rect::centered_square(c, rng.uniform(500.0, 3000.0)));
+  };
+  for (std::size_t s = 0; s < kSubscribers; ++s) {
+    regrant(static_cast<alarms::SubscriberId>(s));
+  }
+  const auto cycles = [&] {
+    for (std::size_t i = 0; i < 20 * kSubscribers; ++i) {
+      regrant(static_cast<alarms::SubscriberId>(rng.index(kSubscribers)));
+    }
+  };
+  cycles();
+  const std::uint64_t warm_accesses = index.node_accesses();
+  const std::size_t before = allocations();
+  cycles();
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(index.size(), kSubscribers);
+  EXPECT_GT(index.node_accesses(), warm_accesses);
 }
 
 TEST(AllocationTest, NonFiringProcessPositionAllocatesNothing) {
