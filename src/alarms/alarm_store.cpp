@@ -202,17 +202,13 @@ std::vector<SpatialAlarm> generate_alarm_workload(
   SALARM_REQUIRE(cfg.subscriber_count > 0, "need subscribers");
   SALARM_REQUIRE(cfg.public_fraction >= 0.0 && cfg.public_fraction <= 1.0,
                  "public fraction out of range");
-  SALARM_REQUIRE(cfg.private_to_shared > 0.0, "bad private:shared ratio");
   SALARM_REQUIRE(cfg.region_side_lo > 0.0 &&
                      cfg.region_side_hi >= cfg.region_side_lo,
                  "bad region side range");
-  SALARM_REQUIRE(cfg.shared_subscribers_lo >= 1 &&
-                     cfg.shared_subscribers_hi >= cfg.shared_subscribers_lo,
-                 "bad shared subscriber range");
   SALARM_REQUIRE(universe.area() > 0.0, "universe must have positive area");
 
   const double private_fraction_of_rest =
-      cfg.private_to_shared / (cfg.private_to_shared + 1.0);
+      kPrivateToShared / (kPrivateToShared + 1.0);
 
   std::vector<SpatialAlarm> out;
   out.reserve(cfg.alarm_count);
@@ -253,8 +249,8 @@ std::vector<SpatialAlarm> generate_alarm_workload(
     } else {
       a.scope = AlarmScope::kShared;
       const std::size_t n = static_cast<std::size_t>(rng.uniform_int(
-          static_cast<std::int64_t>(cfg.shared_subscribers_lo),
-          static_cast<std::int64_t>(cfg.shared_subscribers_hi)));
+          static_cast<std::int64_t>(kSharedSubscribersLo),
+          static_cast<std::int64_t>(kSharedSubscribersHi)));
       a.subscribers.push_back(a.owner);
       while (a.subscribers.size() < n) {
         a.subscribers.push_back(

@@ -18,23 +18,28 @@
 
 namespace salarm::alarms {
 
+/// private : shared ratio among non-public alarms (paper §5.1: 2:1).
+inline constexpr double kPrivateToShared = 2.0;
+/// Shared alarms authorize between these many subscribers (inclusive),
+/// owner included.
+inline constexpr std::size_t kSharedSubscribersLo = 2;
+inline constexpr std::size_t kSharedSubscribersHi = 5;
+/// Default range of alarm region sides in meters (the paper states no
+/// sizes; DESIGN.md §4).
+inline constexpr double kRegionSideLo = 100.0;
+inline constexpr double kRegionSideHi = 500.0;
+
 /// Parameters of the paper's default alarm workload (§5.1): alarms on
 /// targets distributed uniformly over the map; a percentage are public,
-/// the rest private and shared in ratio 2:1.
+/// the rest private and shared in ratio kPrivateToShared.
 struct AlarmWorkloadConfig {
   std::size_t alarm_count = 10000;
   std::size_t subscriber_count = 10000;
   double public_fraction = 0.10;
-  /// private : shared ratio among non-public alarms (paper: 2:1).
-  double private_to_shared = 2.0;
   /// Alarm regions are squares with side drawn uniformly from this range
   /// (meters).
-  double region_side_lo = 100.0;
-  double region_side_hi = 500.0;
-  /// Shared alarms authorize between these many subscribers (inclusive),
-  /// owner included.
-  std::size_t shared_subscribers_lo = 2;
-  std::size_t shared_subscribers_hi = 5;
+  double region_side_lo = kRegionSideLo;
+  double region_side_hi = kRegionSideHi;
 };
 
 /// The default filter of AlarmStore::process_position: every alarm.

@@ -20,11 +20,6 @@ struct RandomWaypointConfig {
   std::size_t vehicle_count = 1000;
   double tick_seconds = 1.0;
   std::uint64_t seed = 42;
-  /// Per-trip speed drawn uniformly from this range (m/s).
-  double speed_lo_mps = 5.0;
-  double speed_hi_mps = 25.0;
-  /// Pause at each waypoint drawn uniformly from [0, max] seconds.
-  double max_pause_seconds = 30.0;
 };
 
 class RandomWaypointSource final : public PositionSource {
@@ -44,9 +39,15 @@ class RandomWaypointSource final : public PositionSource {
   geo::Rect extent() const override { return region_; }
 
   /// Hard bound on any vehicle's speed (for the safe-period baseline).
-  double max_speed_bound() const { return config_.speed_hi_mps; }
+  double max_speed_bound() const { return kSpeedHiMps; }
 
  private:
+  /// Per-trip speed drawn uniformly from this range (m/s).
+  static constexpr double kSpeedLoMps = 5.0;
+  static constexpr double kSpeedHiMps = 25.0;
+  /// Pause at each waypoint drawn uniformly from [0, max] seconds.
+  static constexpr double kMaxPauseSeconds = 30.0;
+
   struct Vehicle {
     geo::Point target;
     double speed_mps = 0.0;

@@ -12,10 +12,6 @@ TraceGenerator::TraceGenerator(const roadnet::RoadNetwork& network,
     : network_(network), config_(config) {
   SALARM_REQUIRE(config_.vehicle_count > 0, "need at least one vehicle");
   SALARM_REQUIRE(config_.tick_seconds > 0.0, "tick must be positive");
-  SALARM_REQUIRE(config_.speed_factor_lo > 0.0 &&
-                     config_.speed_factor_hi >= config_.speed_factor_lo,
-                 "bad speed factor range");
-  SALARM_REQUIRE(config_.speed_noise_sigma >= 0.0, "negative speed noise");
   SALARM_REQUIRE(config_.max_dwell_seconds >= 0.0, "negative dwell");
   SALARM_REQUIRE(network.node_count() >= 2, "network too small for trips");
   const std::size_t chunks = (config_.vehicle_count + kGrain - 1) / kGrain;
@@ -92,8 +88,7 @@ void TraceGenerator::init_vehicle(VehicleId id, roadnet::Router& router) {
   Rng& rng = vehicle_rngs_[id];
   rng.engine().seed(vehicle_seeds_[id]);
   v.at_node = static_cast<roadnet::NodeId>(rng.index(network_.node_count()));
-  v.speed_factor =
-      rng.uniform(config_.speed_factor_lo, config_.speed_factor_hi);
+  v.speed_factor = rng.uniform(kSpeedFactorLo, kSpeedFactorHi);
   v.dwell_remaining_s = 0.0;
   roadnet::Route& first = first_routes_[id];
   start_new_trip(v, first, rng, router);
@@ -168,8 +163,8 @@ void TraceGenerator::advance_vehicle(VehicleId id, roadnet::Router& router) {
   // Noise is clamped to +-3 sigma so max_speed_bound() is a hard bound —
   // the safe-period baseline's correctness depends on it.
   const double noise =
-      std::clamp(1.0 + rng.normal(0.0, config_.speed_noise_sigma), 0.1,
-                 1.0 + 3.0 * config_.speed_noise_sigma);
+      std::clamp(1.0 + rng.normal(0.0, kSpeedNoiseSigma), 0.1,
+                 1.0 + 3.0 * kSpeedNoiseSigma);
   double budget = dt;
   while (budget > 0.0) {
     const double speed = v.leg_speed_mps * v.speed_factor * noise;

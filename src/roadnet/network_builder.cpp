@@ -20,24 +20,20 @@ struct Lattice {
   }
 };
 
-RoadClass line_class(int line_index, const NetworkConfig& cfg) {
-  if (cfg.highway_every > 0 && line_index % cfg.highway_every == 0) {
-    return RoadClass::kHighway;
-  }
-  if (cfg.arterial_every > 0 && line_index % cfg.arterial_every == 0) {
-    return RoadClass::kArterial;
-  }
+RoadClass line_class(int line_index) {
+  if (line_index % kHighwayEvery == 0) return RoadClass::kHighway;
+  if (line_index % kArterialEvery == 0) return RoadClass::kArterial;
   return RoadClass::kLocal;
 }
 
-double class_speed(RoadClass c, const NetworkConfig& cfg) {
+double class_speed(RoadClass c) {
   switch (c) {
     case RoadClass::kHighway:
-      return cfg.highway_speed_mps;
+      return kHighwaySpeedMps;
     case RoadClass::kArterial:
-      return cfg.arterial_speed_mps;
+      return kArterialSpeedMps;
     case RoadClass::kLocal:
-      return cfg.local_speed_mps;
+      return kLocalSpeedMps;
   }
   SALARM_ASSERT(false, "unknown road class");
 }
@@ -45,35 +41,31 @@ double class_speed(RoadClass c, const NetworkConfig& cfg) {
 }  // namespace
 
 RoadNetwork build_synthetic_network(const NetworkConfig& cfg, Rng& rng) {
-  SALARM_REQUIRE(cfg.width_m > 0 && cfg.height_m > 0, "non-positive extent");
-  SALARM_REQUIRE(cfg.spacing_m > 0, "non-positive spacing");
-  SALARM_REQUIRE(cfg.spacing_m <= cfg.width_m && cfg.spacing_m <= cfg.height_m,
-                 "spacing exceeds extent");
-  SALARM_REQUIRE(cfg.jitter_fraction >= 0 && cfg.jitter_fraction < 0.5,
-                 "jitter must be in [0, 0.5)");
+  SALARM_REQUIRE(
+      kStreetSpacingM <= cfg.width_m && kStreetSpacingM <= cfg.height_m,
+      "extent below the street spacing");
   SALARM_REQUIRE(
       cfg.local_drop_probability >= 0 && cfg.local_drop_probability < 1,
       "drop probability must be in [0, 1)");
-  SALARM_REQUIRE(cfg.highway_speed_mps > 0 && cfg.arterial_speed_mps > 0 &&
-                     cfg.local_speed_mps > 0,
-                 "speeds must be positive");
 
   RoadNetwork net;
   Lattice lattice;
-  lattice.cols = static_cast<int>(std::floor(cfg.width_m / cfg.spacing_m)) + 1;
-  lattice.rows = static_cast<int>(std::floor(cfg.height_m / cfg.spacing_m)) + 1;
+  lattice.cols =
+      static_cast<int>(std::floor(cfg.width_m / kStreetSpacingM)) + 1;
+  lattice.rows =
+      static_cast<int>(std::floor(cfg.height_m / kStreetSpacingM)) + 1;
 
   // Nodes: jittered lattice positions. Border nodes stay on the border so
   // the bounding box is exactly the configured extent.
-  const double jitter = cfg.jitter_fraction * cfg.spacing_m;
+  const double jitter = kJitterFraction * kStreetSpacingM;
   for (int r = 0; r < lattice.rows; ++r) {
     for (int c = 0; c < lattice.cols; ++c) {
       const bool border_col = c == 0 || c == lattice.cols - 1;
       const bool border_row = r == 0 || r == lattice.rows - 1;
       const double base_x =
-          c == lattice.cols - 1 ? cfg.width_m : c * cfg.spacing_m;
+          c == lattice.cols - 1 ? cfg.width_m : c * kStreetSpacingM;
       const double base_y =
-          r == lattice.rows - 1 ? cfg.height_m : r * cfg.spacing_m;
+          r == lattice.rows - 1 ? cfg.height_m : r * kStreetSpacingM;
       const double jx = border_col ? 0.0 : rng.uniform(-jitter, jitter);
       const double jy = border_row ? 0.0 : rng.uniform(-jitter, jitter);
       lattice.ids.push_back(net.add_node({base_x + jx, base_y + jy}));
@@ -93,13 +85,13 @@ RoadNetwork build_synthetic_network(const NetworkConfig& cfg, Rng& rng) {
   };
   std::vector<PendingEdge> pending;
   for (int r = 0; r < lattice.rows; ++r) {
-    const RoadClass horizontal = line_class(r, cfg);
+    const RoadClass horizontal = line_class(r);
     for (int c = 0; c + 1 < lattice.cols; ++c) {
       pending.push_back({lattice.at(c, r), lattice.at(c + 1, r), horizontal});
     }
   }
   for (int c = 0; c < lattice.cols; ++c) {
-    const RoadClass vertical = line_class(c, cfg);
+    const RoadClass vertical = line_class(c);
     for (int r = 0; r + 1 < lattice.rows; ++r) {
       pending.push_back({lattice.at(c, r), lattice.at(c, r + 1), vertical});
     }
@@ -118,7 +110,7 @@ RoadNetwork build_synthetic_network(const NetworkConfig& cfg, Rng& rng) {
       --degree[e.b];
       continue;
     }
-    net.add_edge(e.a, e.b, class_speed(e.road_class, cfg), e.road_class);
+    net.add_edge(e.a, e.b, class_speed(e.road_class), e.road_class);
   }
 
   SALARM_ASSERT(net.largest_component_size() == net.node_count(),

@@ -199,7 +199,7 @@ RectSafeRegion compute_mwpsr(geo::Point position, double heading,
   if (options.assembly == MwpsrAssembly::kAuto) {
     const std::size_t combinations = tension[0].size() * tension[1].size() *
                                      tension[2].size() * tension[3].size();
-    exhaustive = combinations <= options.exhaustive_limit;
+    exhaustive = combinations <= kExhaustiveLimit;
   }
 
   // Choice rule shared by both assemblies: maximize the weighted

@@ -20,7 +20,7 @@ namespace salarm::strategies {
 class SafePeriodStrategy final : public ProcessingStrategy {
  public:
   /// `max_speed_mps` must be a hard bound on any subscriber's speed
-  /// (see TraceConfig::max_speed_bound) for the approach to be accurate.
+  /// (see mobility::max_speed_bound) for the approach to be accurate.
   /// `speed_assumption_factor` scales the speed the server *assumes* when
   /// granting periods: 1.0 is the sound pessimistic bound; values < 1.0
   /// model the optimistic motion estimation the paper warns about ("safe

@@ -415,7 +415,7 @@ TEST_P(WorkloadSeedTest, GeneratesPaperShapedWorkload) {
       case AlarmScope::kShared:
         ++n_shared;
         EXPECT_GE(a.subscribers.size(), 1u);
-        EXPECT_LE(a.subscribers.size(), cfg.shared_subscribers_hi);
+        EXPECT_LE(a.subscribers.size(), kSharedSubscribersHi);
         EXPECT_TRUE(std::find(a.subscribers.begin(), a.subscribers.end(),
                               a.owner) != a.subscribers.end());
         break;

@@ -30,10 +30,6 @@ TEST(RandomWaypointTest, RejectsBadConfig) {
   cfg.vehicle_count = 0;
   EXPECT_THROW(RandomWaypointSource(kRegion, cfg),
                salarm::PreconditionError);
-  cfg = waypoint_config();
-  cfg.speed_lo_mps = 0;
-  EXPECT_THROW(RandomWaypointSource(kRegion, cfg),
-               salarm::PreconditionError);
   EXPECT_THROW(RandomWaypointSource(Rect(0, 0, 0, 10), waypoint_config()),
                salarm::PreconditionError);
 }

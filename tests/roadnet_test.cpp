@@ -62,12 +62,6 @@ TEST(NetworkBuilderTest, RejectsBadConfig) {
   cfg.width_m = -1;
   EXPECT_THROW(build_synthetic_network(cfg, rng), salarm::PreconditionError);
   cfg = {};
-  cfg.spacing_m = 0;
-  EXPECT_THROW(build_synthetic_network(cfg, rng), salarm::PreconditionError);
-  cfg = {};
-  cfg.jitter_fraction = 0.5;
-  EXPECT_THROW(build_synthetic_network(cfg, rng), salarm::PreconditionError);
-  cfg = {};
   cfg.local_drop_probability = 1.0;
   EXPECT_THROW(build_synthetic_network(cfg, rng), salarm::PreconditionError);
 }
@@ -76,7 +70,6 @@ NetworkConfig small_config() {
   NetworkConfig cfg;
   cfg.width_m = 8000;
   cfg.height_m = 8000;
-  cfg.spacing_m = 1000;
   return cfg;
 }
 
@@ -100,15 +93,15 @@ TEST_P(NetworkSeedTest, SyntheticNetworkIsConnectedAndInBounds) {
     switch (edge.road_class) {
       case RoadClass::kHighway:
         saw_highway = true;
-        EXPECT_DOUBLE_EQ(edge.speed_mps, cfg.highway_speed_mps);
+        EXPECT_DOUBLE_EQ(edge.speed_mps, kHighwaySpeedMps);
         break;
       case RoadClass::kArterial:
         saw_arterial = true;
-        EXPECT_DOUBLE_EQ(edge.speed_mps, cfg.arterial_speed_mps);
+        EXPECT_DOUBLE_EQ(edge.speed_mps, kArterialSpeedMps);
         break;
       case RoadClass::kLocal:
         saw_local = true;
-        EXPECT_DOUBLE_EQ(edge.speed_mps, cfg.local_speed_mps);
+        EXPECT_DOUBLE_EQ(edge.speed_mps, kLocalSpeedMps);
         break;
     }
   }
