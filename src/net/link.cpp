@@ -190,7 +190,6 @@ std::vector<dynamics::InvalidationPush> ClientLink::take_invalidations(
       reliable_exchange(s, /*uplink=*/false,
                         wire::invalidation_message_size(push.message.size()),
                         m);
-      ++st.downlink_seq;
     }
   }
   if (!st.pending_synthetic.empty()) {

@@ -163,7 +163,6 @@ class ClientLink {
   };
   struct SubscriberState {
     std::uint32_t uplink_seq = 0;      ///< next report sequence number
-    std::uint32_t downlink_seq = 0;    ///< next expected push sequence
     std::uint64_t outage_remaining = 0;  ///< ticks of outage left (0 = up)
     std::vector<BufferedReport> buffer;  ///< reports pending reconnect flush
     std::vector<dynamics::InvalidationPush> pending_synthetic;
