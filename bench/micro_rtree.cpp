@@ -121,6 +121,21 @@ void BM_RTreeNearest(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreeNearest)->Arg(1000)->Arg(10000);
 
+// The safe-period baseline's search: nearest_distance keeping about one
+// entry in ten, as a subscriber's relevance filter does on the alarm index.
+void BM_RTreeNearestFiltered(benchmark::State& state) {
+  const auto tree = build_tree(static_cast<std::size_t>(state.range(0)),
+                               32000.0);
+  Rng rng(13);
+  for (auto _ : state) {
+    const Point p{rng.uniform(0, 32000), rng.uniform(0, 32000)};
+    benchmark::DoNotOptimize(tree.nearest_distance(
+        p, [](std::uint64_t id) { return id % 10 == 0; }));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RTreeNearestFiltered)->Arg(1000)->Arg(10000);
+
 }  // namespace
 
 BENCHMARK_MAIN();

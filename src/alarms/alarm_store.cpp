@@ -23,12 +23,23 @@ void AlarmStore::admit(SpatialAlarm& alarm) {
     SALARM_REQUIRE(!alarm.subscribers.empty(),
                    "non-public alarms need at least one subscriber");
   }
+  SALARM_REQUIRE(alarms_.size() < kNoSlot, "alarm store full");
   std::sort(alarm.subscribers.begin(), alarm.subscribers.end());
   alarm.subscribers.erase(
       std::unique(alarm.subscribers.begin(), alarm.subscribers.end()),
       alarm.subscribers.end());
-  if (alarm.id >= slot_of_.size()) slot_of_.resize(alarm.id + 1, kNoSlot);
-  slot_of_[alarm.id] = alarms_.size();
+  if (alarm.id >= slot_of_.size()) slot_of_.resize(alarm.id + 1);
+  slot_of_[alarm.id] = {static_cast<std::uint32_t>(alarms_.size()),
+                        tag_of(alarm)};
+}
+
+std::uint32_t AlarmStore::tag_of(const SpatialAlarm& alarm) {
+  if (alarm.scope == AlarmScope::kPublic) return kPublicTag;
+  // A lone subscriber whose id is a tag value keeps the list tag.
+  if (alarm.subscribers.size() == 1 && alarm.subscribers[0] < kListTag) {
+    return alarm.subscribers[0];
+  }
+  return kListTag;
 }
 
 void AlarmStore::install(SpatialAlarm alarm) {
@@ -61,10 +72,10 @@ bool AlarmStore::uninstall(AlarmId id) {
   // empty store).
   if (slot != alarms_.size() - 1) {
     alarms_[slot] = std::move(alarms_.back());
-    slot_of_[alarms_[slot].id] = slot;
+    slot_of_[alarms_[slot].id].slot = static_cast<std::uint32_t>(slot);
   }
   alarms_.pop_back();
-  slot_of_[id] = kNoSlot;
+  slot_of_[id] = IdSlot{};
   return true;
 }
 
@@ -98,6 +109,17 @@ bool AlarmStore::subscribed(const SpatialAlarm& alarm, SubscriberId s) {
                             alarm.subscribers.end(), s);
 }
 
+bool AlarmStore::subscribed(IdSlot at, SubscriberId s) const {
+  switch (at.tag) {
+    case kPublicTag:
+      return true;
+    case kListTag:
+      return subscribed(alarms_[at.slot], s);
+    default:
+      return at.tag == s;
+  }
+}
+
 bool AlarmStore::relevant(const SpatialAlarm& alarm, SubscriberId s) const {
   return subscribed(alarm, s) && !spent(alarm.id, s);
 }
@@ -106,7 +128,7 @@ std::vector<const SpatialAlarm*> AlarmStore::relevant_in_window(
     const geo::Rect& window, SubscriberId s) const {
   std::vector<const SpatialAlarm*> out;
   tree_.visit(window, [&](const index::Entry& e) {
-    const SpatialAlarm& a = alarms_[slot_of_[static_cast<AlarmId>(e.id)]];
+    const SpatialAlarm& a = alarms_[slot_of_[static_cast<AlarmId>(e.id)].slot];
     if (relevant(a, s)) out.push_back(&a);
     return true;
   });
@@ -118,7 +140,7 @@ void AlarmStore::relevant_regions_in_window(
     std::vector<geo::Rect>& out) const {
   const bool public_too = scopes == Scopes::kAll;
   tree_.visit(window, [&](const index::Entry& e) {
-    const SpatialAlarm& a = alarms_[slot_of_[static_cast<AlarmId>(e.id)]];
+    const SpatialAlarm& a = alarms_[slot_of_[static_cast<AlarmId>(e.id)].slot];
     if ((public_too || a.scope != AlarmScope::kPublic) && relevant(a, s)) {
       out.push_back(a.region);
     }
@@ -130,7 +152,7 @@ std::vector<const SpatialAlarm*> AlarmStore::public_in_window(
     const geo::Rect& window) const {
   std::vector<const SpatialAlarm*> out;
   tree_.visit(window, [&](const index::Entry& e) {
-    const SpatialAlarm& a = alarms_[slot_of_[static_cast<AlarmId>(e.id)]];
+    const SpatialAlarm& a = alarms_[slot_of_[static_cast<AlarmId>(e.id)].slot];
     if (a.scope == AlarmScope::kPublic) out.push_back(&a);
     return true;
   });
@@ -140,7 +162,7 @@ std::vector<const SpatialAlarm*> AlarmStore::public_in_window(
 std::uint64_t AlarmStore::probe_position(SubscriberId s, geo::Point p,
                                          std::vector<AlarmId>& fired) const {
   return tree_.probe(p, [&](const index::Entry& e) {
-    const SpatialAlarm& a = alarms_[slot_of_[static_cast<AlarmId>(e.id)]];
+    const SpatialAlarm& a = alarms_[slot_of_[static_cast<AlarmId>(e.id)].slot];
     // Open-interior trigger semantics: the alarm fires when the subscriber
     // enters the interior of the region; merely touching the boundary does
     // not (and safe regions may legally share that boundary).
@@ -191,8 +213,9 @@ void AlarmStore::reset_triggers() { spent_.clear(); }
 
 double AlarmStore::nearest_relevant_distance(geo::Point p,
                                              SubscriberId s) const {
-  return tree_.nearest_distance(p, [&](const index::Entry& e) {
-    return relevant(alarms_[slot_of_[static_cast<AlarmId>(e.id)]], s);
+  return tree_.nearest_distance(p, [&](std::uint64_t id) {
+    return subscribed(slot_of_[id], s) &&
+           !spent(static_cast<AlarmId>(id), s);
   });
 }
 

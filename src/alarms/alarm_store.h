@@ -178,22 +178,38 @@ class AlarmStore {
   void reset_index_node_accesses() { tree_.reset_node_accesses(); }
 
  private:
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  /// The IdSlot tags that are not a subscriber id.
+  static constexpr std::uint32_t kPublicTag = ~std::uint32_t{0};
+  static constexpr std::uint32_t kListTag = kPublicTag - 1;
+
+  /// An id's alarm slot, and whom the alarm is for without reading it: its
+  /// only subscriber, kPublicTag, or kListTag (read the subscriber list).
+  struct IdSlot {
+    std::uint32_t slot = kNoSlot;
+    std::uint32_t tag = kListTag;
+  };
 
   std::uint64_t spend_key(AlarmId a, SubscriberId s) const {
     return (static_cast<std::uint64_t>(a) << 32) | s;
   }
 
   std::size_t slot_of(AlarmId id) const {
-    return id < slot_of_.size() ? slot_of_[id] : kNoSlot;
+    return id < slot_of_.size() ? slot_of_[id].slot : kNoSlot;
   }
+
+  /// The tag of an admitted alarm (sorted, unique subscribers).
+  static std::uint32_t tag_of(const SpatialAlarm& alarm);
+
+  /// subscribed(alarm, s) for the alarm at `at`, from its tag.
+  bool subscribed(IdSlot at, SubscriberId s) const;
 
   /// Validates the alarm, normalizes its subscriber list and records its
   /// slot; shared by install and install_bulk.
   void admit(SpatialAlarm& alarm);
 
   std::vector<SpatialAlarm> alarms_;     // slot order (install order)
-  std::vector<std::size_t> slot_of_;     // AlarmId -> slot (kNoSlot = absent)
+  std::vector<IdSlot> slot_of_;          // AlarmId -> slot (kNoSlot = absent)
   std::size_t rtree_node_capacity_;
   index::RStarTree tree_;
   std::unordered_set<std::uint64_t> spent_;

@@ -4,6 +4,8 @@
 #include <iterator>
 #include <limits>
 #include <set>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -200,10 +202,10 @@ TEST(RStarTreeTest, NearestBasics) {
   EXPECT_DOUBLE_EQ(tree.nearest_distance({0, 1}), 3.0);
   // Filtering out the nearest yields the second nearest, and so on.
   EXPECT_DOUBLE_EQ(
-      tree.nearest_distance({0, 1}, [](const Entry& e) { return e.id != 3; }),
+      tree.nearest_distance({0, 1}, [](std::uint64_t id) { return id != 3; }),
       10.0);
   EXPECT_DOUBLE_EQ(
-      tree.nearest_distance({0, 1}, [](const Entry& e) { return e.id == 2; }),
+      tree.nearest_distance({0, 1}, [](std::uint64_t id) { return id == 2; }),
       20.0);
   // Inside a rect → distance 0.
   EXPECT_DOUBLE_EQ(tree.nearest_distance({11, 1}), 0.0);
@@ -216,11 +218,11 @@ TEST(RStarTreeTest, NearestWithFilter) {
   EXPECT_DOUBLE_EQ(tree.nearest_distance({0, 0.5}), 1.0);
   EXPECT_DOUBLE_EQ(
       tree.nearest_distance({0, 0.5},
-                            [](const Entry& e) { return e.id != 1; }),
+                            [](std::uint64_t id) { return id != 1; }),
       5.0);
   // Filter rejecting everything → infinity.
   EXPECT_TRUE(std::isinf(
-      tree.nearest_distance({0, 0}, [](const Entry&) { return false; })));
+      tree.nearest_distance({0, 0}, [](std::uint64_t) { return false; })));
 }
 
 // ---------------------------------------------------------------------------
@@ -282,7 +284,7 @@ TEST_P(RStarSweepTest, KnnMatchesBruteForce) {
     std::set<std::uint64_t> nearer;
     for (std::size_t i = 0; i < k; ++i) {
       const double distance = tree.nearest_distance(
-          p, [&](const Entry& e) { return !nearer.contains(e.id); });
+          p, [&](std::uint64_t id) { return !nearer.contains(id); });
       EXPECT_EQ(distance, expected[i].rect.distance(p));
       nearer.insert(expected[i].id);
     }
@@ -348,8 +350,8 @@ TEST(RStarTreeTest, NearestDistanceMatchesKnn) {
       const Point p{rng.uniform(-50, 550), rng.uniform(-50, 550)};
       const std::uint64_t residue = rng.index(3);
       const bool reject_all = q % 10 == 0;
-      const auto filter = [&](const Entry& e) {
-        return !reject_all && e.id % 3 == residue;
+      const auto filter = [&](std::uint64_t id) {
+        return !reject_all && id % 3 == residue;
       };
       for (const bool filtered : {false, true}) {
         SCOPED_TRACE(testing::Message() << "capacity=" << capacity << " n="
@@ -361,7 +363,7 @@ TEST(RStarTreeTest, NearestDistanceMatchesKnn) {
         accesses += tree.node_accesses();
         double expected = std::numeric_limits<double>::infinity();
         for (const Entry& e : reference) {
-          if (!filtered || filter(e)) {
+          if (!filtered || filter(e.id)) {
             expected = std::min(expected, e.rect.distance(p));
           }
         }
@@ -369,6 +371,126 @@ TEST(RStarTreeTest, NearestDistanceMatchesKnn) {
       }
     }
     EXPECT_EQ(accesses, kNodeAccesses[row]) << "capacity=" << capacity;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// nearest_distance against the best-first search it must charge exactly
+// (forced through nearest_distance_best_first) and against brute force, on
+// inputs built for ties: rects on an integer grid, duplicated entries, and
+// queries on entry corners, on edges and inside entries.
+// ---------------------------------------------------------------------------
+
+struct TieHeavyTree {
+  std::vector<Entry> entries;
+  RStarTree tree;
+};
+
+TieHeavyTree tie_heavy_tree(std::size_t capacity, bool bulk, Rng& rng) {
+  TieHeavyTree out{{}, RStarTree(capacity)};
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    if (i > 0 && rng.chance(0.15)) {
+      out.entries.push_back(out.entries[rng.index(out.entries.size())]);
+      continue;
+    }
+    const Point lo{static_cast<double>(rng.index(40)),
+                   static_cast<double>(rng.index(40))};
+    out.entries.push_back({Rect(lo, {lo.x + static_cast<double>(rng.index(4)),
+                                     lo.y + static_cast<double>(rng.index(4))}),
+                           i});
+  }
+  if (bulk) {
+    out.tree = RStarTree::bulk_load(out.entries, capacity);
+  } else {
+    for (const Entry& e : out.entries) out.tree.insert(e);
+  }
+  out.tree.check_invariants();
+  return out;
+}
+
+/// Query points: entry corners, edge midpoints and centres, grid points and
+/// half-grid points, some outside the grid.
+std::vector<Point> tie_heavy_points(const std::vector<Entry>& entries,
+                                    Rng& rng) {
+  std::vector<Point> out;
+  for (int q = 0; q < 40; ++q) {
+    const Rect r = entries[rng.index(entries.size())].rect;
+    const Point c = r.center();
+    out.push_back(r.lo());
+    out.push_back({r.hi().x, r.lo().y});
+    out.push_back({c.x, r.hi().y});
+    out.push_back(c);
+    out.push_back({static_cast<double>(rng.index(50)) - 5.0,
+                   static_cast<double>(rng.index(50)) - 5.0});
+    out.push_back({static_cast<double>(rng.index(100)) / 2.0 - 5.0,
+                   static_cast<double>(rng.index(100)) / 2.0 - 5.0});
+  }
+  return out;
+}
+
+TEST(RStarTreeNearestTest, ChargesTheBestFirstAccessesOnTieHeavyTrees) {
+  std::uint64_t calls = 0;
+  std::uint64_t fallbacks = 0;
+  for (const std::size_t capacity : {4u, 8u, 16u}) {
+    for (const bool bulk : {false, true}) {
+      Rng rng(capacity * 31 + (bulk ? 1 : 0));
+      TieHeavyTree t = tie_heavy_tree(capacity, bulk, rng);
+      for (const Point p : tie_heavy_points(t.entries, rng)) {
+        const std::uint64_t residue = rng.index(10);
+        // Named, so the non-owning filters do not outlive them.
+        const auto none = [](std::uint64_t) { return false; };
+        const auto tenth = [&](std::uint64_t id) { return id % 10 == residue; };
+        const std::pair<const char*, IdFilter> filters[] = {
+            {"none", none}, {"tenth", tenth}, {"all", kAcceptAll}};
+        for (const auto& [name, accept] : filters) {
+          SCOPED_TRACE(testing::Message()
+                       << "capacity=" << capacity << " bulk=" << bulk
+                       << " filter=" << name << " p=(" << p.x << ", " << p.y
+                       << ")");
+          double brute = std::numeric_limits<double>::infinity();
+          for (const Entry& e : t.entries) {
+            if (accept(e.id)) brute = std::min(brute, e.rect.distance(p));
+          }
+          const std::uint64_t fallbacks_before = t.tree.nearest_fallbacks();
+          t.tree.reset_node_accesses();
+          const double distance = t.tree.nearest_distance(p, accept);
+          const std::uint64_t accesses = t.tree.node_accesses();
+          const bool fell_back =
+              t.tree.nearest_fallbacks() != fallbacks_before;
+          t.tree.reset_node_accesses();
+          EXPECT_EQ(distance, t.tree.nearest_distance_best_first(p, accept));
+          EXPECT_EQ(accesses, t.tree.node_accesses());
+          EXPECT_EQ(distance, brute);
+          // With no entry accepted every node is read, whatever the order.
+          if (std::string_view(name) == "none") {
+            EXPECT_FALSE(fell_back);
+          }
+          ++calls;
+          fallbacks += fell_back ? 1 : 0;
+        }
+      }
+    }
+  }
+  // Both paths ran: the depth-first count and the best-first fallback.
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_LT(fallbacks, calls);
+}
+
+TEST(RStarTreeNearestTest, NonFinitePositionsMatchTheBestFirstSearch) {
+  Rng rng(5);
+  TieHeavyTree t = tie_heavy_tree(8, true, rng);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Point p :
+       {Point{kInf, 3.0}, Point{-kInf, kInf}, Point{nan, 1.0}}) {
+    t.tree.reset_node_accesses();
+    const double distance = t.tree.nearest_distance(p);
+    const std::uint64_t accesses = t.tree.node_accesses();
+    t.tree.reset_node_accesses();
+    const double reference = t.tree.nearest_distance_best_first(p);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(distance),
+              std::bit_cast<std::uint64_t>(reference));
+    EXPECT_EQ(accesses, t.tree.node_accesses());
   }
 }
 
@@ -563,7 +685,7 @@ std::uint64_t pinned_replay(std::size_t capacity) {
     digest.add(tree.nearest_distance(p));
     after_op();
     digest.add(tree.nearest_distance(
-        p, [&](const Entry& e) { return e.id % 3 == residue; }));
+        p, [&](std::uint64_t id) { return id % 3 == residue; }));
     after_op();
   };
   const auto insert = [&](const Entry& e) {
