@@ -134,15 +134,13 @@ sim::Simulation::StrategyFactory Experiment::periodic() const {
   };
 }
 
-sim::Simulation::StrategyFactory Experiment::safe_period(
-    double speed_assumption_factor) const {
+sim::Simulation::StrategyFactory Experiment::safe_period() const {
   const std::size_t subscribers = config_.vehicles;
   const double bound = max_speed_bound();
   const double tick = config_.tick_seconds;
-  return [subscribers, bound, tick,
-          speed_assumption_factor](net::ClientLink& link) {
+  return [subscribers, bound, tick](net::ClientLink& link) {
     return std::make_unique<strategies::SafePeriodStrategy>(
-        link, subscribers, bound, tick, speed_assumption_factor);
+        link, subscribers, bound, tick);
   };
 }
 

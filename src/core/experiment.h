@@ -94,10 +94,7 @@ class Experiment {
   // Strategy factories for Simulation::run. Each call builds a fresh
   // strategy instance bound to the run's client link.
   sim::Simulation::StrategyFactory periodic() const;
-  /// `speed_assumption_factor` < 1 selects the optimistic motion-estimate
-  /// variant (ablation; loses accuracy).
-  sim::Simulation::StrategyFactory safe_period(
-      double speed_assumption_factor = 1.0) const;
+  sim::Simulation::StrategyFactory safe_period() const;
   sim::Simulation::StrategyFactory rect(
       saferegion::MotionModel model,
       saferegion::MwpsrOptions options = {}) const;

@@ -1,8 +1,6 @@
 #include "strategies/safe_period.h"
 
 #include <cmath>
-
-#include "common/error.h"
 #include <limits>
 
 namespace salarm::strategies {
@@ -10,21 +8,17 @@ namespace salarm::strategies {
 SafePeriodStrategy::SafePeriodStrategy(net::ClientLink& link,
                                        std::size_t subscriber_count,
                                        double max_speed_mps,
-                                       double tick_seconds,
-                                       double speed_assumption_factor)
+                                       double tick_seconds)
     : link_(link),
-      assumed_speed_mps_(max_speed_mps * speed_assumption_factor),
+      max_speed_mps_(max_speed_mps),
       tick_seconds_(tick_seconds),
-      next_report_s_(subscriber_count, 0.0) {
-  SALARM_REQUIRE(speed_assumption_factor > 0.0,
-                 "speed assumption factor must be positive");
-}
+      next_report_s_(subscriber_count, 0.0) {}
 
 void SafePeriodStrategy::report(alarms::SubscriberId s, geo::Point position,
                                 std::uint64_t tick) {
   (void)link_.report(s, position, tick);
   const auto period = link_.request(s, position, [&](sim::Server& server) {
-    return server.compute_safe_period(s, position, assumed_speed_mps_,
+    return server.compute_safe_period(s, position, max_speed_mps_,
                                       tick_seconds_);
   });
   const double now = static_cast<double>(tick) * tick_seconds_;

@@ -21,15 +21,8 @@ class SafePeriodStrategy final : public ProcessingStrategy {
  public:
   /// `max_speed_mps` must be a hard bound on any subscriber's speed
   /// (see mobility::max_speed_bound) for the approach to be accurate.
-  /// `speed_assumption_factor` scales the speed the server *assumes* when
-  /// granting periods: 1.0 is the sound pessimistic bound; values < 1.0
-  /// model the optimistic motion estimation the paper warns about ("safe
-  /// period computation heavily relies on future motion estimation") —
-  /// longer periods, fewer messages, and alarm misses once a subscriber
-  /// out-runs the estimate. Ablation only.
   SafePeriodStrategy(net::ClientLink& link, std::size_t subscriber_count,
-                     double max_speed_mps, double tick_seconds,
-                     double speed_assumption_factor = 1.0);
+                     double max_speed_mps, double tick_seconds);
 
   std::string_view name() const override { return "SP"; }
 
@@ -43,7 +36,7 @@ class SafePeriodStrategy final : public ProcessingStrategy {
               std::uint64_t tick);
 
   net::ClientLink& link_;
-  double assumed_speed_mps_;
+  double max_speed_mps_;
   double tick_seconds_;
   /// Next time (seconds) each subscriber must report; +inf when no
   /// relevant alarm remains. A lost period grant (net tier) leaves it at

@@ -98,12 +98,6 @@ TEST(SafePeriodStrategyTest, NoRelevantAlarmsMeansOneMessageEver) {
   EXPECT_EQ(w.metrics.uplink_messages, 1u);
 }
 
-TEST(SafePeriodStrategyTest, RejectsNonPositiveAssumption) {
-  World w;
-  EXPECT_THROW(SafePeriodStrategy(w.link, 1, 20.0, 1.0, 0.0),
-               PreconditionError);
-}
-
 TEST(RectRegionStrategyTest, OneCheckPerTickAndReportOnExit) {
   World w;
   RectRegionStrategy rect(w.link, 1, saferegion::MotionModel::uniform());
