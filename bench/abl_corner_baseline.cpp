@@ -4,10 +4,13 @@
 // safe regions" when alarm regions overlap or intersect the coordinate
 // axes; MWPSR's clamped candidates handle both. This bench runs the
 // baseline through the full simulator and reports the misses — the only
-// bench where imperfect accuracy is the expected result.
+// bench where imperfect accuracy is the expected result. The baseline
+// and its strategy live next to this bench (corner_baseline.h), outside
+// the library.
 #include <cstdio>
 
 #include "bench_common.h"
+#include "corner_baseline.h"
 
 using namespace salarm;
 
@@ -21,8 +24,8 @@ int main() {
 
   const auto mwpsr = experiment.simulation().run(experiment.rect(model));
   bench::require_perfect(mwpsr);
-  const auto baseline =
-      experiment.simulation().run(experiment.rect_corner_baseline(model));
+  const auto baseline = experiment.simulation().run(
+      bench::corner_baseline(cfg.vehicles, model));
 
   std::printf("%-12s %12s %10s %10s %10s %10s\n", "approach", "messages",
               "expected", "missed", "late", "spurious");

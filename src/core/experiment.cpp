@@ -41,6 +41,16 @@ std::optional<T> env_value(const char* name) {
 
 }  // namespace
 
+std::size_t ExperimentConfig::ticks() const {
+  const double intervals = minutes * 60.0 / tick_seconds;
+  // Every double below 2^64 converts to a 64-bit size_t, and the largest,
+  // 2^64 - 2048, leaves room for the + 1.
+  SALARM_REQUIRE(std::isfinite(tick_seconds) && tick_seconds > 0.0 &&
+                     intervals >= 0.0 && intervals < 0x1p64,
+                 "tick count out of range (minutes, tick_seconds)");
+  return static_cast<std::size_t>(intervals) + 1;
+}
+
 ExperimentConfig ExperimentConfig::with_env_overrides() const {
   ExperimentConfig out = *this;
   if (const auto f = env_value<double>("SALARM_FULL"); f && *f != 0.0) {
@@ -151,13 +161,6 @@ sim::Simulation::StrategyFactory Experiment::rect(
     return std::make_unique<strategies::RectRegionStrategy>(
         link, subscribers, model, options);
   };
-}
-
-sim::Simulation::StrategyFactory Experiment::rect_corner_baseline(
-    saferegion::MotionModel model) const {
-  saferegion::MwpsrOptions options;
-  options.corner_baseline = true;
-  return rect(model, options);
 }
 
 sim::Simulation::StrategyFactory Experiment::bitmap(

@@ -55,9 +55,10 @@ struct ExperimentConfig {
   /// Applies the SALARM_* environment overrides to this config.
   ExperimentConfig with_env_overrides() const;
 
-  std::size_t ticks() const {
-    return static_cast<std::size_t>(minutes * 60.0 / tick_seconds) + 1;
-  }
+  /// Ticks of a run: the initial positions plus one per tick_seconds over
+  /// `minutes`. Throws PreconditionError unless tick_seconds is positive
+  /// and finite and the count is non-negative and fits a size_t.
+  std::size_t ticks() const;
 };
 
 class Experiment {
@@ -98,10 +99,6 @@ class Experiment {
   sim::Simulation::StrategyFactory rect(
       saferegion::MotionModel model,
       saferegion::MwpsrOptions options = {}) const;
-  /// The unsound corner-candidate baseline ([10]); for the alarm-miss
-  /// ablation only.
-  sim::Simulation::StrategyFactory rect_corner_baseline(
-      saferegion::MotionModel model) const;
   sim::Simulation::StrategyFactory bitmap(
       saferegion::PyramidConfig config) const;
   /// Bitmap strategy with the precomputed public-alarm bitmap cache

@@ -35,7 +35,7 @@ namespace salarm::dynamics {
 /// per subscriber in the SessionIndex together with a conservative
 /// bounding box of the area the promise covers.
 enum class GrantKind : std::uint8_t {
-  kRect = 0,        ///< rectangular safe region (MWPSR, corner baseline)
+  kRect = 0,        ///< rectangular safe region (MWPSR)
   kPyramid = 1,     ///< pyramid bitmap over the client's grid cell
   kSafePeriod = 2,  ///< timed grant: silent until now + period
   kAlarmList = 3,   ///< client-side evaluation: alarm list of the cell

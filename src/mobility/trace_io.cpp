@@ -1,6 +1,8 @@
 #include "mobility/trace_io.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -18,8 +20,9 @@ double parse_double(std::string_view field, const char* what) {
   double value = 0.0;
   const auto [ptr, ec] =
       std::from_chars(field.data(), field.data() + field.size(), value);
-  SALARM_REQUIRE(ec == std::errc() && ptr == field.data() + field.size(),
-                 std::string("malformed ") + what + " field");
+  SALARM_REQUIRE(ec == std::errc() && ptr == field.data() + field.size() &&
+                     std::isfinite(value),
+                 std::string("malformed or non-finite ") + what + " field");
   return value;
 }
 
@@ -75,8 +78,16 @@ RecordedTrace read_trace_csv(std::istream& in) {
   SALARM_REQUIRE(static_cast<bool>(std::getline(in, line)) && line == kHeader,
                  "missing or wrong CSV header");
 
-  // Collect samples grouped by tick.
-  std::vector<std::vector<std::pair<VehicleId, VehicleSample>>> ticks;
+  // Read every sample before sizing anything by a tick number: dense ticks
+  // hold a sample each at least, so the largest tick must lie below the
+  // sample count, and what is allocated stays bounded by the input.
+  struct Row {
+    std::uint64_t tick;
+    std::uint64_t vehicle;
+    VehicleSample sample;
+  };
+  std::vector<Row> rows;
+  std::uint64_t last_tick = 0;
   std::size_t line_number = 2;
   while (std::getline(in, line)) {
     ++line_number;
@@ -85,18 +96,19 @@ RecordedTrace read_trace_csv(std::istream& in) {
     SALARM_REQUIRE(fields.size() == 6,
                    "line " + std::to_string(line_number) +
                        ": expected 6 fields");
-    const auto tick = static_cast<std::size_t>(parse_uint(fields[0], "tick"));
-    const auto vehicle =
-        static_cast<VehicleId>(parse_uint(fields[1], "vehicle"));
-    VehicleSample sample;
-    sample.pos.x = parse_double(fields[2], "x");
-    sample.pos.y = parse_double(fields[3], "y");
-    sample.heading = parse_double(fields[4], "heading");
-    sample.speed_mps = parse_double(fields[5], "speed");
-    if (tick >= ticks.size()) ticks.resize(tick + 1);
-    ticks[tick].emplace_back(vehicle, sample);
+    Row& row = rows.emplace_back(Row{parse_uint(fields[0], "tick"),
+                                     parse_uint(fields[1], "vehicle"), {}});
+    row.sample.pos.x = parse_double(fields[2], "x");
+    row.sample.pos.y = parse_double(fields[3], "y");
+    row.sample.heading = parse_double(fields[4], "heading");
+    row.sample.speed_mps = parse_double(fields[5], "speed");
+    last_tick = std::max(last_tick, row.tick);
   }
-  SALARM_REQUIRE(!ticks.empty(), "trace has no samples");
+  SALARM_REQUIRE(!rows.empty(), "trace has no samples");
+  SALARM_REQUIRE(last_tick < rows.size(), "trace has ticks without samples");
+  std::vector<std::vector<std::pair<std::uint64_t, VehicleSample>>> ticks(
+      static_cast<std::size_t>(last_tick) + 1);
+  for (const Row& r : rows) ticks[r.tick].emplace_back(r.vehicle, r.sample);
 
   const std::size_t vehicle_count = ticks.front().size();
   SALARM_REQUIRE(vehicle_count > 0, "tick 0 has no samples");

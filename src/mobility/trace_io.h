@@ -28,7 +28,8 @@ void write_trace_csv(const RecordedTrace& trace, std::ostream& out);
 
 /// Parses a trace from the CSV format above. Throws PreconditionError on
 /// malformed input (missing header, sparse ticks, duplicate or missing
-/// vehicles, non-numeric fields).
+/// vehicles, non-numeric or non-finite fields); what it allocates is
+/// bounded by the input's size, whatever tick numbers it names.
 RecordedTrace read_trace_csv(std::istream& in);
 
 /// Convenience file wrappers; throw PreconditionError when the file cannot

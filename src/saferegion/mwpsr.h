@@ -79,12 +79,6 @@ struct MwpsrOptions {
   double area_tiebreak_epsilon = 0.5;
   /// false disables dominance pruning of candidate points (ablation).
   bool prune_dominated = true;
-  /// true makes the server compute the unsound Hu et al. [10]-style
-  /// corner-candidate region (saferegion/corner_baseline.h) instead of
-  /// MWPSR — ablation only; it misses alarms by design (the paper's claim
-  /// about [10]). compute_mwpsr itself ignores the flag; the one branch
-  /// lives in sim::Server::compute_rect_region.
-  bool corner_baseline = false;
 };
 
 struct RectSafeRegion {

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "saferegion/corner_baseline.h"
 
 namespace salarm::sim {
 
@@ -78,12 +77,8 @@ saferegion::RectSafeRegion Server::compute_rect_region(
     const saferegion::MwpsrOptions& options) {
   const geo::Rect cell = grid_.cell_rect(grid_.cell_of(position));
   load_regions(cell, s, alarms::AlarmStore::Scopes::kAll);
-  const auto region =
-      options.corner_baseline
-          ? saferegion::compute_corner_baseline(position, heading, cell,
-                                                regions_, model)
-          : saferegion::compute_mwpsr(position, heading, cell, regions_,
-                                      model, options);
+  const auto region = saferegion::compute_mwpsr(position, heading, cell,
+                                                regions_, model, options);
   metrics_.server_region_ops += region.ops;
   ++metrics_.safe_region_recomputes;
   const std::size_t bytes = wire::rect_message_size();

@@ -76,9 +76,7 @@ class Server {
       std::uint64_t stamp_tick);
 
   /// Computes a rectangular (MWPSR) safe region for the subscriber at the
-  /// given position/heading and charges its wire size downstream. With
-  /// options.corner_baseline set, the unsound corner-candidate baseline
-  /// (saferegion/corner_baseline.h) computes the region instead.
+  /// given position/heading and charges its wire size downstream.
   saferegion::RectSafeRegion compute_rect_region(
       alarms::SubscriberId s, geo::Point position, double heading,
       const saferegion::MotionModel& model,

@@ -27,14 +27,11 @@ namespace salarm::strategies {
 
 class RectRegionStrategy final : public ProcessingStrategy {
  public:
-  /// `options.corner_baseline` selects the ablation-only [10] baseline
-  /// region (see saferegion::MwpsrOptions).
   RectRegionStrategy(net::ClientLink& link, std::size_t subscriber_count,
                      saferegion::MotionModel model,
                      saferegion::MwpsrOptions options = {});
 
   std::string_view name() const override {
-    if (options_.corner_baseline) return "RECT[10]";
     return options_.weighted ? "MWPSR" : "RECT";
   }
 

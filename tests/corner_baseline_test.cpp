@@ -1,15 +1,18 @@
-// Tests for the Hu et al. [10]-style corner-candidate baseline — including
-// the *negative* results the paper claims: unsound regions when alarms
-// overlap or straddle the axes through the subscriber position.
+// Tests for the Hu et al. [10]-style corner-candidate baseline (bench
+// code, see bench/corner_baseline.h) — including the *negative* results the
+// paper claims: unsound regions when alarms overlap or straddle the axes
+// through the subscriber position, and missed triggers on a real workload.
 #include <gtest/gtest.h>
 
+#include "bench/corner_baseline.h"
 #include "common/rng.h"
-#include "saferegion/corner_baseline.h"
+#include "core/experiment.h"
 #include "saferegion/mwpsr.h"
 
 namespace salarm::saferegion {
 namespace {
 
+using bench::compute_corner_baseline;
 using geo::Point;
 using geo::Rect;
 
@@ -103,6 +106,24 @@ TEST(CornerBaselineTest, RegionAlwaysContainsPositionAndFitsCell) {
     EXPECT_TRUE(kCell.contains(r.rect));
     EXPECT_GT(r.ops, 0u);
   }
+}
+
+TEST(StrategyTrendTest, CornerBaselineMissesTriggers) {
+  // The paper's claim about [10], at integration level: the corner
+  // baseline loses alarms on a real workload.
+  core::ExperimentConfig cfg;
+  cfg.universe_km = 8.0;
+  cfg.vehicles = 120;
+  cfg.minutes = 4.0;
+  cfg.alarm_count = 700;
+  cfg.public_percent = 10.0;
+  cfg.grid_cell_sqkm = 2.5;
+  cfg.seed = 7;
+  core::Experiment experiment(cfg);
+  const auto run = experiment.simulation().run(
+      bench::corner_baseline(cfg.vehicles, MotionModel(1.0, 32)));
+  EXPECT_EQ(run.strategy, "RECT[10]");
+  EXPECT_GT(run.accuracy.missed + run.accuracy.late, 0u);
 }
 
 }  // namespace

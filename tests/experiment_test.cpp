@@ -1,4 +1,5 @@
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -26,6 +27,30 @@ TEST(ExperimentConfigTest, TicksIncludeInitialPositions) {
   EXPECT_EQ(cfg.ticks(), 121u);
   cfg.tick_seconds = 0.5;
   EXPECT_EQ(cfg.ticks(), 241u);
+}
+
+TEST(ExperimentConfigTest, TicksRejectCountsThatDoNotFit) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, double> kBad[] = {
+      {1e300, 1.0},  // SALARM_MINUTES=1e300 passes with_env_overrides
+      {2.0, 0.0},
+      {2.0, -1.0},
+      {2.0, kNaN},
+      {2.0, kInf},
+      {-1.0, 1.0},
+      {kNaN, 1.0},
+      {1.0, 1e-300}};
+  for (const auto& [minutes, tick_seconds] : kBad) {
+    ExperimentConfig cfg;
+    cfg.minutes = minutes;
+    cfg.tick_seconds = tick_seconds;
+    EXPECT_THROW((void)cfg.ticks(), PreconditionError)
+        << minutes << " min at " << tick_seconds << " s";
+  }
+  ExperimentConfig zero;
+  zero.minutes = 0.0;
+  EXPECT_EQ(zero.ticks(), 1u);
 }
 
 TEST(ExperimentConfigTest, EnvOverridesApply) {

@@ -224,15 +224,6 @@ TEST(StrategyTrendTest, DownstreamLossNeverCostsAccuracy) {
   EXPECT_EQ(lossy_bitmap.accuracy.late, 0u);
 }
 
-TEST(StrategyTrendTest, CornerBaselineMissesTriggers) {
-  // The paper's claim about [10], at integration level: the corner
-  // baseline loses alarms on a real workload.
-  core::Experiment experiment(small_config());
-  const auto run = experiment.simulation().run(
-      experiment.rect_corner_baseline(saferegion::MotionModel(1.0, 32)));
-  EXPECT_GT(run.accuracy.missed + run.accuracy.late, 0u);
-}
-
 TEST(StrategyTrendTest, PublicBitmapCacheKeepsAccuracyAndCutsOps) {
   core::ExperimentConfig cfg = small_config();
   cfg.public_percent = 20.0;  // make the shared public work dominant

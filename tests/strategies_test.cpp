@@ -235,13 +235,6 @@ TEST(StrategyNamesTest, ReportCorrectly) {
                                non_weighted)
                 .name(),
             "RECT");
-  saferegion::MwpsrOptions corner_baseline;
-  corner_baseline.corner_baseline = true;
-  EXPECT_EQ(RectRegionStrategy(w.link, 1,
-                               saferegion::MotionModel::uniform(),
-                               corner_baseline)
-                .name(),
-            "RECT[10]");
   saferegion::PyramidConfig gbsr;
   gbsr.height = 1;
   EXPECT_EQ(BitmapRegionStrategy(w.link, 1, gbsr).name(), "GBSR");
