@@ -170,7 +170,7 @@ void CornerBaselineStrategy::report_and_refresh(
         sample.pos, sample.heading, cell, regions, model_);
     metrics.server_region_ops += r.ops;
     ++metrics.safe_region_recomputes;
-    const std::size_t bytes = wire::rect_message_size();
+    const std::size_t bytes = wire::encoded_size(wire::RectSafeRegionMsg{});
     metrics.downstream_region_bytes += bytes;
     metrics.region_payload_bytes.add(static_cast<double>(bytes));
     return r.rect;

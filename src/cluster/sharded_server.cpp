@@ -167,28 +167,21 @@ void ShardedServer::install_alarm(const alarms::SpatialAlarm& alarm,
   }
 }
 
-bool ShardedServer::remove_alarm(alarms::AlarmId id, std::uint64_t tick) {
+void ShardedServer::remove_alarm(alarms::AlarmId id, std::uint64_t tick) {
   wire::JournalRecordMsg rec;
   rec.kind = wire::JournalRecordMsg::Kind::kRemove;
   rec.tick = tick;
   rec.alarm_id = id;
-  bool any = false;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
     if (shard_down(i)) {
       // A crashed shard's store is empty, so installed() cannot tell
       // whether it held a replica — defer unconditionally; the deferred
       // remove no-ops at recovery if the restored store lacks the id.
       failover_->logs[i].deferred.push_back(rec);
-      any = true;
       continue;
     }
-    if (shard.store.installed(id)) {
-      any |= shard.server.remove_alarm(id, tick);
-      append_churn(i, rec);
-    }
+    if (shards_[i]->server.remove_alarm(id, tick)) append_churn(i, rec);
   }
-  return any;
 }
 
 void ShardedServer::enable_failover(const failover::FailoverConfig& config,
@@ -272,28 +265,13 @@ void ShardedServer::recover_shard(std::size_t shard, std::uint64_t tick) {
   log.down = false;
 
   // 1. Restore the checkpoint: the exact bytes written before the crash.
-  const wire::ShardCheckpointMsg cp =
-      wire::decode_shard_checkpoint(log.checkpoint);
-  for (const auto& rec : cp.alarms) {
-    sh.server.restore_install(rec.alarm, rec.installed_at);
-  }
-  for (const auto& rec : cp.graveyard) {
-    sh.server.restore_tomb(rec.alarm, rec.installed_at, rec.removed_at);
-  }
-  for (const auto& rec : cp.spent) {
-    sh.server.restore_spent(rec.alarm, rec.subscriber);
-  }
-  for (const auto& rec : cp.grants) {
-    sh.server.restore_grant(rec.subscriber,
-                            static_cast<dynamics::GrantKind>(rec.kind),
-                            rec.bounds);
-  }
+  sh.server.restore(wire::decode<wire::ShardCheckpointMsg>(log.checkpoint));
 
   if (failover_->config.journal) {
     // 2a. Journal mode: replay every post-checkpoint mutation in append
     // order from the shard's own durable log.
     for (const auto& bytes : log.journal) {
-      apply_restored(sh, wire::decode_journal_record(bytes));
+      sh.server.replay(wire::decode<wire::JournalRecordMsg>(bytes));
       ++sh.metrics.fo_journal_replays;
     }
   } else {
@@ -302,7 +280,7 @@ void ShardedServer::recover_shard(std::size_t shard, std::uint64_t tick) {
     // subscriber still owned by this shard re-registers, shipping its
     // carried fired list exactly like a session handoff would.
     for (const auto& rec : log.redo) {
-      apply_restored(sh, rec);
+      sh.server.replay(rec);
       ++sh.metrics.fo_redo_events;
     }
     for (alarms::SubscriberId s = 0; s < sessions_.size(); ++s) {
@@ -340,22 +318,8 @@ void ShardedServer::recover_shard(std::size_t shard, std::uint64_t tick) {
 void ShardedServer::take_checkpoint(std::size_t shard, std::uint64_t tick) {
   Shard& sh = *shards_[shard];
   ShardLog& log = failover_->logs[shard];
-  wire::ShardCheckpointMsg cp;
+  wire::ShardCheckpointMsg cp = sh.server.checkpoint(tick);
   cp.shard = static_cast<std::uint32_t>(shard);
-  cp.tick = tick;
-  for (const alarms::SpatialAlarm& a : sh.store.all()) {
-    cp.alarms.push_back({a, sh.server.installed_at(a.id)});
-  }
-  for (const sim::Server::Tomb& t : sh.server.graveyard()) {
-    cp.graveyard.push_back({t.alarm, t.installed_at, t.removed_at});
-  }
-  for (const auto& [alarm, subscriber] : sh.store.spent_pairs()) {
-    cp.spent.push_back({alarm, subscriber});
-  }
-  for (const auto& [subscriber, grant] : sh.server.grant_snapshot()) {
-    cp.grants.push_back(
-        {subscriber, static_cast<std::uint8_t>(grant.kind), grant.bounds});
-  }
   log.checkpoint = wire::encode(cp);
   // The checkpoint supersedes everything logged before it.
   log.journal.clear();
@@ -396,21 +360,6 @@ void ShardedServer::append_spent(std::size_t shard, std::uint64_t tick,
   ++shards_[shard]->metrics.fo_journal_records;
   shards_[shard]->metrics.fo_journal_bytes += bytes.size();
   failover_->logs[shard].journal.push_back(std::move(bytes));
-}
-
-void ShardedServer::apply_restored(Shard& shard,
-                                   const wire::JournalRecordMsg& rec) {
-  switch (rec.kind) {
-    case wire::JournalRecordMsg::Kind::kInstall:
-      shard.server.restore_install(rec.alarm, rec.tick);
-      break;
-    case wire::JournalRecordMsg::Kind::kRemove:
-      shard.server.restore_remove(rec.alarm_id, rec.tick);
-      break;
-    case wire::JournalRecordMsg::Kind::kSpent:
-      shard.server.restore_spent(rec.alarm_id, rec.subscriber);
-      break;
-  }
 }
 
 const alarms::AlarmStore& ShardedServer::shard_store(std::size_t shard) const {

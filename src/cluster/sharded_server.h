@@ -103,9 +103,9 @@ class ShardedServer {
   /// Must be called between ticks (serial churn phase).
   void install_alarm(const alarms::SpatialAlarm& alarm, std::uint64_t tick);
   /// Removes the alarm from every shard holding a replica; each replica
-  /// moves to its shard's removal graveyard with its lifetime. Serial-
-  /// phase only. Returns true if any replica existed.
-  bool remove_alarm(alarms::AlarmId id, std::uint64_t tick);
+  /// moves to its shard's removal graveyard with its lifetime. A down
+  /// shard defers the removal to its recovery. Serial-phase only.
+  void remove_alarm(alarms::AlarmId id, std::uint64_t tick);
 
   // ---- Failover tier (DESIGN.md §10) ----
   /// Arms crash-recovery: every shard gets a durability log (checkpoint +
@@ -234,8 +234,6 @@ class ShardedServer {
   /// spent state there). Parallel-path safe for the shard's owning thread.
   void append_spent(std::size_t shard, std::uint64_t tick,
                     alarms::AlarmId id, alarms::SubscriberId s);
-  /// Replays one decoded record through the uncharged restore paths.
-  void apply_restored(Shard& shard, const wire::JournalRecordMsg& rec);
 
   const grid::GridOverlay& grid_;
   ShardMap map_;

@@ -9,10 +9,10 @@ void ClientMonitor::receive(std::span<const std::uint8_t> message) {
   SALARM_REQUIRE(!message.empty(), "empty safe-region message");
   switch (static_cast<wire::MessageType>(message[0])) {
     case wire::MessageType::kRectSafeRegion:
-      region_ = wire::decode_rect_safe_region(message).rect;
+      region_ = wire::decode<wire::RectSafeRegionMsg>(message).rect;
       return;
     case wire::MessageType::kPyramidSafeRegion:
-      region_ = wire::decode_pyramid_safe_region(message).decode();
+      region_ = wire::decode<wire::PyramidSafeRegionMsg>(message).decode();
       return;
     default:
       SALARM_REQUIRE(false, "not a safe-region message");

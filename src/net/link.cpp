@@ -104,7 +104,7 @@ std::uint64_t ClientLink::reliable_exchange(alarms::SubscriberId s, bool uplink,
   m.net_retransmissions += retransmissions;
   m.net_duplicates_dropped += duplicates;
   m.net_ack_messages += received_copies;
-  m.net_ack_bytes += received_copies * wire::ack_message_size();
+  m.net_ack_bytes += received_copies * wire::encoded_size(wire::AckMsg{});
   if (uplink) {
     // Position reports: the server charged the first copy when it processed
     // the update; retransmitted copies are pure overhead on the same

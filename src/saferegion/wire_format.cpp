@@ -50,6 +50,16 @@ class Sizer {
   std::size_t size_ = 0;
 };
 
+/// Encoded size of one default-constructed list item. No item encodes in
+/// fewer bytes, and for fixed-width items it is the exact size.
+template <class T, class F>
+std::size_t item_size(F item_fields) {
+  const T smallest{};
+  Sizer s;
+  item_fields(s, smallest);
+  return s.size();
+}
+
 /// Appends little-endian fields to a buffer reserved to the exact size.
 class Writer {
  public:
@@ -122,10 +132,7 @@ class Reader {
   /// item encodes in fewer bytes than a default-constructed one.
   template <class W, class V, class F>
   void seq(V& v, F item_fields) {
-    const typename V::value_type smallest{};
-    Sizer min_item;
-    item_fields(min_item, smallest);
-    v.resize(count<W>(min_item.size()));
+    v.resize(count<W>(item_size<typename V::value_type>(item_fields)));
     for (auto& item : v) item_fields(*this, item);
   }
   void payload(std::vector<std::uint8_t>& bytes, std::size_t n) {
@@ -191,6 +198,9 @@ void seq(IO& io, V& v, F item_fields) {
   io.template seq<W>(v, item_fields);
 }
 
+/// Item visitor for lists of 32-bit ids.
+constexpr auto id32 = [](auto& io, auto& id) { u32(io, id); };
+
 /// `M` is `T` or `const T`.
 template <class M, class T>
 concept Of = std::same_as<std::remove_const_t<M>, T>;
@@ -214,7 +224,7 @@ void fields(IO& io, M& a) {
   io.check(a.scope <= alarms::AlarmScope::kPublic, "unknown alarm scope");
   u32(io, a.owner);
   fields(io, a.region);
-  seq<std::uint16_t>(io, a.subscribers, [](auto& io, auto& s) { u32(io, s); });
+  seq<std::uint16_t>(io, a.subscribers, id32);
   io.text(a.message);
 }
 
@@ -307,6 +317,20 @@ void fields(IO& io, M& m) {
   io.text(m.message);
 }
 
+template <class IO, Of<ShardHandoffMsg> M>
+void fields(IO& io, M& m) {
+  io.type(MessageType::kShardHandoff);
+  u32(io, m.subscriber);
+  f64(io, m.position.x);
+  f64(io, m.position.y);
+  f64(io, m.time_s);
+  u32(io, m.uplink_seq);
+  u32(io, m.downlink_seq);
+  u8(io, m.leased);
+  io.check(m.leased <= 1, "lease flag is not 0 or 1");
+  seq<std::uint32_t>(io, m.spent, id32);
+}
+
 template <class IO, Of<InvalidationMsg> M>
 void fields(IO& io, M& m) {
   io.type(MessageType::kInvalidation);
@@ -360,26 +384,28 @@ void fields(IO& io, M& m) {
   }
 }
 
+}  // namespace
+
 // --------------------------------------------------------------------------
-// The three generic entry points.
+// The three generic entry points, instantiated once per message type.
 // --------------------------------------------------------------------------
 
 template <class M>
-std::size_t size_of(const M& m) {
+std::size_t encoded_size(const M& m) {
   Sizer s;
   fields(s, m);
   return s.size();
 }
 
 template <class M>
-std::vector<std::uint8_t> to_bytes(const M& m) {
-  Writer w(size_of(m));
+std::vector<std::uint8_t> encode(const M& m) {
+  Writer w(encoded_size(m));
   fields(w, m);
   return std::move(w).take();
 }
 
 template <class M>
-M from_bytes(std::span<const std::uint8_t> bytes) {
+M decode(std::span<const std::uint8_t> bytes) {
   Reader r(bytes);
   M m;
   fields(r, m);
@@ -387,107 +413,51 @@ M from_bytes(std::span<const std::uint8_t> bytes) {
   return m;
 }
 
-}  // namespace
+#define SALARM_WIRE_MESSAGE(M)                                  \
+  template std::vector<std::uint8_t> encode(const M&);          \
+  template M decode(std::span<const std::uint8_t>);             \
+  template std::size_t encoded_size(const M&);
 
-std::vector<std::uint8_t> encode(const PositionUpdate& m) {
-  return to_bytes(m);
-}
-std::vector<std::uint8_t> encode(const RectSafeRegionMsg& m) {
-  return to_bytes(m);
-}
-std::vector<std::uint8_t> encode(const PyramidSafeRegionMsg& m) {
-  return to_bytes(m);
-}
-std::vector<std::uint8_t> encode(const AlarmPushMsg& m) { return to_bytes(m); }
-std::vector<std::uint8_t> encode(const SafePeriodMsg& m) { return to_bytes(m); }
-std::vector<std::uint8_t> encode(const TriggerNoticeMsg& m) {
-  return to_bytes(m);
-}
-std::vector<std::uint8_t> encode(const InvalidationMsg& m) {
-  return to_bytes(m);
-}
-std::vector<std::uint8_t> encode(const AckMsg& m) { return to_bytes(m); }
-std::vector<std::uint8_t> encode(const ShardCheckpointMsg& m) {
-  return to_bytes(m);
-}
-std::vector<std::uint8_t> encode(const JournalRecordMsg& m) {
-  return to_bytes(m);
-}
+SALARM_WIRE_MESSAGE(PositionUpdate)
+SALARM_WIRE_MESSAGE(RectSafeRegionMsg)
+SALARM_WIRE_MESSAGE(PyramidSafeRegionMsg)
+SALARM_WIRE_MESSAGE(AlarmPushMsg)
+SALARM_WIRE_MESSAGE(SafePeriodMsg)
+SALARM_WIRE_MESSAGE(TriggerNoticeMsg)
+SALARM_WIRE_MESSAGE(ShardHandoffMsg)
+SALARM_WIRE_MESSAGE(InvalidationMsg)
+SALARM_WIRE_MESSAGE(AckMsg)
+SALARM_WIRE_MESSAGE(ShardCheckpointMsg)
+SALARM_WIRE_MESSAGE(JournalRecordMsg)
 
-PositionUpdate decode_position_update(std::span<const std::uint8_t> bytes) {
-  return from_bytes<PositionUpdate>(bytes);
-}
-RectSafeRegionMsg decode_rect_safe_region(
-    std::span<const std::uint8_t> bytes) {
-  return from_bytes<RectSafeRegionMsg>(bytes);
-}
-PyramidSafeRegionMsg decode_pyramid_safe_region(
-    std::span<const std::uint8_t> bytes) {
-  return from_bytes<PyramidSafeRegionMsg>(bytes);
-}
-AlarmPushMsg decode_alarm_push(std::span<const std::uint8_t> bytes) {
-  return from_bytes<AlarmPushMsg>(bytes);
-}
-SafePeriodMsg decode_safe_period(std::span<const std::uint8_t> bytes) {
-  return from_bytes<SafePeriodMsg>(bytes);
-}
-TriggerNoticeMsg decode_trigger_notice(std::span<const std::uint8_t> bytes) {
-  return from_bytes<TriggerNoticeMsg>(bytes);
-}
-InvalidationMsg decode_invalidation(std::span<const std::uint8_t> bytes) {
-  return from_bytes<InvalidationMsg>(bytes);
-}
-AckMsg decode_ack(std::span<const std::uint8_t> bytes) {
-  return from_bytes<AckMsg>(bytes);
-}
-ShardCheckpointMsg decode_shard_checkpoint(
-    std::span<const std::uint8_t> bytes) {
-  return from_bytes<ShardCheckpointMsg>(bytes);
-}
-JournalRecordMsg decode_journal_record(std::span<const std::uint8_t> bytes) {
-  return from_bytes<JournalRecordMsg>(bytes);
-}
-
-std::size_t encoded_size(const PositionUpdate& m) { return size_of(m); }
-std::size_t encoded_size(const RectSafeRegionMsg& m) { return size_of(m); }
-std::size_t encoded_size(const PyramidSafeRegionMsg& m) { return size_of(m); }
-std::size_t encoded_size(const AlarmPushMsg& m) { return size_of(m); }
-std::size_t encoded_size(const SafePeriodMsg& m) { return size_of(m); }
-std::size_t encoded_size(const TriggerNoticeMsg& m) { return size_of(m); }
-std::size_t encoded_size(const InvalidationMsg& m) { return size_of(m); }
-std::size_t encoded_size(const ShardCheckpointMsg& m) { return size_of(m); }
-std::size_t encoded_size(const JournalRecordMsg& m) { return size_of(m); }
+#undef SALARM_WIRE_MESSAGE
 
 // Size helpers: the fixed part comes from the field list (the size of the
-// default message), the variable part from the arguments.
+// default message), the variable part from the arguments and the item
+// field lists.
 
 std::size_t pyramid_message_size(std::size_t bit_count) {
-  return size_of(PyramidSafeRegionMsg{}) + (bit_count + 7) / 8;
+  return encoded_size(PyramidSafeRegionMsg{}) + (bit_count + 7) / 8;
 }
 
 std::size_t alarm_push_size(std::size_t alarm_count,
                             std::size_t total_message_bytes) {
-  return size_of(AlarmPushMsg{}) +
-         alarm_count * size_of(AlarmPushMsg::Item{}) + total_message_bytes;
+  return encoded_size(AlarmPushMsg{}) +
+         alarm_count * item_size<AlarmPushMsg::Item>(record) +
+         total_message_bytes;
 }
 
 std::size_t trigger_notice_size(std::size_t message_bytes) {
-  return size_of(TriggerNoticeMsg{}) + message_bytes;
+  return encoded_size(TriggerNoticeMsg{}) + message_bytes;
 }
-
-std::size_t rect_message_size() { return size_of(RectSafeRegionMsg{}); }
 
 std::size_t invalidation_message_size(std::size_t message_bytes) {
-  return size_of(InvalidationMsg{}) + message_bytes;
+  return encoded_size(InvalidationMsg{}) + message_bytes;
 }
 
-std::size_t ack_message_size() { return size_of(AckMsg{}); }
-
-// ShardHandoff is counted, never materialized, so it has no field list:
-// type(1) subscriber(4) position(16) time(8) uplink seq(4) downlink seq(4)
-// lease flag(1) count(4) spent ids(4 each).
 std::size_t handoff_message_size(std::size_t spent_alarms) {
-  return 1 + 4 + 16 + 8 + 4 + 4 + 1 + 4 + spent_alarms * 4;
+  return encoded_size(ShardHandoffMsg{}) +
+         spent_alarms * item_size<alarms::AlarmId>(id32);
 }
 
 saferegion::PyramidBitmap PyramidSafeRegionMsg::decode() const {

@@ -10,8 +10,10 @@
 //
 // Encoding conventions: little-endian fixed-width integers, IEEE-754
 // doubles, one leading message-type byte. Each layout is defined once, by
-// a field list in wire_format.cpp that drives encode, decode and
-// encoded_size alike, so sizes cannot drift from the bytes.
+// a field list in wire_format.cpp that drives encode, decode<M> and
+// encoded_size alike, so sizes cannot drift from the bytes. Every
+// MessageType has one struct and one field list, the shard handoff
+// included.
 #pragma once
 
 #include <cstdint>
@@ -92,6 +94,22 @@ struct TriggerNoticeMsg {
   std::string message;
 };
 
+/// Inter-shard session handoff (cluster tier, DESIGN.md §7): the
+/// subscriber's last position report, the reliability-protocol session
+/// state that must move with it so faults replay identically across a
+/// shard crossing (DESIGN.md §9), and the ids of the alarms already fired
+/// for it. Counted on every crossing, never materialized on the
+/// simulation hot path (handoff_message_size).
+struct ShardHandoffMsg {
+  alarms::SubscriberId subscriber = 0;
+  geo::Point position;
+  double time_s = 0.0;
+  std::uint32_t uplink_seq = 0;
+  std::uint32_t downlink_seq = 0;
+  std::uint8_t leased = 0;  ///< 1 while a downlink push awaits its ACK
+  std::vector<alarms::AlarmId> spent;
+};
+
 /// Grant-invalidation push (dynamics tier, DESIGN.md §8): tells a client
 /// that an alarm installed after its grant was issued may violate the
 /// grant. `action` selects revoke (rect / safe-period grants), shrink
@@ -165,45 +183,24 @@ struct JournalRecordMsg {
   alarms::SubscriberId subscriber = 0;  ///< kSpent only
 };
 
-// Encoders return the full message bytes (type byte included); decoders
-// check the type byte and throw PreconditionError on malformed input.
-std::vector<std::uint8_t> encode(const PositionUpdate& m);
-std::vector<std::uint8_t> encode(const RectSafeRegionMsg& m);
-std::vector<std::uint8_t> encode(const PyramidSafeRegionMsg& m);
-std::vector<std::uint8_t> encode(const AlarmPushMsg& m);
-std::vector<std::uint8_t> encode(const SafePeriodMsg& m);
-std::vector<std::uint8_t> encode(const TriggerNoticeMsg& m);
-std::vector<std::uint8_t> encode(const InvalidationMsg& m);
-std::vector<std::uint8_t> encode(const AckMsg& m);
-std::vector<std::uint8_t> encode(const ShardCheckpointMsg& m);
-std::vector<std::uint8_t> encode(const JournalRecordMsg& m);
+// One generic entry point per direction, instantiated for exactly the
+// eleven message structs above, one per MessageType. encode returns the
+// full message bytes (type byte included); decode<M> checks the type byte
+// and throws PreconditionError on malformed input; encoded_size is the
+// exact size encode would produce, for the accounting paths that do not
+// materialize bytes (hot simulation loops).
+template <class M>
+std::vector<std::uint8_t> encode(const M& m);
+template <class M>
+M decode(std::span<const std::uint8_t> bytes);
+template <class M>
+std::size_t encoded_size(const M& m);
 
-PositionUpdate decode_position_update(std::span<const std::uint8_t> bytes);
-RectSafeRegionMsg decode_rect_safe_region(std::span<const std::uint8_t> bytes);
-PyramidSafeRegionMsg decode_pyramid_safe_region(
-    std::span<const std::uint8_t> bytes);
-AlarmPushMsg decode_alarm_push(std::span<const std::uint8_t> bytes);
-SafePeriodMsg decode_safe_period(std::span<const std::uint8_t> bytes);
-TriggerNoticeMsg decode_trigger_notice(std::span<const std::uint8_t> bytes);
-InvalidationMsg decode_invalidation(std::span<const std::uint8_t> bytes);
-AckMsg decode_ack(std::span<const std::uint8_t> bytes);
-ShardCheckpointMsg decode_shard_checkpoint(std::span<const std::uint8_t> bytes);
-JournalRecordMsg decode_journal_record(std::span<const std::uint8_t> bytes);
-
-/// Exact encoded sizes, for the accounting paths that do not materialize
-/// bytes (hot simulation loops).
-std::size_t encoded_size(const PositionUpdate& m);
-std::size_t encoded_size(const RectSafeRegionMsg& m);
-std::size_t encoded_size(const PyramidSafeRegionMsg& m);
-std::size_t encoded_size(const AlarmPushMsg& m);
-std::size_t encoded_size(const SafePeriodMsg& m);
-std::size_t encoded_size(const TriggerNoticeMsg& m);
-std::size_t encoded_size(const InvalidationMsg& m);
-std::size_t encoded_size(const ShardCheckpointMsg& m);
-std::size_t encoded_size(const JournalRecordMsg& m);
+// Variable-size messages, sized from their variable part alone so hot
+// paths need not build them. The fixed part comes from the field list.
 
 /// Size of a pyramid safe-region message for a bitmap of the given bit
-/// count, without building the message.
+/// count.
 std::size_t pyramid_message_size(std::size_t bit_count);
 
 /// Size of an OPT alarm push carrying n alarms whose alert messages total
@@ -214,22 +211,11 @@ std::size_t alarm_push_size(std::size_t alarm_count,
 /// Size of a trigger notice for an alert message of the given length.
 std::size_t trigger_notice_size(std::size_t message_bytes);
 
-/// Size of a rectangular safe-region message (constant).
-std::size_t rect_message_size();
-
 /// Size of an invalidation push for an alarm message of the given length
 /// (zero for revoke/shrink pushes, which carry no alert content).
 std::size_t invalidation_message_size(std::size_t message_bytes);
 
-/// Size of a reliability-protocol ACK (constant).
-std::size_t ack_message_size();
-
-/// Size of an inter-shard session handoff carrying the subscriber id, its
-/// last position/time, the ids of `spent_alarms` already-fired alarms and
-/// the reliability-protocol session state — uplink/downlink sequence
-/// numbers and the lease flag — that must move with the session so faults
-/// replay identically across a shard crossing (cluster tier; counted,
-/// never materialized on the simulation hot path).
+/// Size of a session handoff carrying `spent_alarms` fired-alarm ids.
 std::size_t handoff_message_size(std::size_t spent_alarms);
 
 }  // namespace salarm::wire

@@ -25,22 +25,24 @@
 
 namespace salarm::sim {
 
+/// The constants are fixed, not configurable: every bench and every
+/// comparison across runs prices events at the same rates.
 struct CostModel {
   /// mWh per client->server transmission.
-  double tx_mwh_per_message = 0.1;
+  static constexpr double tx_mwh_per_message = 0.1;
   /// mWh per elementary client containment operation.
-  double check_mwh_per_op = 5e-3;
+  static constexpr double check_mwh_per_op = 5e-3;
   /// mWh per received downstream byte.
-  double rx_mwh_per_byte = 1e-6;
+  static constexpr double rx_mwh_per_byte = 1e-6;
   /// Server seconds per counted elementary operation.
-  double server_seconds_per_op = 1e-7;
+  static constexpr double server_seconds_per_op = 1e-7;
   /// Server seconds per durable byte written (checkpoint + journal):
   /// ~100 MB/s sequential append/fsync budget on 2009-era disks.
-  double server_seconds_per_durable_byte = 1e-8;
+  static constexpr double server_seconds_per_durable_byte = 1e-8;
   /// Server seconds per record applied at recovery (journal replay, redo
   /// ledger, deferred churn): decode plus one index update, heavier than
   /// an elementary op.
-  double server_seconds_per_replayed_record = 1e-6;
+  static constexpr double server_seconds_per_replayed_record = 1e-6;
 
   /// Client energy spent determining the position against the safe region,
   /// in mWh — the paper's client-energy metric (Figures 5(b), 6(c)).

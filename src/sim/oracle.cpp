@@ -270,20 +270,11 @@ struct Chunk {
   std::vector<TriggerEvent> fired;
 };
 
-}  // namespace
-
-std::vector<alarms::TriggerEvent> ground_truth_triggers(
-    mobility::PositionSource& source, alarms::AlarmStore& store,
-    std::size_t ticks) {
-  return ground_truth_triggers(source, store, ticks, {});
-}
-
-std::vector<alarms::TriggerEvent> ground_truth_triggers(
-    mobility::PositionSource& source, alarms::AlarmStore& store,
-    std::size_t ticks,
-    const std::function<void(std::size_t, alarms::AlarmStore&)>&
-        apply_churn) {
-  store.reset_triggers();
+/// The oracle over `store`'s alarm set; `apply_churn(t)`, if set, changes
+/// that set before tick t >= 1 is matched.
+std::vector<TriggerEvent> replay_trace(
+    mobility::PositionSource& source, const alarms::AlarmStore& store,
+    std::size_t ticks, const std::function<void(std::size_t)>& apply_churn) {
   source.reset();
   const std::size_t vehicles = source.samples().size();
   AlarmTable table(source.extent(), store.all());
@@ -300,7 +291,7 @@ std::vector<alarms::TriggerEvent> ground_truth_triggers(
     if (t > 0) {
       source.step();
       if (apply_churn) {
-        apply_churn(t, store);
+        apply_churn(t);
         table.reconcile(store.all());
       }
     }
@@ -339,8 +330,25 @@ std::vector<alarms::TriggerEvent> ground_truth_triggers(
       }
     }
   }
-  store.reset_triggers();
   return events;
+}
+
+}  // namespace
+
+std::vector<alarms::TriggerEvent> ground_truth_triggers(
+    mobility::PositionSource& source, const alarms::AlarmStore& store,
+    std::size_t ticks) {
+  return replay_trace(source, store, ticks, {});
+}
+
+std::vector<alarms::TriggerEvent> ground_truth_triggers(
+    mobility::PositionSource& source, alarms::AlarmStore& store,
+    std::size_t ticks,
+    const std::function<void(std::size_t, alarms::AlarmStore&)>&
+        apply_churn) {
+  if (!apply_churn) return replay_trace(source, store, ticks, {});
+  return replay_trace(source, store, ticks,
+                      [&](std::size_t t) { apply_churn(t, store); });
 }
 
 AccuracyReport compare_triggers(std::vector<alarms::TriggerEvent> expected,

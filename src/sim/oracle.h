@@ -43,11 +43,10 @@ namespace salarm::sim {
 
 /// Computes the ground-truth trigger events for `ticks` ticks (tick 0 =
 /// initial positions), in (tick, subscriber, alarm) order. The source is
-/// reset before and left at the end position afterwards; the store's
-/// trigger state is reset before and after, and its alarm set is only
-/// read.
+/// reset before and left at the end position afterwards; the store is
+/// only read (its alarm set — the oracle keeps its own spent set).
 std::vector<alarms::TriggerEvent> ground_truth_triggers(
-    mobility::PositionSource& source, alarms::AlarmStore& store,
+    mobility::PositionSource& source, const alarms::AlarmStore& store,
     std::size_t ticks);
 
 /// As above, but over a time-varying alarm set: `apply_churn(t, store)` is

@@ -81,7 +81,7 @@ saferegion::RectSafeRegion Server::compute_rect_region(
                                                 regions_, model, options);
   metrics_.server_region_ops += region.ops;
   ++metrics_.safe_region_recomputes;
-  const std::size_t bytes = wire::rect_message_size();
+  const std::size_t bytes = wire::encoded_size(wire::RectSafeRegionMsg{});
   metrics_.downstream_region_bytes += bytes;
   metrics_.region_payload_bytes.add(static_cast<double>(bytes));
   record_grant(s, dynamics::GrantKind::kRect, region.rect);
@@ -362,22 +362,20 @@ void Server::install_alarm(const alarms::SpatialAlarm& alarm,
 
 bool Server::remove_alarm(alarms::AlarmId id, std::uint64_t tick) {
   SALARM_REQUIRE(dynamics_enabled_, "dynamics tier not enabled");
-  std::optional<Tomb> tomb;
-  if (store_.installed(id)) {
-    const auto it = installed_at_.find(id);
-    const std::uint64_t born = it == installed_at_.end() ? 0 : it->second;
-    tomb = Tomb{store_.alarm(id), born, tick};
-  }
-  const bool removed = charged(&Metrics::server_alarm_ops, [&] {
-    return store_.uninstall(id);
+  if (!store_.installed(id)) return false;
+  charged(&Metrics::server_alarm_ops, [&] {
+    bury(id, tick);
+    return 0;
   });
-  if (removed) {
-    graveyard_.push_back(std::move(*tomb));
-    installed_at_.erase(id);
-    metrics_.server_alarm_ops += kOpsPerUpdateOverhead;
-    ++metrics_.alarms_removed;
-  }
-  return removed;
+  metrics_.server_alarm_ops += kOpsPerUpdateOverhead;
+  ++metrics_.alarms_removed;
+  return true;
+}
+
+void Server::bury(alarms::AlarmId id, std::uint64_t tick) {
+  const auto born = installed_at_.extract(id);
+  graveyard_.push_back({store_.alarm(id), born ? born.mapped() : 0, tick});
+  store_.uninstall(id);
 }
 
 std::vector<dynamics::InvalidationPush> Server::take_invalidations(
@@ -402,42 +400,60 @@ void Server::crash() {
   pyramid_memo_.clear();
 }
 
-void Server::restore_install(const alarms::SpatialAlarm& alarm,
-                             std::uint64_t installed_at) {
+wire::ShardCheckpointMsg Server::checkpoint(std::uint64_t tick) const {
+  wire::ShardCheckpointMsg cp;
+  cp.tick = tick;
+  for (const alarms::SpatialAlarm& a : store_.all()) {
+    const auto it = installed_at_.find(a.id);
+    cp.alarms.push_back({a, it == installed_at_.end() ? 0 : it->second});
+  }
+  cp.graveyard = graveyard_;
+  for (const auto& [alarm, subscriber] : store_.spent_pairs()) {
+    cp.spent.push_back({alarm, subscriber});
+  }
+  for (const auto& [subscriber, grant] : sessions_.snapshot()) {
+    cp.grants.push_back(
+        {subscriber, static_cast<std::uint8_t>(grant.kind), grant.bounds});
+  }
+  return cp;
+}
+
+void Server::restore(const wire::ShardCheckpointMsg& checkpoint) {
+  for (const auto& rec : checkpoint.alarms) {
+    reinstall(rec.alarm, rec.installed_at);
+  }
+  graveyard_.insert(graveyard_.end(), checkpoint.graveyard.begin(),
+                    checkpoint.graveyard.end());
+  for (const auto& rec : checkpoint.spent) {
+    store_.mark_spent(rec.alarm, rec.subscriber);
+  }
+  if (!dynamics_enabled_) return;
+  for (const auto& rec : checkpoint.grants) {
+    sessions_.record(rec.subscriber,
+                     static_cast<dynamics::GrantKind>(rec.kind), rec.bounds);
+  }
+}
+
+void Server::replay(const wire::JournalRecordMsg& record) {
+  switch (record.kind) {
+    case wire::JournalRecordMsg::Kind::kInstall:
+      reinstall(record.alarm, record.tick);
+      break;
+    case wire::JournalRecordMsg::Kind::kRemove:
+      if (store_.installed(record.alarm_id)) bury(record.alarm_id, record.tick);
+      break;
+    case wire::JournalRecordMsg::Kind::kSpent:
+      store_.mark_spent(record.alarm_id, record.subscriber);
+      break;
+  }
+}
+
+void Server::reinstall(const alarms::SpatialAlarm& alarm,
+                       std::uint64_t installed_at) {
   store_.install(alarm);
   // Tick 0 means "loaded at run start": absent from the map, exactly as
   // before the crash (the buffered-report filter treats both identically).
   if (installed_at > 0) installed_at_[alarm.id] = installed_at;
-}
-
-void Server::restore_remove(alarms::AlarmId id, std::uint64_t removed_at) {
-  if (!store_.installed(id)) return;
-  const auto it = installed_at_.find(id);
-  const std::uint64_t born = it == installed_at_.end() ? 0 : it->second;
-  graveyard_.push_back(Tomb{store_.alarm(id), born, removed_at});
-  store_.uninstall(id);
-  installed_at_.erase(id);
-}
-
-void Server::restore_tomb(const alarms::SpatialAlarm& alarm,
-                          std::uint64_t installed_at,
-                          std::uint64_t removed_at) {
-  graveyard_.push_back(Tomb{alarm, installed_at, removed_at});
-}
-
-void Server::restore_spent(alarms::AlarmId id, alarms::SubscriberId s) {
-  store_.mark_spent(id, s);
-}
-
-void Server::restore_grant(alarms::SubscriberId s, dynamics::GrantKind kind,
-                           const geo::Rect& bounds) {
-  if (!dynamics_enabled_) return;
-  sessions_.record(s, kind, bounds);
-}
-
-std::uint64_t Server::installed_at(alarms::AlarmId id) const {
-  const auto it = installed_at_.find(id);
-  return it == installed_at_.end() ? 0 : it->second;
 }
 
 std::size_t Server::compact_graveyard(std::uint64_t watermark) {

@@ -145,14 +145,6 @@ class Server {
 
   // ---- Failover tier (DESIGN.md §10; every call is serial-phase only) ----
 
-  /// A removed alarm's copy with its [installed, removed) lifetime, kept
-  /// for temporal evaluation of outage-buffered reports.
-  struct Tomb {
-    alarms::SpatialAlarm alarm;
-    std::uint64_t installed_at = 0;
-    std::uint64_t removed_at = 0;
-  };
-
   /// Simulates a process crash: everything a real shard process keeps in
   /// memory is dropped — the alarm index (spent state included), the
   /// install-tick map, the removal graveyard, the outstanding-grant table,
@@ -163,27 +155,22 @@ class Server {
   /// server state.
   void crash();
 
-  /// Recovery restore paths. They rebuild durable state without
-  /// re-counting it as fresh work: the original install/remove/fire was
-  /// charged before the crash (metrics survive the crash), so restores
-  /// only touch the store — recovery effort is priced separately from the
-  /// fo_* counters by the cost model.
-  void restore_install(const alarms::SpatialAlarm& alarm,
-                       std::uint64_t installed_at);
-  void restore_remove(alarms::AlarmId id, std::uint64_t removed_at);
-  void restore_tomb(const alarms::SpatialAlarm& alarm,
-                    std::uint64_t installed_at, std::uint64_t removed_at);
-  void restore_spent(alarms::AlarmId id, alarms::SubscriberId s);
-  void restore_grant(alarms::SubscriberId s, dynamics::GrantKind kind,
-                     const geo::Rect& bounds);
+  /// The server's durable state as of `tick`: the installed alarms in
+  /// store slot order with their install ticks (0 = loaded at run start),
+  /// the removal graveyard in removal order, the sorted spent pairs and
+  /// the outstanding grants sorted by subscriber. The caller owns the
+  /// message's `shard` field. Reads no index, so nothing is charged.
+  wire::ShardCheckpointMsg checkpoint(std::uint64_t tick) const;
 
-  /// Checkpoint export accessors.
-  std::uint64_t installed_at(alarms::AlarmId id) const;
-  const std::vector<Tomb>& graveyard() const { return graveyard_; }
-  std::vector<std::pair<alarms::SubscriberId, dynamics::SessionIndex::Grant>>
-  grant_snapshot() const {
-    return sessions_.snapshot();
-  }
+  /// Recovery: rebuilds the durable state of a crashed server from a
+  /// checkpoint, then replays the journal records written after it. They
+  /// rebuild state without re-counting it as fresh work: the original
+  /// install/remove/fire was charged before the crash (metrics survive
+  /// it), so they only touch the store, the graveyard and the grant table
+  /// — recovery effort is priced separately from the fo_* counters by the
+  /// cost model. A replayed removal of an absent alarm is a no-op.
+  void restore(const wire::ShardCheckpointMsg& checkpoint);
+  void replay(const wire::JournalRecordMsg& record);
 
   /// Drops graveyard tombs no pending buffered report can still observe: a
   /// tomb is only consulted for reports stamped strictly before its
@@ -201,6 +188,11 @@ class Server {
   }
 
  private:
+  /// A removed alarm's copy with its [installed, removed) lifetime, kept
+  /// for temporal evaluation of outage-buffered reports; checkpoints hold
+  /// the graveyard as is.
+  using Tomb = wire::ShardCheckpointMsg::TombRec;
+
   /// Runs fn and attributes the R*-tree node accesses it incurs to the
   /// given counter, weighted by kOpsPerNodeAccess.
   template <typename Fn>
@@ -230,6 +222,15 @@ class Server {
   void record_grant(alarms::SubscriberId s, dynamics::GrantKind kind,
                     const geo::Rect& bounds);
 
+  /// Moves installed alarm `id` to the graveyard with its lifetime, ending
+  /// at `tick`, and uninstalls it: the step online removal and replayed
+  /// removal share.
+  void bury(alarms::AlarmId id, std::uint64_t tick);
+
+  /// Installs an alarm as it stood before a crash, uncharged.
+  void reinstall(const alarms::SpatialAlarm& alarm,
+                 std::uint64_t installed_at);
+
   /// Queues one invalidation push for s (action chosen from the grant
   /// kind) and charges its wire size. Revoked grants are forgotten.
   void push_invalidation(alarms::SubscriberId s, dynamics::GrantKind kind,
@@ -251,10 +252,9 @@ class Server {
   /// Temporal alarm-lifetime bookkeeping for outage-buffered reports
   /// (DESIGN.md §9). Alarms absent from installed_at_ were loaded at run
   /// start (tick 0). The graveyard keeps a copy of every online-removed
-  /// alarm with its lifetime (Tomb, declared public for the failover
-  /// tier's checkpoints); it is scanned linearly (one elementary op per
-  /// tomb) only on the rare buffered-report path, and compacted against
-  /// the pending-stamp watermark (compact_graveyard).
+  /// alarm with its lifetime (Tomb); it is scanned linearly (one
+  /// elementary op per tomb) only on the rare buffered-report path, and
+  /// compacted against the pending-stamp watermark (compact_graveyard).
   std::unordered_map<alarms::AlarmId, std::uint64_t> installed_at_;
   std::vector<Tomb> graveyard_;
 

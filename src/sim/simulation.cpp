@@ -8,7 +8,7 @@
 namespace salarm::sim {
 
 Simulation::Simulation(mobility::PositionSource& source,
-                       alarms::AlarmStore& store,
+                       const alarms::AlarmStore& store,
                        const grid::GridOverlay& grid, std::size_t ticks)
     : source_(source), store_(store), grid_(grid), ticks_(ticks) {
   SALARM_REQUIRE(ticks >= 2, "simulation needs at least two ticks");
@@ -19,13 +19,13 @@ Simulation::Simulation(mobility::PositionSource& source,
 const std::vector<alarms::TriggerEvent>& Simulation::oracle() {
   if (!oracle_.has_value()) {
     if (scheduler_.has_value()) {
-      // Churn-aware ground truth: replay the identical timeline straight
-      // against the store (no server, no metrics), then rewind so the next
-      // run starts from the initial alarm set again.
-      rewind_store();
+      // Churn-aware ground truth: replay the identical timeline into a
+      // private copy of the initial alarm set (no server, no metrics).
+      alarms::AlarmStore replay(store_.rtree_node_capacity());
+      replay.install_bulk(store_.all());
       scheduler_->reset();
       oracle_ = ground_truth_triggers(
-          source_, store_, ticks_,
+          source_, replay, ticks_,
           [&](std::size_t t, alarms::AlarmStore& store) {
             scheduler_->for_each_due(
                 static_cast<std::uint64_t>(t),
@@ -37,23 +37,16 @@ const std::vector<alarms::TriggerEvent>& Simulation::oracle() {
                   }
                 });
           });
-      rewind_store();
     } else {
       oracle_ = ground_truth_triggers(source_, store_, ticks_);
     }
-    store_.reset_index_node_accesses();
   }
   return *oracle_;
 }
 
 void Simulation::set_churn(const dynamics::ChurnConfig& config,
                            std::uint64_t seed) {
-  // A previous churn run leaves the store in end-of-trace state; rewind to
-  // the prior snapshot first so re-arming churn (e.g. a rate sweep) always
-  // starts from the original alarm set.
-  rewind_store();
-  initial_alarms_ = store_.all();
-  scheduler_.emplace(config, grid_.universe(), initial_alarms_, ticks_, seed);
+  scheduler_.emplace(config, grid_.universe(), store_.all(), ticks_, seed);
   oracle_.reset();  // ground truth depends on the timeline
 }
 
@@ -83,12 +76,6 @@ void Simulation::set_failover(const failover::FailoverConfig& config,
   // the ground truth, so the cached oracle stays valid on purpose.
 }
 
-void Simulation::rewind_store() {
-  if (!scheduler_.has_value()) return;
-  store_.clear();
-  store_.install_bulk(initial_alarms_);
-}
-
 RunResult Simulation::run(const StrategyFactory& factory) {
   return run_sharded(factory, {.shards = 1, .threads = 1});
 }
@@ -97,9 +84,6 @@ RunResult Simulation::run_sharded(const StrategyFactory& factory,
                                   const ShardedRunOptions& options) {
   const auto& expected = oracle();  // ensure cached before timing the run
 
-  rewind_store();  // before slicing: shards replicate the initial set
-  store_.reset_triggers();
-  store_.reset_index_node_accesses();
   source_.reset();
 
   RunResult result;
@@ -143,7 +127,6 @@ RunResult Simulation::run_sharded(const StrategyFactory& factory,
   // place for every run mode (cluster::ShardedServer::merged_trigger_log).
   result.trigger_log = server.merged_trigger_log();
   result.accuracy = compare_triggers(expected, result.trigger_log);
-  store_.reset_triggers();
   return result;
 }
 

@@ -59,9 +59,12 @@ class Simulation {
   /// The source, store and grid must outlive the simulation. `ticks`
   /// counts the initial positions as tick 0 and must be >= 2. Any
   /// PositionSource works: the road-network trace generator, the
-  /// random-waypoint model, or a recorded/imported trace.
-  Simulation(mobility::PositionSource& source, alarms::AlarmStore& store,
-             const grid::GridOverlay& grid, std::size_t ticks);
+  /// random-waypoint model, or a recorded/imported trace. The simulation
+  /// never writes the store: each run slices its alarm set into fresh
+  /// shard stores, and the oracle replays churn into a private copy.
+  Simulation(mobility::PositionSource& source,
+             const alarms::AlarmStore& store, const grid::GridOverlay& grid,
+             std::size_t ticks);
 
   /// Builds a strategy against the given client link; called once per run.
   /// The same factory drives every shard count — strategies are written
@@ -90,14 +93,17 @@ class Simulation {
                         const ShardedRunOptions& options);
 
   /// Ground-truth trigger events (computed on first use, then cached).
+  /// Under churn the timeline is replayed into a private copy of the
+  /// store's alarm set; the store itself is only read.
   const std::vector<alarms::TriggerEvent>& oracle();
 
-  /// Enables alarm churn (DESIGN.md §8): snapshots the store's current
-  /// alarm set as the initial state, precomputes a deterministic
-  /// install/remove/expiry timeline for ticks [1, ticks), and invalidates
-  /// the cached oracle. Every subsequent run — at any shard count — and
-  /// the oracle replay the identical timeline; the store is rewound to the
-  /// snapshot at the start of each replay, so runs stay independent.
+  /// Enables alarm churn (DESIGN.md §8): precomputes a deterministic
+  /// install/remove/expiry timeline for ticks [1, ticks) over the store's
+  /// alarm set as the initial state, and invalidates the cached oracle.
+  /// Every subsequent run — at any shard count — and the oracle replay the
+  /// identical timeline from that initial set, so runs stay independent.
+  /// The store must not change afterwards: the timeline's ids and expiries
+  /// are drawn against its current alarm set.
   void set_churn(const dynamics::ChurnConfig& config, std::uint64_t seed);
 
   /// Routes every subsequent run through a fault-injecting channel
@@ -134,16 +140,12 @@ class Simulation {
   }
 
  private:
-  /// Rewinds the store to the churn snapshot (no-op without churn).
-  void rewind_store();
-
   mobility::PositionSource& source_;
-  alarms::AlarmStore& store_;
+  const alarms::AlarmStore& store_;
   const grid::GridOverlay& grid_;
   std::size_t ticks_;
   std::optional<std::vector<alarms::TriggerEvent>> oracle_;
   std::optional<dynamics::AlarmScheduler> scheduler_;
-  std::vector<alarms::SpatialAlarm> initial_alarms_;
   net::ChannelConfig channel_config_{};
   std::uint64_t channel_seed_ = 0;
   std::optional<failover::FailoverConfig> failover_config_;

@@ -76,7 +76,7 @@ void TickPipeline::run() {
         if (e.kind == dynamics::ChurnEvent::Kind::kInstall) {
           server_.install_alarm(e.alarm, tick);
         } else {
-          (void)server_.remove_alarm(e.id, tick);
+          server_.remove_alarm(e.id, tick);
         }
       });
     }

@@ -220,7 +220,7 @@ TEST(ClientLinkTest, CertainDuplicationIsFullySuppressedAndCounted) {
   EXPECT_EQ(w.metrics.net_retransmissions, 0u);
   EXPECT_EQ(w.metrics.net_duplicates_dropped, 50u);
   EXPECT_EQ(w.metrics.net_ack_messages, 100u);
-  EXPECT_EQ(w.metrics.net_ack_bytes, 100u * wire::ack_message_size());
+  EXPECT_EQ(w.metrics.net_ack_bytes, 100u * wire::encoded_size(wire::AckMsg{}));
   EXPECT_EQ(w.metrics.uplink_messages, 50u);  // duplicates are not reports
 }
 

@@ -8,8 +8,13 @@
 // subscribers, with the store changing underneath it, and compares every
 // grant against a server built fresh for that one contact over the same
 // store.
+//
+// The server also writes and restores its own shard checkpoint (DESIGN.md
+// §10); the ServerCheckpointTest cases pin that round trip.
 #include <cstdint>
 #include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +24,7 @@
 #include "geometry/rect.h"
 #include "grid/grid_overlay.h"
 #include "saferegion/pyramid.h"
+#include "saferegion/wire_format.h"
 #include "sim/metrics.h"
 #include "sim/server.h"
 
@@ -134,14 +140,144 @@ TEST_F(PyramidGrantMemoTest, WarmServerGrantsWhatAColdServerBuilds) {
   }
   random_contacts(rng, 100);
 
-  // A crash, then the restores: the store is rebuilt alarm by alarm, so
+  // A crash, then the restore: the store is rebuilt alarm by alarm, so
   // its visit order may differ from the bulk-loaded one.
-  const std::vector<alarms::SpatialAlarm> saved = store.all();
-  const auto spent_pairs = store.spent_pairs();
+  const wire::ShardCheckpointMsg saved = warm.checkpoint(1);
   warm.crash();
-  for (const alarms::SpatialAlarm& a : saved) warm.restore_install(a, 0);
-  for (const auto& [id, s] : spent_pairs) warm.restore_spent(id, s);
+  warm.restore(saved);
   random_contacts(rng, 300);
+}
+
+// ---------------------------------------------------------------------------
+// The server's own checkpoint (failover tier, DESIGN.md §10): restoring a
+// checkpoint rebuilds exactly the state it was taken from, and replaying a
+// journal record leaves exactly the state of the live mutation it records.
+// ---------------------------------------------------------------------------
+
+alarms::SpatialAlarm alarm_at(alarms::AlarmId id, alarms::AlarmScope scope,
+                              std::vector<SubscriberId> subscribers,
+                              const Rect& region) {
+  return {id, scope, subscribers.empty() ? 0 : subscribers.front(), region,
+          std::move(subscribers), "alert " + std::to_string(id)};
+}
+
+/// One shard-sized engine with dynamics on over a hand-placed alarm set:
+/// a public alarm in cell (0, 0), a private one in cell (1, 0) and a
+/// shared one in cell (2, 2), all loaded at run start.
+struct DynamicServer {
+  DynamicServer() {
+    store.install_bulk(
+        {alarm_at(1, alarms::AlarmScope::kPublic, {}, Rect(100, 100, 300, 300)),
+         alarm_at(2, alarms::AlarmScope::kPrivate, {1},
+                  Rect(1200, 200, 1400, 400)),
+         alarm_at(3, alarms::AlarmScope::kShared, {0, 2},
+                  Rect(2500, 2500, 2700, 2700))});
+    server.enable_dynamics(kSubscribers);
+  }
+
+  std::vector<std::uint8_t> checkpoint_bytes(std::uint64_t tick) const {
+    return wire::encode(server.checkpoint(tick));
+  }
+
+  alarms::AlarmStore store;
+  grid::GridOverlay grid = grid::GridOverlay::with_cell_area(kUniverse, 1.0e6);
+  sim::Metrics metrics;
+  sim::Server server{store, grid, metrics};
+};
+
+TEST(ServerCheckpointTest, RestoredCheckpointIsByteIdentical) {
+  DynamicServer w;
+  sim::Server& server = w.server;
+  // Grants of three kinds (none of them under a later install, which
+  // would revoke it), installs at known ticks, one removal of an
+  // online-installed alarm and one of an initial alarm, and spent pairs.
+  (void)server.compute_pyramid_region(0, {500, 500}, pyramid(3));
+  (void)server.push_alarms(2, {1500, 500});
+  (void)server.compute_safe_period(4, {500, 800}, 20.0, 1.0);
+  server.install_alarm(
+      alarm_at(10, alarms::AlarmScope::kPublic, {}, Rect(3100, 100, 3300, 300)),
+      3);
+  server.install_alarm(alarm_at(11, alarms::AlarmScope::kShared, {1, 3},
+                                Rect(4100, 1100, 4300, 1300)),
+                       7);
+  ASSERT_TRUE(server.remove_alarm(10, 9));
+  ASSERT_TRUE(server.remove_alarm(3, 10));
+  EXPECT_EQ(server.handle_position_update(1, {1300, 300}, 11),
+            (std::vector<alarms::AlarmId>{2}));
+  EXPECT_EQ(server.handle_position_update(3, {4200, 1200}, 11),
+            (std::vector<alarms::AlarmId>{11}));
+  EXPECT_EQ(server.handle_position_update(5, {200, 200}, 11),
+            (std::vector<alarms::AlarmId>{1}));
+
+  const wire::ShardCheckpointMsg before = server.checkpoint(12);
+  // Every section is populated, so the comparison below covers all four.
+  ASSERT_EQ(before.alarms.size(), 3u);
+  EXPECT_EQ(before.alarms.back().alarm.id, 11u);
+  EXPECT_EQ(before.alarms.back().installed_at, 7u);
+  ASSERT_EQ(before.graveyard.size(), 2u);
+  EXPECT_EQ(before.graveyard[0].alarm.id, 10u);
+  EXPECT_EQ(before.graveyard[0].installed_at, 3u);
+  EXPECT_EQ(before.graveyard[0].removed_at, 9u);
+  EXPECT_EQ(before.graveyard[1].installed_at, 0u);
+  EXPECT_EQ(before.spent.size(), 3u);
+  EXPECT_EQ(before.grants.size(), 3u);
+
+  const std::vector<std::uint8_t> bytes = wire::encode(before);
+  server.crash();
+  EXPECT_TRUE(server.checkpoint(12).alarms.empty());
+  server.restore(wire::decode<wire::ShardCheckpointMsg>(bytes));
+  EXPECT_EQ(w.checkpoint_bytes(12), bytes);
+}
+
+TEST(ServerCheckpointTest, ReplayLeavesTheLiveMutationsCheckpoint) {
+  DynamicServer live;
+  DynamicServer replayed;
+  ASSERT_EQ(live.checkpoint_bytes(0), replayed.checkpoint_bytes(0));
+
+  const alarms::SpatialAlarm added = alarm_at(
+      20, alarms::AlarmScope::kPrivate, {4}, Rect(2100, 3100, 2300, 3300));
+  wire::JournalRecordMsg install;
+  install.kind = wire::JournalRecordMsg::Kind::kInstall;
+  install.tick = 5;
+  install.alarm = added;
+  install.alarm_id = added.id;
+  live.server.install_alarm(added, 5);
+  replayed.server.replay(install);
+  EXPECT_EQ(replayed.checkpoint_bytes(5), live.checkpoint_bytes(5));
+
+  // The online-installed alarm keeps its install tick in the tomb; an
+  // initial alarm's tomb starts at 0.
+  for (const alarms::AlarmId id : {alarms::AlarmId{20}, alarms::AlarmId{3}}) {
+    wire::JournalRecordMsg remove;
+    remove.kind = wire::JournalRecordMsg::Kind::kRemove;
+    remove.tick = 8;
+    remove.alarm_id = id;
+    ASSERT_TRUE(live.server.remove_alarm(id, 8));
+    replayed.server.replay(remove);
+    EXPECT_EQ(replayed.checkpoint_bytes(8), live.checkpoint_bytes(8));
+  }
+  // Replaying a removal of an absent alarm changes nothing, like the live
+  // removal that finds nothing.
+  wire::JournalRecordMsg absent;
+  absent.kind = wire::JournalRecordMsg::Kind::kRemove;
+  absent.tick = 8;
+  absent.alarm_id = 3;
+  EXPECT_FALSE(live.server.remove_alarm(3, 8));
+  replayed.server.replay(absent);
+  EXPECT_EQ(replayed.checkpoint_bytes(8), live.checkpoint_bytes(8));
+
+  wire::JournalRecordMsg spent;
+  spent.kind = wire::JournalRecordMsg::Kind::kSpent;
+  spent.tick = 9;
+  spent.alarm_id = 1;
+  spent.subscriber = 2;
+  EXPECT_EQ(live.server.handle_position_update(2, {150, 250}, 9),
+            (std::vector<alarms::AlarmId>{1}));
+  replayed.server.replay(spent);
+  const wire::ShardCheckpointMsg cp = live.server.checkpoint(9);
+  EXPECT_EQ(cp.graveyard.size(), 2u);
+  EXPECT_EQ(cp.spent.size(), 1u);
+  EXPECT_EQ(replayed.checkpoint_bytes(9), wire::encode(cp));
 }
 
 }  // namespace

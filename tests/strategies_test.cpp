@@ -105,7 +105,7 @@ TEST(RectRegionStrategyTest, OneCheckPerTickAndReportOnExit) {
   EXPECT_EQ(w.metrics.uplink_messages, 1u);
   EXPECT_EQ(w.metrics.safe_region_recomputes, 1u);
   const auto bytes_after_init = w.metrics.downstream_region_bytes;
-  EXPECT_EQ(bytes_after_init, wire::rect_message_size());
+  EXPECT_EQ(bytes_after_init, wire::encoded_size(wire::RectSafeRegionMsg{}));
 
   // Wandering inside the first cell, far from the alarm: checks but no
   // messages (the region spans the whole empty cell).

@@ -46,7 +46,7 @@ TEST(WireFormatTest, PositionUpdateRoundTrip) {
   const auto bytes = encode(m);
   EXPECT_EQ(bytes.size(), encoded_size(m));
   EXPECT_EQ(bytes.size(), 33u);
-  const PositionUpdate d = decode_position_update(bytes);
+  const PositionUpdate d = decode<PositionUpdate>(bytes);
   EXPECT_EQ(d.subscriber, m.subscriber);
   EXPECT_EQ(d.position, m.position);
   EXPECT_DOUBLE_EQ(d.time_s, m.time_s);
@@ -57,21 +57,21 @@ TEST(WireFormatTest, RectSafeRegionRoundTrip) {
   const RectSafeRegionMsg m{Rect(1.5, 2.5, 100.25, 200.125)};
   const auto bytes = encode(m);
   EXPECT_EQ(bytes.size(), encoded_size(m));
-  EXPECT_EQ(bytes.size(), rect_message_size());
-  EXPECT_EQ(decode_rect_safe_region(bytes).rect, m.rect);
+  EXPECT_EQ(bytes.size(), encoded_size(RectSafeRegionMsg{}));
+  EXPECT_EQ(decode<RectSafeRegionMsg>(bytes).rect, m.rect);
 }
 
 TEST(WireFormatTest, SafePeriodAndTriggerRoundTrip) {
   const SafePeriodMsg sp{17.25};
   const auto sp_bytes = encode(sp);
   EXPECT_EQ(sp_bytes.size(), encoded_size(sp));
-  EXPECT_DOUBLE_EQ(decode_safe_period(sp_bytes).period_s, 17.25);
+  EXPECT_DOUBLE_EQ(decode<SafePeriodMsg>(sp_bytes).period_s, 17.25);
 
   const TriggerNoticeMsg tn{1234, "fuel below 1/4 near I-85 exit 86"};
   const auto tn_bytes = encode(tn);
   EXPECT_EQ(tn_bytes.size(), encoded_size(tn));
   EXPECT_EQ(tn_bytes.size(), trigger_notice_size(tn.message.size()));
-  const auto tn_decoded = decode_trigger_notice(tn_bytes);
+  const auto tn_decoded = decode<TriggerNoticeMsg>(tn_bytes);
   EXPECT_EQ(tn_decoded.alarm, 1234u);
   EXPECT_EQ(tn_decoded.message, tn.message);
 }
@@ -86,7 +86,7 @@ TEST(WireFormatTest, AlarmPushRoundTrip) {
   EXPECT_EQ(bytes.size(),
             alarm_push_size(2, m.alarms[0].message.size() +
                                    m.alarms[1].message.size()));
-  const AlarmPushMsg d = decode_alarm_push(bytes);
+  const AlarmPushMsg d = decode<AlarmPushMsg>(bytes);
   EXPECT_EQ(d.cell, m.cell);
   ASSERT_EQ(d.alarms.size(), 2u);
   EXPECT_EQ(d.alarms[0].id, 7u);
@@ -110,7 +110,7 @@ TEST(WireFormatTest, PyramidSafeRegionRoundTrip) {
   const auto bytes = encode(msg);
   EXPECT_EQ(bytes.size(), encoded_size(msg));
   EXPECT_EQ(bytes.size(), pyramid_message_size(bitmap.bit_size()));
-  const auto decoded_msg = decode_pyramid_safe_region(bytes);
+  const auto decoded_msg = decode<PyramidSafeRegionMsg>(bytes);
   const auto restored = decoded_msg.decode();
   EXPECT_TRUE(restored == bitmap);
 }
@@ -126,26 +126,26 @@ TEST(WireFormatTest, EmptyPyramidIsTiny) {
 
 TEST(WireFormatTest, DecodersRejectWrongType) {
   const auto bytes = encode(TriggerNoticeMsg{5, ""});
-  EXPECT_THROW(decode_position_update(bytes), salarm::PreconditionError);
-  EXPECT_THROW(decode_rect_safe_region(bytes), salarm::PreconditionError);
-  EXPECT_THROW(decode_alarm_push(bytes), salarm::PreconditionError);
+  EXPECT_THROW(decode<PositionUpdate>(bytes), salarm::PreconditionError);
+  EXPECT_THROW(decode<RectSafeRegionMsg>(bytes), salarm::PreconditionError);
+  EXPECT_THROW(decode<AlarmPushMsg>(bytes), salarm::PreconditionError);
 }
 
 TEST(WireFormatTest, DecodersRejectTruncation) {
   auto bytes = encode(PositionUpdate{1, {2, 3}, 4});
   bytes.pop_back();
-  EXPECT_THROW(decode_position_update(bytes), salarm::PreconditionError);
+  EXPECT_THROW(decode<PositionUpdate>(bytes), salarm::PreconditionError);
 
   auto push = encode(
       AlarmPushMsg{Rect(0, 0, 1, 1), {{1, Rect(0, 0, 1, 1), ""}}});
   push.resize(push.size() - 10);
-  EXPECT_THROW(decode_alarm_push(push), salarm::PreconditionError);
+  EXPECT_THROW(decode<AlarmPushMsg>(push), salarm::PreconditionError);
 }
 
 TEST(WireFormatTest, DecodersRejectTrailingBytes) {
   auto bytes = encode(SafePeriodMsg{1.0});
   bytes.push_back(0);
-  EXPECT_THROW(decode_safe_period(bytes), salarm::PreconditionError);
+  EXPECT_THROW(decode<SafePeriodMsg>(bytes), salarm::PreconditionError);
 }
 
 TEST(WireFormatTest, PyramidPayloadValidated) {
@@ -162,7 +162,7 @@ TEST(WireFormatTest, InvalidationRoundTrip) {
   const auto revoke_bytes = encode(revoke);
   EXPECT_EQ(revoke_bytes.size(), encoded_size(revoke));
   EXPECT_EQ(revoke_bytes.size(), invalidation_message_size(0));
-  const auto revoke_decoded = decode_invalidation(revoke_bytes);
+  const auto revoke_decoded = decode<InvalidationMsg>(revoke_bytes);
   EXPECT_EQ(revoke_decoded.action, 0);
   EXPECT_EQ(revoke_decoded.seq, 6u);
   EXPECT_EQ(revoke_decoded.alarm, 17u);
@@ -175,7 +175,7 @@ TEST(WireFormatTest, InvalidationRoundTrip) {
   const auto add_bytes = encode(add);
   EXPECT_EQ(add_bytes.size(), encoded_size(add));
   EXPECT_EQ(add_bytes.size(), invalidation_message_size(add.message.size()));
-  const auto add_decoded = decode_invalidation(add_bytes);
+  const auto add_decoded = decode<InvalidationMsg>(add_bytes);
   EXPECT_EQ(add_decoded.action, 2);
   EXPECT_EQ(add_decoded.alarm, 90001u);
   EXPECT_EQ(add_decoded.message, add.message);
@@ -188,68 +188,88 @@ TEST(WireFormatTest, InvalidationRejectsCorruptPayloads) {
   // Bad type byte.
   auto bad_type = bytes;
   bad_type[0] = static_cast<std::uint8_t>(MessageType::kSafePeriod);
-  EXPECT_THROW(decode_invalidation(bad_type), salarm::PreconditionError);
+  EXPECT_THROW(decode<InvalidationMsg>(bad_type), salarm::PreconditionError);
 
   // Unknown action byte (only 0/1/2 are defined).
   auto bad_action = bytes;
   bad_action[1] = 7;
-  EXPECT_THROW(decode_invalidation(bad_action), salarm::PreconditionError);
+  EXPECT_THROW(decode<InvalidationMsg>(bad_action), salarm::PreconditionError);
 
   // Trailing garbage.
   auto long_buf = bytes;
   long_buf.push_back(0);
-  EXPECT_THROW(decode_invalidation(long_buf), salarm::PreconditionError);
+  EXPECT_THROW(decode<InvalidationMsg>(long_buf), salarm::PreconditionError);
 }
 
 // Every strict prefix of a valid message must throw — decoding may never
 // read past the buffer or fall into UB on short input.
-template <typename Decoder>
-void expect_all_prefixes_throw(const std::vector<std::uint8_t>& bytes,
-                               Decoder decode) {
+template <typename M>
+void expect_all_prefixes_throw(const M& m) {
+  const std::vector<std::uint8_t> bytes = encode(m);
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW(decode(std::span(bytes.data(), len)),
+    EXPECT_THROW(decode<M>(std::span(bytes.data(), len)),
                  salarm::PreconditionError)
         << "prefix of length " << len << " accepted";
   }
 }
 
 TEST(WireFormatTest, TruncationSweepThrowsForEveryPrefix) {
-  expect_all_prefixes_throw(encode(PositionUpdate{1, {2, 3}, 4}),
-                            [](auto b) { return decode_position_update(b); });
-  expect_all_prefixes_throw(encode(RectSafeRegionMsg{Rect(0, 0, 1, 1)}),
-                            [](auto b) { return decode_rect_safe_region(b); });
-  expect_all_prefixes_throw(encode(SafePeriodMsg{3.5}),
-                            [](auto b) { return decode_safe_period(b); });
-  expect_all_prefixes_throw(encode(TriggerNoticeMsg{9, "low fuel"}),
-                            [](auto b) { return decode_trigger_notice(b); });
+  expect_all_prefixes_throw(PositionUpdate{1, {2, 3}, 4});
+  expect_all_prefixes_throw(RectSafeRegionMsg{Rect(0, 0, 1, 1)});
+  expect_all_prefixes_throw(SafePeriodMsg{3.5});
+  expect_all_prefixes_throw(TriggerNoticeMsg{9, "low fuel"});
   expect_all_prefixes_throw(
-      encode(AlarmPushMsg{Rect(0, 0, 9, 9), {{1, Rect(1, 1, 2, 2), "hi"}}}),
-      [](auto b) { return decode_alarm_push(b); });
+      AlarmPushMsg{Rect(0, 0, 9, 9), {{1, Rect(1, 1, 2, 2), "hi"}}});
   expect_all_prefixes_throw(
-      encode(InvalidationMsg{2, 1, 5, Rect(0, 0, 1, 1), "msg"}),
-      [](auto b) { return decode_invalidation(b); });
+      InvalidationMsg{2, 1, 5, Rect(0, 0, 1, 1), "msg"});
+  expect_all_prefixes_throw(
+      ShardHandoffMsg{7, {1, 2}, 3.5, 4, 5, 1, {6, 7}});
 
   const auto bitmap = saferegion::PyramidBitmap::build(
       Rect(0, 0, 900, 900), std::vector<Rect>{Rect(10, 10, 200, 200)},
       saferegion::PyramidConfig{});
-  expect_all_prefixes_throw(
-      encode(PyramidSafeRegionMsg::from(bitmap)),
-      [](auto b) { return decode_pyramid_safe_region(b); });
+  expect_all_prefixes_throw(PyramidSafeRegionMsg::from(bitmap));
 }
 
 TEST(WireFormatTest, AckRoundTrip) {
   const AckMsg m{1234, 0xDEADBEEF};
   const auto bytes = encode(m);
-  EXPECT_EQ(bytes.size(), ack_message_size());
-  const AckMsg d = decode_ack(bytes);
+  EXPECT_EQ(bytes.size(), encoded_size(AckMsg{}));
+  const AckMsg d = decode<AckMsg>(bytes);
   EXPECT_EQ(d.subscriber, 1234u);
   EXPECT_EQ(d.seq, 0xDEADBEEFu);
 
   // Wrong type byte and every strict prefix must throw.
   auto bad = bytes;
   bad[0] = static_cast<std::uint8_t>(MessageType::kSafePeriod);
-  EXPECT_THROW(decode_ack(bad), salarm::PreconditionError);
-  expect_all_prefixes_throw(bytes, [](auto b) { return decode_ack(b); });
+  EXPECT_THROW(decode<AckMsg>(bad), salarm::PreconditionError);
+  expect_all_prefixes_throw(m);
+}
+
+TEST(WireFormatTest, ShardHandoffRoundTrip) {
+  const ShardHandoffMsg m{77, {1500.25, -3.5}, 42.5, 9, 0xABCDEF01, 1,
+                          {3, 0x10203040, 5}};
+  const auto bytes = encode(m);
+  EXPECT_EQ(bytes.size(), encoded_size(m));
+  EXPECT_EQ(bytes.size(), handoff_message_size(m.spent.size()));
+  const ShardHandoffMsg d = decode<ShardHandoffMsg>(bytes);
+  EXPECT_EQ(d.subscriber, 77u);
+  EXPECT_EQ(d.position, m.position);
+  EXPECT_DOUBLE_EQ(d.time_s, 42.5);
+  EXPECT_EQ(d.uplink_seq, 9u);
+  EXPECT_EQ(d.downlink_seq, 0xABCDEF01u);
+  EXPECT_EQ(d.leased, 1);
+  EXPECT_EQ(d.spent, m.spent);
+
+  // The size is the field list's: 42 fixed bytes and 4 per spent id.
+  for (const std::size_t n : {0u, 1u, 2u, 100u}) {
+    EXPECT_EQ(handoff_message_size(n), 42 + 4 * n);
+  }
+
+  // Only 0 and 1 are lease flags.
+  auto bad_flag = bytes;
+  bad_flag[37] = 2;  // type(1) id(4) position(16) time(8) seqs(8)
+  EXPECT_THROW(decode<ShardHandoffMsg>(bad_flag), salarm::PreconditionError);
 }
 
 // DESIGN.md §9: the channel may reorder and duplicate invalidation pushes;
@@ -264,8 +284,8 @@ TEST(WireFormatTest, InvalidationSequenceSurvivesReordering) {
 
   // Delivered out of order: decoding is order-independent, and the seq
   // fields alone recover the original send order.
-  const auto late = decode_invalidation(second_bytes);
-  const auto early = decode_invalidation(first_bytes);
+  const auto late = decode<InvalidationMsg>(second_bytes);
+  const auto early = decode<InvalidationMsg>(first_bytes);
   EXPECT_LT(early.seq, late.seq);
   EXPECT_EQ(early.alarm, 7u);
   EXPECT_EQ(late.alarm, 8u);
@@ -275,8 +295,8 @@ TEST(WireFormatTest, InvalidationDuplicateCopiesDecodeIdentically) {
   const InvalidationMsg m{2, 99, 13, Rect(1, 1, 2, 2), "copy me"};
   const auto bytes = encode(m);
   const auto copy_bytes = bytes;  // the channel re-delivers the same frame
-  const auto a = decode_invalidation(bytes);
-  const auto b = decode_invalidation(copy_bytes);
+  const auto a = decode<InvalidationMsg>(bytes);
+  const auto b = decode<InvalidationMsg>(copy_bytes);
   // Identical seq is exactly what the duplicate-suppression window keys on.
   EXPECT_EQ(a.seq, b.seq);
   EXPECT_EQ(a.action, b.action);
@@ -295,7 +315,7 @@ TEST(WireFormatTest, AlarmPushRejectsReserveBomb) {
   bytes[34] = 0xFF;
   bytes[35] = 0xFF;
   bytes[36] = 0xFF;
-  EXPECT_THROW(decode_alarm_push(bytes), salarm::PreconditionError);
+  EXPECT_THROW(decode<AlarmPushMsg>(bytes), salarm::PreconditionError);
 }
 
 TEST(WireFormatTest, PyramidBitCountNearMaxIsRejected) {
@@ -312,7 +332,7 @@ TEST(WireFormatTest, PyramidBitCountNearMaxIsRejected) {
   // bit count and leave the payload empty.
   ASSERT_EQ(bytes.size(), 40u);
   for (std::size_t i = 36; i < 40; ++i) bytes[i] = 0xFF;
-  EXPECT_THROW(decode_pyramid_safe_region(bytes), salarm::PreconditionError);
+  EXPECT_THROW(decode<PyramidSafeRegionMsg>(bytes), salarm::PreconditionError);
 }
 
 // ---------------------------------------------------------------------------
@@ -345,17 +365,11 @@ struct GoldenCase {
   std::function<Reencoded(std::span<const std::uint8_t>)> reencode;
 };
 
-std::size_t size_of(const AckMsg&) { return ack_message_size(); }
 template <typename M>
-std::size_t size_of(const M& m) {
-  return encoded_size(m);
-}
-
-template <typename M, typename Decoder>
-GoldenCase golden_case(std::string name, const M& m, Decoder decode) {
+GoldenCase golden_case(std::string name, const M& m) {
   return {std::move(name), encode(m),
-          [decode](std::span<const std::uint8_t> in) {
-            const M d = decode(in);
+          [](std::span<const std::uint8_t> in) {
+            const M d = decode<M>(in);
             if constexpr (std::is_same_v<M, PyramidSafeRegionMsg>) {
               // A pyramid that decodes must also expand cleanly or be
               // rejected as malformed.
@@ -364,7 +378,7 @@ GoldenCase golden_case(std::string name, const M& m, Decoder decode) {
               } catch (const salarm::PreconditionError&) {
               }
             }
-            return Reencoded{encode(d), size_of(d)};
+            return Reencoded{encode(d), encoded_size(d)};
           }};
 }
 
@@ -411,30 +425,28 @@ std::vector<GoldenCase> golden_cases() {
   spent.subscriber = 0x12131415;
 
   return {
-      golden_case("PositionUpdate",
-                  PositionUpdate{0x01020304, {123.5, -7.25}, 99.75, 0xA0B0C0D0},
-                  decode_position_update),
+      golden_case("PositionUpdate", PositionUpdate{0x01020304, {123.5, -7.25},
+                                                   99.75, 0xA0B0C0D0}),
       golden_case("RectSafeRegion",
-                  RectSafeRegionMsg{Rect(1.5, 2.5, 100.25, 200.125)},
-                  decode_rect_safe_region),
-      golden_case("PyramidSafeRegion", pyramid, decode_pyramid_safe_region),
+                  RectSafeRegionMsg{Rect(1.5, 2.5, 100.25, 200.125)}),
+      golden_case("PyramidSafeRegion", pyramid),
       golden_case("AlarmPush",
                   AlarmPushMsg{Rect(0, 0, 1000, 1000),
                                {{7, Rect(10, 20, 30, 40), "dry"},
-                                {0x090A0B0C, Rect(100, 200, 300, 400), "ok"}}},
-                  decode_alarm_push),
-      golden_case("SafePeriod", SafePeriodMsg{17.25}, decode_safe_period),
-      golden_case("TriggerNotice", TriggerNoticeMsg{0x1234, "fuel"},
-                  decode_trigger_notice),
+                                {0x090A0B0C, Rect(100, 200, 300, 400), "ok"}}}),
+      golden_case("SafePeriod", SafePeriodMsg{17.25}),
+      golden_case("TriggerNotice", TriggerNoticeMsg{0x1234, "fuel"}),
+      golden_case("ShardHandoff",
+                  ShardHandoffMsg{0x01020304, {123.5, -7.25}, 99.75,
+                                  0x0A0B0C0D, 0x11121314, 1, {7, 0x08090A0B}}),
       golden_case("Invalidation",
                   InvalidationMsg{2, 0x0607, 90001, Rect(10, 10, 20, 20),
-                                  "ozone"},
-                  decode_invalidation),
-      golden_case("Ack", AckMsg{1234, 0xDEADBEEF}, decode_ack),
-      golden_case("ShardCheckpoint", checkpoint, decode_shard_checkpoint),
-      golden_case("JournalInstall", install, decode_journal_record),
-      golden_case("JournalRemove", remove, decode_journal_record),
-      golden_case("JournalSpent", spent, decode_journal_record),
+                                  "ozone"}),
+      golden_case("Ack", AckMsg{1234, 0xDEADBEEF}),
+      golden_case("ShardCheckpoint", checkpoint),
+      golden_case("JournalInstall", install),
+      golden_case("JournalRemove", remove),
+      golden_case("JournalSpent", spent),
   };
 }
 
@@ -459,6 +471,9 @@ TEST(WireFormatTest, GoldenBytes) {
       "050000000000403140",
       // TriggerNotice
       "063412000004006675656c",
+      // ShardHandoff
+      "07040302010000000000e05e400000000000001dc00000000000f058400d0c0b"
+      "0a141312110102000000070000000b0a0908",
       // Invalidation
       "080207060000915f010000000000000024400000000000002440000000000000"
       "3440000000000000344005006f7a6f6e65",
@@ -494,15 +509,27 @@ TEST(WireFormatTest, GoldenBytes) {
   }
   // The golden pyramid is a valid bit stream, so fuzzed copies of it reach
   // PyramidBitmap::deserialize.
-  EXPECT_NO_THROW(decode_pyramid_safe_region(cases[2].bytes).decode());
+  EXPECT_NO_THROW(decode<PyramidSafeRegionMsg>(cases[2].bytes).decode());
 
   EXPECT_EQ(pyramid_message_size(13), 42u);
   EXPECT_EQ(alarm_push_size(3, 10), 161u);
   EXPECT_EQ(trigger_notice_size(5), 12u);
-  EXPECT_EQ(rect_message_size(), 33u);
+  EXPECT_EQ(encoded_size(RectSafeRegionMsg{}), 33u);
   EXPECT_EQ(invalidation_message_size(4), 48u);
-  EXPECT_EQ(ack_message_size(), 9u);
+  EXPECT_EQ(encoded_size(AckMsg{}), 9u);
   EXPECT_EQ(handoff_message_size(2), 50u);
+}
+
+TEST(WireFormatTest, EveryDecoderRejectsEveryOtherTypeByte) {
+  for (const GoldenCase& c : golden_cases()) {
+    for (std::uint8_t type = 0; type <= 12; ++type) {
+      if (type == c.bytes[0]) continue;
+      auto bytes = c.bytes;
+      bytes[0] = type;
+      EXPECT_THROW(c.reencode(bytes), salarm::PreconditionError)
+          << c.name << " decoded type byte " << int{type};
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
