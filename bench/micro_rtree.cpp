@@ -1,5 +1,7 @@
 // Micro-benchmarks (google-benchmark): R*-tree operations at the alarm
 // index's working sizes.
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -37,6 +39,31 @@ void BM_RTreeInsert(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_RTreeInsert)->Arg(1000)->Arg(10000);
+
+// The grant index's write path (dynamics::SessionIndex::record): each
+// operation erases one id's box and inserts it again moved up to 50 m.
+void BM_RTreeReplace(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(7);
+  std::vector<Rect> boxes;
+  RStarTree tree;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    boxes.push_back(random_alarm(rng, 32000.0));
+    tree.insert({boxes.back(), i});
+  }
+  std::uint64_t id = 0;
+  for (auto _ : state) {
+    Rect& box = boxes[id];
+    benchmark::DoNotOptimize(tree.erase({box, id}));
+    const Point c = box.center();
+    const Point moved{c.x + rng.uniform(-50, 50), c.y + rng.uniform(-50, 50)};
+    box = Rect::centered_square(moved, box.width());
+    tree.insert({box, id});
+    id = (id + 1) % n;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RTreeReplace)->Arg(200)->Arg(2000);
 
 void BM_RTreeBulkLoad(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -10,7 +10,8 @@ void SessionIndex::record(alarms::SubscriberId s, GrantKind kind,
                           const geo::Rect& bounds) {
   auto it = grants_.find(s);
   if (it != grants_.end()) {
-    tree_.erase({it->second.bounds, s});
+    const bool erased = tree_.erase({it->second.bounds, s});
+    SALARM_ASSERT(erased, "grant without tree entry");
     it->second = Grant{kind, bounds};
   } else {
     grants_.emplace(s, Grant{kind, bounds});
@@ -21,7 +22,8 @@ void SessionIndex::record(alarms::SubscriberId s, GrantKind kind,
 bool SessionIndex::clear(alarms::SubscriberId s) {
   auto it = grants_.find(s);
   if (it == grants_.end()) return false;
-  tree_.erase({it->second.bounds, s});
+  const bool erased = tree_.erase({it->second.bounds, s});
+  SALARM_ASSERT(erased, "grant without tree entry");
   grants_.erase(it);
   return true;
 }

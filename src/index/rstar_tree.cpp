@@ -19,10 +19,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Fraction of a node reinserted on first overflow (R* paper: p = 30%).
 constexpr double kReinsertFraction = 0.3;
 
-double enlargement(const geo::Rect& mbr, const geo::Rect& add) {
-  return mbr.united(add).area() - mbr.area();
-}
-
 /// Stable insertion sort: the permutation std::stable_sort gives under the
 /// same strict order, without its temporary buffer. For the at most
 /// capacity + 1 items of one node.
@@ -48,7 +44,49 @@ V2 load2(const double* p) {
   return v;
 }
 
+void store2(double* p, V2 v) { std::memcpy(p, &v, sizeof v); }
+
+V2 splat(double x) { return V2{x, x}; }
+
+/// The hit bits of the two slots at `i` (bits i and i + 1).
+std::uint64_t mask2(V2i hit, std::size_t i) {
+  return ((static_cast<std::uint64_t>(hit[0]) & 1u) |
+          (static_cast<std::uint64_t>(hit[1]) & 2u))
+         << i;
+}
+
+// std::min(a, b) and std::max(a, b), operand for operand, on both lanes.
+V2 min2(V2 a, V2 b) { return b < a ? b : a; }
+V2 max2(V2 a, V2 b) { return a < b ? b : a; }
+
+/// geo::overlap_area(r, s) for two boxes r (one per lane) and s, or +0 in
+/// the lanes of `skip`.
+V2 overlap2(V2 r_lo_x, V2 r_lo_y, V2 r_hi_x, V2 r_hi_y, V2 s_lo_x, V2 s_lo_y,
+            V2 s_hi_x, V2 s_hi_y, V2i skip) {
+  const V2 zero = {0.0, 0.0};
+  const V2 w = min2(r_hi_x, s_hi_x) - max2(r_lo_x, s_lo_x);
+  const V2 h = min2(r_hi_y, s_hi_y) - max2(r_lo_y, s_lo_y);
+  return (skip | (w <= zero) | (h <= zero)) ? zero : w * h;
+}
+
+/// Areas up to this bound keep every sum ChooseSubtree forms over one node's
+/// (at most 64) overlaps finite.
+constexpr double kBoundedArea = std::numeric_limits<double>::max() / 128;
+
 }  // namespace
+
+/// ChooseSubtree's view of one inner node's children against a new box r:
+/// per child, the box grown to cover r, its area enlargement and its area
+/// (as Rect::united(r).area() - area() and Rect::area()), and bit masks over
+/// the children. Indices past the node's count are scratch.
+struct RStarTree::ChildCosts {
+  std::array<double, kMaxCapacity + 1> grown_lo_x, grown_lo_y, grown_hi_x,
+      grown_hi_y, enlargement, area;
+  std::uint64_t all = 0;       ///< one bit per child
+  std::uint64_t contains = 0;  ///< children whose box contains r
+  std::uint64_t level = 0;     ///< children with enlargement == 0
+  bool bounded = true;  ///< every grown area finite and <= kBoundedArea
+};
 
 RStarTree::RStarTree(std::size_t node_capacity)
     : capacity_(node_capacity),
@@ -106,14 +144,17 @@ double RStarTree::slot_distance(std::size_t slot, geo::Point p) const {
   return std::sqrt(d[0] * d[0] + d[1] * d[1]);
 }
 
-double RStarTree::slot_overlap(const geo::Rect& r, std::size_t slot) const {
-  // geo::overlap_area(r, box(slot))'s arithmetic, on the slot in place.
-  const double w =
-      std::min(r.hi().x, hi_x_[slot]) - std::max(r.lo().x, lo_x_[slot]);
-  const double h =
-      std::min(r.hi().y, hi_y_[slot]) - std::max(r.lo().y, lo_y_[slot]);
-  if (w <= 0.0 || h <= 0.0) return 0.0;
-  return w * h;
+bool RStarTree::slot_equals(std::size_t slot, const geo::Rect& r) const {
+  return lo_x_[slot] == r.lo().x && lo_y_[slot] == r.lo().y &&
+         hi_x_[slot] == r.hi().x && hi_y_[slot] == r.hi().y;
+}
+
+void RStarTree::unite_slot(std::size_t slot, std::size_t from) {
+  // box(slot).united(box(from)), operand for operand, in place.
+  lo_x_[slot] = std::min(lo_x_[slot], lo_x_[from]);
+  lo_y_[slot] = std::min(lo_y_[slot], lo_y_[from]);
+  hi_x_[slot] = std::max(hi_x_[slot], hi_x_[from]);
+  hi_y_[slot] = std::max(hi_y_[slot], hi_y_[from]);
 }
 
 std::size_t RStarTree::parent_slot(NodeId n) const {
@@ -205,57 +246,161 @@ void RStarTree::insert_entry(const Slot& entry, LevelSet& reinserted) {
   append(node, entry);
   if (node != root_) {
     const std::size_t s = parent_slot(node);
-    set_box(s, meta_[node].count == 1 ? entry.box : box(s).united(entry.box));
+    if (meta_[node].count == 1) {
+      set_box(s, entry.box);
+    } else {
+      unite_slot(s, first_slot(node) + meta_[node].count - 1);
+    }
   }
   adjust_upward(node);
   if (meta_[node].count > capacity_) overflow_treatment(node, reinserted);
 }
 
+void RStarTree::child_costs(NodeId n, const geo::Rect& r,
+                            ChildCosts& out) const {
+  const std::size_t count = meta_[n].count;
+  // An odd count's last pair reads one slot past it, still n's own while
+  // the node is at rest; that lane's results are scratch.
+  SALARM_ASSERT(count <= capacity_, "child costs of an overflowing node");
+  const V2 r_lo_x = splat(r.lo().x);
+  const V2 r_lo_y = splat(r.lo().y);
+  const V2 r_hi_x = splat(r.hi().x);
+  const V2 r_hi_y = splat(r.hi().y);
+  const V2 zero = {0.0, 0.0};
+  const V2 bound = splat(kBoundedArea);
+  std::uint64_t bounded = 0;
+  out.all = (std::uint64_t{1} << count) - 1;
+  out.contains = 0;
+  out.level = 0;
+  const std::size_t first = first_slot(n);
+  for (std::size_t i = 0; i < count; i += 2) {
+    const std::size_t s = first + i;
+    const V2 lo_x = load2(lo_x_.data() + s);
+    const V2 lo_y = load2(lo_y_.data() + s);
+    const V2 hi_x = load2(hi_x_.data() + s);
+    const V2 hi_y = load2(hi_y_.data() + s);
+    // Rect::united(r) with the child as `this`, then both areas.
+    const V2 g_lo_x = min2(lo_x, r_lo_x);
+    const V2 g_lo_y = min2(lo_y, r_lo_y);
+    const V2 g_hi_x = max2(hi_x, r_hi_x);
+    const V2 g_hi_y = max2(hi_y, r_hi_y);
+    const V2 area = (hi_x - lo_x) * (hi_y - lo_y);
+    const V2 grown_area = (g_hi_x - g_lo_x) * (g_hi_y - g_lo_y);
+    const V2 enlargement = grown_area - area;
+    store2(out.grown_lo_x.data() + i, g_lo_x);
+    store2(out.grown_lo_y.data() + i, g_lo_y);
+    store2(out.grown_hi_x.data() + i, g_hi_x);
+    store2(out.grown_hi_y.data() + i, g_hi_y);
+    store2(out.enlargement.data() + i, enlargement);
+    store2(out.area.data() + i, area);
+    // Rect::contains(r).
+    out.contains |= mask2((r_lo_x >= lo_x) & (r_hi_x <= hi_x) &
+                              (r_lo_y >= lo_y) & (r_hi_y <= hi_y),
+                          i);
+    out.level |= mask2(enlargement == zero, i);
+    bounded |= mask2(grown_area <= bound, i);
+  }
+  out.contains &= out.all;
+  out.level &= out.all;
+  out.bounded = (bounded & out.all) == out.all;
+}
+
+void RStarTree::overlap_enlargements(NodeId n, const ChildCosts& costs,
+                                     std::uint64_t children,
+                                     double* out) const {
+  const std::size_t count = meta_[n].count;
+  const std::size_t first = first_slot(n);
+  while (children != 0) {
+    // The pair of children holding the lowest bit left: lanes i and i + 1.
+    const std::size_t i =
+        static_cast<std::size_t>(std::countr_zero(children)) & ~std::size_t{1};
+    children &= ~(std::uint64_t{3} << i);
+    const std::size_t s = first + i;
+    const V2 lo_x = load2(lo_x_.data() + s);
+    const V2 lo_y = load2(lo_y_.data() + s);
+    const V2 hi_x = load2(hi_x_.data() + s);
+    const V2 hi_y = load2(hi_y_.data() + s);
+    const V2 g_lo_x = load2(costs.grown_lo_x.data() + i);
+    const V2 g_lo_y = load2(costs.grown_lo_y.data() + i);
+    const V2 g_hi_x = load2(costs.grown_hi_x.data() + i);
+    const V2 g_hi_y = load2(costs.grown_hi_y.data() + i);
+    const auto lane = static_cast<std::int64_t>(i);
+    const V2i self = {lane, lane + 1};
+    // Each lane's sums over the siblings j in ascending order, as scalar
+    // code forms them: the j == i term adds +0, which leaves a sum of
+    // non-negative terms unchanged.
+    V2 before = {0.0, 0.0};
+    V2 after = {0.0, 0.0};
+    for (std::size_t j = 0; j < count; ++j) {
+      const std::size_t t = first + j;
+      const V2 t_lo_x = splat(lo_x_[t]);
+      const V2 t_lo_y = splat(lo_y_[t]);
+      const V2 t_hi_x = splat(hi_x_[t]);
+      const V2 t_hi_y = splat(hi_y_[t]);
+      const auto other = static_cast<std::int64_t>(j);
+      const V2i skip = self == V2i{other, other};
+      before += overlap2(lo_x, lo_y, hi_x, hi_y, t_lo_x, t_lo_y, t_hi_x,
+                         t_hi_y, skip);
+      after += overlap2(g_lo_x, g_lo_y, g_hi_x, g_hi_y, t_lo_x, t_lo_y,
+                        t_hi_x, t_hi_y, skip);
+    }
+    store2(out + i, after - before);
+  }
+}
+
 RStarTree::NodeId RStarTree::choose_leaf(const geo::Rect& rect) {
   NodeId node = root_;
   ++node_accesses_;
+  ChildCosts costs;
+  std::array<double, kMaxCapacity + 1> overlap;
   while (meta_[node].level > 0) {
-    const bool children_are_leaves = meta_[node].level == 1;
-    const std::size_t count = meta_[node].count;
-    const std::size_t first = first_slot(node);
-    std::size_t best = count;
-    double best_primary = kInf;   // overlap (leaf level) / area enlargement
-    double best_secondary = kInf; // area enlargement / area
-    double best_area = kInf;
-    for (std::size_t i = 0; i < count; ++i) {
-      const geo::Rect child = box(first + i);
-      const double area_enl = enlargement(child, rect);
-      const double area = child.area();
-      double primary;
-      double secondary;
-      if (children_are_leaves) {
-        // Minimum overlap enlargement among siblings.
-        const geo::Rect grown = child.united(rect);
-        double overlap_before = 0.0;
-        double overlap_after = 0.0;
-        for (std::size_t j = 0; j < count; ++j) {
-          if (j == i) continue;
-          overlap_before += slot_overlap(child, first + j);
-          overlap_after += slot_overlap(grown, first + j);
+    child_costs(node, rect, costs);
+    // Each candidate's (primary, secondary, tertiary) cost, compared in
+    // that order; the first of equal candidates wins.
+    std::uint64_t candidates = costs.all;
+    const double* primary = costs.enlargement.data();
+    const double* secondary = costs.area.data();
+    if (meta_[node].level == 1) {
+      // Minimum overlap enlargement among siblings, then area enlargement,
+      // then area. A child that contains rect costs (+0, +0, area): its
+      // grown box is its box. Every other child costs at least that much
+      // (grown ⊇ box term by term, and rounding is monotone), and more
+      // unless its area enlargement is exactly 0 (a degenerate box such as
+      // a point grant). So only those can tie with a containing child, and
+      // only they need their overlap sums. The bound keeps every cost
+      // finite, so the costs are totally ordered.
+      if (costs.contains != 0 && costs.bounded) {
+        candidates = costs.contains | costs.level;
+        for (std::uint64_t c = costs.contains; c != 0; c &= c - 1) {
+          overlap[static_cast<std::size_t>(std::countr_zero(c))] = 0.0;
         }
-        primary = overlap_after - overlap_before;
-        secondary = area_enl;
+        overlap_enlargements(node, costs, candidates & ~costs.contains,
+                             overlap.data());
       } else {
-        primary = area_enl;
-        secondary = area;
+        overlap_enlargements(node, costs, candidates, overlap.data());
       }
-      if (primary < best_primary ||
-          (primary == best_primary && secondary < best_secondary) ||
-          (primary == best_primary && secondary == best_secondary &&
-           area < best_area)) {
+      primary = overlap.data();
+      secondary = costs.enlargement.data();
+    }
+    const double* tertiary = costs.area.data();
+    std::size_t best = meta_[node].count;
+    double best_primary = kInf;
+    double best_secondary = kInf;
+    double best_tertiary = kInf;
+    for (; candidates != 0; candidates &= candidates - 1) {
+      const auto i = static_cast<std::size_t>(std::countr_zero(candidates));
+      if (primary[i] < best_primary ||
+          (primary[i] == best_primary && secondary[i] < best_secondary) ||
+          (primary[i] == best_primary && secondary[i] == best_secondary &&
+           tertiary[i] < best_tertiary)) {
         best = i;
-        best_primary = primary;
-        best_secondary = secondary;
-        best_area = area;
+        best_primary = primary[i];
+        best_secondary = secondary[i];
+        best_tertiary = tertiary[i];
       }
     }
-    SALARM_ASSERT(best < count, "internal node without children");
-    node = static_cast<NodeId>(ref_[first + best]);
+    SALARM_ASSERT(best < meta_[node].count, "internal node without children");
+    node = static_cast<NodeId>(ref_[first_slot(node) + best]);
     ++node_accesses_;
   }
   return node;
@@ -263,11 +408,11 @@ RStarTree::NodeId RStarTree::choose_leaf(const geo::Rect& rect) {
 
 void RStarTree::adjust_upward(NodeId node) {
   if (node == root_) return;
-  geo::Rect grown = box(parent_slot(node));
+  std::size_t grown = parent_slot(node);
   for (NodeId p = meta_[node].parent; p != root_; p = meta_[p].parent) {
     const std::size_t s = parent_slot(p);
-    grown = box(s).united(grown);
-    set_box(s, grown);
+    unite_slot(s, grown);
+    grown = s;
   }
 }
 
@@ -321,22 +466,22 @@ void RStarTree::reinsert(NodeId node, LevelSet& reinserted) {
       const std::uint32_t level =
           meta_[static_cast<NodeId>(orphan.ref)].level;
       NodeId host = root_;
+      ChildCosts costs;
       while (meta_[host].level > level + 1) {
-        const std::size_t first = first_slot(host);
-        std::size_t best = first;
+        child_costs(host, orphan.box, costs);
+        std::size_t best = 0;
         double best_enl = kInf;
         double best_area = kInf;
-        for (std::size_t s = first; s < first + meta_[host].count; ++s) {
-          const geo::Rect child = box(s);
-          const double enl = enlargement(child, orphan.box);
-          const double area = child.area();
+        for (std::size_t i = 0; i < meta_[host].count; ++i) {
+          const double enl = costs.enlargement[i];
+          const double area = costs.area[i];
           if (enl < best_enl || (enl == best_enl && area < best_area)) {
-            best = s;
+            best = i;
             best_enl = enl;
             best_area = area;
           }
         }
-        host = static_cast<NodeId>(ref_[best]);
+        host = static_cast<NodeId>(ref_[first_slot(host) + best]);
         ++node_accesses_;
       }
       append(host, orphan);
@@ -610,7 +755,7 @@ bool RStarTree::erase(const Entry& entry) {
   const std::size_t first = first_slot(leaf);
   const std::size_t end = first + meta_[leaf].count;
   std::size_t s = first;
-  while (s < end && !(ref_[s] == entry.id && box(s) == entry.rect)) ++s;
+  while (s < end && !(ref_[s] == entry.id && slot_equals(s, entry.rect))) ++s;
   SALARM_ASSERT(s < end, "find_leaf returned wrong leaf");
   remove_slot(leaf, s);
   --size_;
@@ -625,7 +770,7 @@ RStarTree::NodeId RStarTree::find_leaf(NodeId node,
   const std::size_t end = first + meta_[node].count;
   if (meta_[node].level == 0) {
     for (std::size_t s = first; s < end; ++s) {
-      if (ref_[s] == entry.id && box(s) == entry.rect) return node;
+      if (ref_[s] == entry.id && slot_equals(s, entry.rect)) return node;
     }
     return kNoNode;
   }
@@ -687,18 +832,18 @@ void RStarTree::condense(NodeId leaf) {
     const std::uint32_t level = meta_[static_cast<NodeId>(orphan.ref)].level;
     SALARM_ASSERT(level + 1 <= meta_[root_].level, "orphan above the root");
     NodeId host = root_;
+    ChildCosts costs;
     while (meta_[host].level > level + 1) {
-      const std::size_t first = first_slot(host);
-      std::size_t best = first;
+      child_costs(host, orphan.box, costs);
+      std::size_t best = 0;
       double best_enl = kInf;
-      for (std::size_t s = first; s < first + meta_[host].count; ++s) {
-        const double enl = enlargement(box(s), orphan.box);
-        if (enl < best_enl) {
-          best_enl = enl;
-          best = s;
+      for (std::size_t i = 0; i < meta_[host].count; ++i) {
+        if (costs.enlargement[i] < best_enl) {
+          best_enl = costs.enlargement[i];
+          best = i;
         }
       }
-      host = static_cast<NodeId>(ref_[best]);
+      host = static_cast<NodeId>(ref_[first_slot(host) + best]);
       ++node_accesses_;
     }
     append(host, orphan);

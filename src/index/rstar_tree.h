@@ -5,8 +5,16 @@
 // additionally needs nearest-neighbour distances. This is a from-scratch
 // implementation with the full R* heuristics:
 //
-//  * ChooseSubtree — minimum overlap enlargement at the leaf level,
-//    minimum area enlargement above (ties broken by area).
+//  * ChooseSubtree — minimum overlap enlargement at the leaf level (ties
+//    by area enlargement, then area), minimum area enlargement above
+//    (ties by area); the first child in slot order wins a full tie. A
+//    child that contains the new box costs exactly (+0, +0, area) and no
+//    child costs less, so when one does, only children whose area
+//    enlargement is exactly 0 (degenerate boxes) can tie with it, and
+//    only they get overlap sums. They must be kept: one of them may have
+//    the smaller area. The shortcut holds while every grown area is at
+//    most DBL_MAX / 128, so that no sum overflows; past that bound every
+//    child is summed.
 //  * Forced reinsertion — on first overflow per level per insertion, the
 //    30% of entries farthest from the node centre are reinserted.
 //  * R* split — axis chosen by minimum margin sum, distribution by minimum
@@ -208,10 +216,11 @@ class RStarTree {
   geo::Rect box(std::size_t slot) const;
   void set_box(std::size_t slot, const geo::Rect& box);
   Slot slot_at(std::size_t slot) const { return {box(slot), ref_[slot]}; }
-  /// box(slot).distance(p) and geo::overlap_area(r, box(slot)), without
-  /// building the box.
+  /// box(slot).distance(p) and box(slot) == r, without building the box.
   double slot_distance(std::size_t slot, geo::Point p) const;
-  double slot_overlap(const geo::Rect& r, std::size_t slot) const;
+  bool slot_equals(std::size_t slot, const geo::Rect& r) const;
+  /// Sets box(slot) to box(slot).united(box(from)).
+  void unite_slot(std::size_t slot, std::size_t from);
   /// The union of n's slots (n's MBR). Requires a non-empty node.
   geo::Rect node_box(NodeId n) const;
   /// The slot of n's parent that holds n. Requires a non-root node.
@@ -232,6 +241,14 @@ class RStarTree {
   void insert_entry(const Slot& entry, LevelSet& reinserted);
   /// R* ChooseSubtree from the root down to a leaf.
   NodeId choose_leaf(const geo::Rect& rect);
+  struct ChildCosts;
+  /// Fills `out` with the children of inner node n (at rest) against r.
+  void child_costs(NodeId n, const geo::Rect& r, ChildCosts& out) const;
+  /// out[i], for each bit i of `children`: the overlap enlargement of child
+  /// i of n (the sum of its grown box's overlaps with its siblings, less its
+  /// box's). Also writes out[i ^ 1]; only [0, count) is meaningful.
+  void overlap_enlargements(NodeId n, const ChildCosts& costs,
+                            std::uint64_t children, double* out) const;
   void overflow_treatment(NodeId node, LevelSet& reinserted);
   void reinsert(NodeId node, LevelSet& reinserted);
   void split(NodeId node);
