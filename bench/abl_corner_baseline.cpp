@@ -25,7 +25,7 @@ int main() {
   const auto mwpsr = experiment.simulation().run(experiment.rect(model));
   bench::require_perfect(mwpsr);
   const auto baseline = experiment.simulation().run(
-      bench::corner_baseline(cfg.vehicles, model));
+      bench::corner_baseline(model));
 
   std::printf("%-12s %12s %10s %10s %10s %10s\n", "approach", "messages",
               "expected", "missed", "late", "spurious");

@@ -33,8 +33,7 @@ int main() {
   sim::Simulation waypoint_sim(source, experiment.store(),
                                experiment.grid(), cfg.ticks());
   const auto waypoint = waypoint_sim.run([&](net::ClientLink& link) {
-    return std::make_unique<strategies::RectRegionStrategy>(
-        link, cfg.vehicles, model);
+    return std::make_unique<strategies::RectRegionStrategy>(link, model);
   });
   bench::require_perfect(waypoint);
 

@@ -28,7 +28,7 @@ int main() {
     const auto run = experiment.simulation().run(
         [&, assumed_speed = bound * factor](net::ClientLink& link) {
           return std::make_unique<strategies::SafePeriodStrategy>(
-              link, cfg.vehicles, assumed_speed, cfg.tick_seconds);
+              link, assumed_speed, cfg.tick_seconds);
         });
     char label[40];
     std::snprintf(label, sizeof label, "%.0f%% of true bound",

@@ -13,8 +13,8 @@
 #include <unordered_set>
 
 #include "bench_common.h"
-#include "geometry/segment.h"
 #include "mobility/trace_generator.h"
+#include "segment.h"
 
 using namespace salarm;
 

@@ -146,9 +146,8 @@ RectSafeRegion compute_corner_baseline(
 }
 
 CornerBaselineStrategy::CornerBaselineStrategy(net::ClientLink& link,
-                                               std::size_t subscriber_count,
                                                MotionModel model)
-    : link_(link), model_(model), regions_(subscriber_count) {}
+    : link_(link), model_(model), regions_(link.subscriber_count()) {}
 
 void CornerBaselineStrategy::report_and_refresh(
     alarms::SubscriberId s, const mobility::VehicleSample& sample,
@@ -199,11 +198,9 @@ void CornerBaselineStrategy::on_tick(alarms::SubscriberId s,
   report_and_refresh(s, sample, tick);
 }
 
-sim::Simulation::StrategyFactory corner_baseline(
-    std::size_t subscriber_count, MotionModel model) {
-  return [subscriber_count, model](net::ClientLink& link) {
-    return std::make_unique<CornerBaselineStrategy>(link, subscriber_count,
-                                                    model);
+sim::Simulation::StrategyFactory corner_baseline(MotionModel model) {
+  return [model](net::ClientLink& link) {
+    return std::make_unique<CornerBaselineStrategy>(link, model);
   };
 }
 

@@ -54,7 +54,7 @@ saferegion::RectSafeRegion compute_corner_baseline(
 /// do not invalidate it: run it on static alarms.
 class CornerBaselineStrategy final : public strategies::ProcessingStrategy {
  public:
-  CornerBaselineStrategy(net::ClientLink& link, std::size_t subscriber_count,
+  CornerBaselineStrategy(net::ClientLink& link,
                          saferegion::MotionModel model);
 
   std::string_view name() const override { return "RECT[10]"; }
@@ -76,6 +76,6 @@ class CornerBaselineStrategy final : public strategies::ProcessingStrategy {
 
 /// Factory for Simulation::run.
 sim::Simulation::StrategyFactory corner_baseline(
-    std::size_t subscriber_count, saferegion::MotionModel model);
+    saferegion::MotionModel model);
 
 }  // namespace salarm::bench

@@ -74,7 +74,7 @@ class AlarmStore {
   bool uninstall(AlarmId id);
 
   /// Removes every alarm and all trigger state, leaving an empty store
-  /// ready for install_bulk — the rewind path between churn runs.
+  /// ready for installs — the crash path of sim::Server::crash.
   void clear();
 
   /// Moves an alarm's region (the paper's moving-target alarm classes:

@@ -120,11 +120,6 @@ void ShardedServer::record_fired(alarms::SubscriberId s, std::size_t shard,
   session.fired.insert(session.fired.end(), fired.begin(), fired.end());
 }
 
-void ShardedServer::enable_public_bitmap_cache(
-    const saferegion::PyramidConfig& config) {
-  for (auto& shard : shards_) shard->server.enable_public_bitmap_cache(config);
-}
-
 std::vector<dynamics::InvalidationPush> ShardedServer::take_invalidations(
     alarms::SubscriberId s) {
   std::vector<dynamics::InvalidationPush> out;
@@ -136,8 +131,8 @@ std::vector<dynamics::InvalidationPush> ShardedServer::take_invalidations(
   return out;
 }
 
-void ShardedServer::enable_dynamics(std::size_t subscriber_count) {
-  for (auto& shard : shards_) shard->server.enable_dynamics(subscriber_count);
+void ShardedServer::enable_dynamics() {
+  for (auto& shard : shards_) shard->server.enable_dynamics(sessions_.size());
 }
 
 void ShardedServer::install_alarm(const alarms::SpatialAlarm& alarm,

@@ -56,7 +56,8 @@ class ShardedServer {
   /// Builds `shard_count` shards (clamped to the grid's stripe count) over
   /// slices of the given global alarm set. `subscriber_count` bounds the
   /// subscriber id space (sessions are pre-sized so no allocation happens
-  /// on the parallel path). The grid must outlive the server.
+  /// on the parallel path); the link, the strategies and the dynamics tier
+  /// read it from here. The grid must outlive the server.
   ShardedServer(const alarms::AlarmStore& global_alarms,
                 const grid::GridOverlay& grid, std::size_t shard_count,
                 std::size_t subscriber_count);
@@ -77,7 +78,6 @@ class ShardedServer {
   std::vector<alarms::AlarmId> handle_buffered_update(
       alarms::SubscriberId s, geo::Point position,
       std::uint64_t stamp_tick);
-  void enable_public_bitmap_cache(const saferegion::PyramidConfig& config);
   /// Drains the subscriber's mailboxes across all shards in stable shard
   /// order. A subscriber's grant always lives in the shard it last
   /// contacted (grants never outgrow a shard's extent), but stale entries
@@ -93,9 +93,9 @@ class ShardedServer {
   sim::Metrics& metrics();
 
   // ---- Dynamics tier (DESIGN.md §8; all three are serial-phase only) ----
-  /// Enables dynamics on every shard, pre-sizing all mailboxes so no
-  /// allocation can race with the parallel tick path.
-  void enable_dynamics(std::size_t subscriber_count);
+  /// Enables dynamics on every shard, pre-sizing all mailboxes to the
+  /// subscriber count so no allocation races with the parallel tick path.
+  void enable_dynamics();
   /// Installs the alarm into every shard whose extent (closed) intersects
   /// its region — the same replication rule as the initial slices — and
   /// lets each such shard invalidate its own outstanding grants. The tick
@@ -155,6 +155,7 @@ class ShardedServer {
   void set_active_shard(std::size_t shard);
 
   std::size_t shard_count() const { return shards_.size(); }
+  std::size_t subscriber_count() const { return sessions_.size(); }
   const ShardMap& map() const { return map_; }
   const alarms::AlarmStore& shard_store(std::size_t shard) const;
   const sim::Metrics& shard_metrics(std::size_t shard) const;

@@ -145,46 +145,39 @@ sim::Simulation::StrategyFactory Experiment::periodic() const {
 }
 
 sim::Simulation::StrategyFactory Experiment::safe_period() const {
-  const std::size_t subscribers = config_.vehicles;
   const double bound = max_speed_bound();
   const double tick = config_.tick_seconds;
-  return [subscribers, bound, tick](net::ClientLink& link) {
-    return std::make_unique<strategies::SafePeriodStrategy>(
-        link, subscribers, bound, tick);
+  return [bound, tick](net::ClientLink& link) {
+    return std::make_unique<strategies::SafePeriodStrategy>(link, bound, tick);
   };
 }
 
 sim::Simulation::StrategyFactory Experiment::rect(
     saferegion::MotionModel model, saferegion::MwpsrOptions options) const {
-  const std::size_t subscribers = config_.vehicles;
-  return [subscribers, model, options](net::ClientLink& link) {
-    return std::make_unique<strategies::RectRegionStrategy>(
-        link, subscribers, model, options);
+  return [model, options](net::ClientLink& link) {
+    return std::make_unique<strategies::RectRegionStrategy>(link, model,
+                                                            options);
   };
 }
 
 sim::Simulation::StrategyFactory Experiment::bitmap(
     saferegion::PyramidConfig config) const {
-  const std::size_t subscribers = config_.vehicles;
-  return [subscribers, config](net::ClientLink& link) {
-    return std::make_unique<strategies::BitmapRegionStrategy>(
-        link, subscribers, config);
+  return [config](net::ClientLink& link) {
+    return std::make_unique<strategies::BitmapRegionStrategy>(link, config);
   };
 }
 
 sim::Simulation::StrategyFactory Experiment::bitmap_cached(
     saferegion::PyramidConfig config) const {
-  const std::size_t subscribers = config_.vehicles;
-  return [subscribers, config](net::ClientLink& link) {
+  return [config](net::ClientLink& link) {
     return std::make_unique<strategies::BitmapRegionStrategy>(
-        link, subscribers, config, /*use_public_cache=*/true);
+        link, config, /*use_public_cache=*/true);
   };
 }
 
 sim::Simulation::StrategyFactory Experiment::optimal() const {
-  const std::size_t subscribers = config_.vehicles;
-  return [subscribers](net::ClientLink& link) {
-    return std::make_unique<strategies::OptimalStrategy>(link, subscribers);
+  return [](net::ClientLink& link) {
+    return std::make_unique<strategies::OptimalStrategy>(link);
   };
 }
 

@@ -54,12 +54,6 @@ double Rect::squared_distance(Point p) const {
 
 double Rect::distance(Point p) const { return std::sqrt(squared_distance(p)); }
 
-double Rect::boundary_distance(Point p) const {
-  if (!contains(p)) return distance(p);
-  // Inside: distance to the nearest of the four edges.
-  return std::min({p.x - lo_.x, hi_.x - p.x, p.y - lo_.y, hi_.y - p.y});
-}
-
 std::string Rect::to_string() const {
   std::ostringstream os;
   os << "[(" << lo_.x << ',' << lo_.y << ")-(" << hi_.x << ',' << hi_.y

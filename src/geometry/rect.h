@@ -102,11 +102,6 @@ class Rect {
   /// Squared distance from p to the closed rectangle (0 when inside).
   double squared_distance(Point p) const;
 
-  /// Minimum distance from p to any point of the rectangle's boundary
-  /// (positive also when p is strictly inside; used by the safe-period
-  /// strategy while a subscriber is inside its current cell).
-  double boundary_distance(Point p) const;
-
   friend bool operator==(const Rect& a, const Rect& b) {
     return a.lo_ == b.lo_ && a.hi_ == b.hi_;
   }

@@ -383,7 +383,10 @@ RStarTree::NodeId RStarTree::choose_leaf(const geo::Rect& rect) {
       secondary = costs.enlargement.data();
     }
     const double* tertiary = costs.area.data();
-    std::size_t best = meta_[node].count;
+    // The lowest candidate slot stands until a candidate beats it, so a
+    // full tie goes to it; so do all-NaN costs, which overflowing areas
+    // give (inf - inf).
+    auto best = static_cast<std::size_t>(std::countr_zero(candidates));
     double best_primary = kInf;
     double best_secondary = kInf;
     double best_tertiary = kInf;

@@ -7,7 +7,8 @@
 //
 //  * ChooseSubtree — minimum overlap enlargement at the leaf level (ties
 //    by area enlargement, then area), minimum area enlargement above
-//    (ties by area); the first child in slot order wins a full tie. A
+//    (ties by area); the first child in slot order wins a full tie, and
+//    also wins when no cost compares (NaN, once areas overflow). A
 //    child that contains the new box costs exactly (+0, +0, area) and no
 //    child costs less, so when one does, only children whose area
 //    enlargement is exactly 0 (degenerate boxes) can tie with it, and

@@ -20,14 +20,14 @@ constexpr std::uint64_t kMaxExchangeRounds = 64;
 }  // namespace
 
 ClientLink::ClientLink(cluster::ShardedServer& server,
-                       const ChannelConfig& config, std::uint64_t seed,
-                       std::size_t subscriber_count)
+                       const ChannelConfig& config, std::uint64_t seed)
     : server_(server),
       config_(config),
-      channel_(config, seed, subscriber_count),
-      states_(subscriber_count),
+      channel_(config, seed, server.subscriber_count()),
+      states_(server.subscriber_count()),
       failover_armed_(server.failover_armed()),
-      tallies_((subscriber_count + kChannelChunk - 1) / kChannelChunk) {}
+      tallies_((server.subscriber_count() + kChannelChunk - 1) /
+               kChannelChunk) {}
 
 ClientLink::SubscriberState& ClientLink::state(alarms::SubscriberId s) {
   SALARM_REQUIRE(static_cast<std::size_t>(s) < states_.size(),
@@ -201,11 +201,6 @@ std::vector<dynamics::InvalidationPush> ClientLink::take_invalidations(
     return merged;
   }
   return pushes;
-}
-
-void ClientLink::enable_public_bitmap_cache(
-    const saferegion::PyramidConfig& config) {
-  server_.enable_public_bitmap_cache(config);
 }
 
 void ClientLink::begin_tick(std::uint64_t tick,

@@ -70,11 +70,12 @@
 namespace salarm::net {
 
 /// Client-side endpoint of the reliable link; one instance per run, shared
-/// by all subscribers (state is per-subscriber internally).
+/// by all subscribers (state is per-subscriber internally, sized to the
+/// server's subscriber count).
 class ClientLink {
  public:
   ClientLink(cluster::ShardedServer& server, const ChannelConfig& config,
-             std::uint64_t seed, std::size_t subscriber_count);
+             std::uint64_t seed);
   /// Per-tick channel phase: advances outage state machines, injects
   /// synthetic revokes when a carrier drops or the subscriber's shard
   /// crashes (failover), and flushes buffered reports through the server
@@ -128,8 +129,8 @@ class ClientLink {
   std::vector<dynamics::InvalidationPush> take_invalidations(
       alarms::SubscriberId s);
 
-  void enable_public_bitmap_cache(const saferegion::PyramidConfig& config);
   const grid::GridOverlay& grid() const { return server_.grid(); }
+  std::size_t subscriber_count() const { return states_.size(); }
   /// Metrics object for client-side work of the subscriber currently being
   /// processed (forwards to the server, i.e. per-shard on sharded runs).
   sim::Metrics& metrics() { return server_.metrics(); }

@@ -96,7 +96,7 @@ class PyramidBitmap {
 
   /// Bit size under the paper's original accounting (1 bit per cell, every
   /// unsafe cell above height h refined). Matches the Figure 3 worked
-  /// examples; reported by the benches for comparison.
+  /// examples, which the pyramid tests check it against.
   std::size_t paper_bit_size() const;
 
   const geo::Rect& cell() const { return cell_; }

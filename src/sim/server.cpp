@@ -15,35 +15,19 @@ Server::Server(alarms::AlarmStore& store, const grid::GridOverlay& grid,
 
 std::vector<alarms::AlarmId> Server::handle_position_update(
     alarms::SubscriberId s, geo::Point position, std::uint64_t tick) {
-  ++metrics_.uplink_messages;
-  metrics_.uplink_bytes += wire::encoded_size(wire::PositionUpdate{});
-  metrics_.server_alarm_ops += kOpsPerUpdateOverhead;
-  const auto fired = charged(&Metrics::server_alarm_ops, [&] {
-    return store_.process_position(s, position, tick, &trigger_log_);
-  });
-  metrics_.triggers += fired.size();
-  for (const alarms::AlarmId id : fired) {
-    metrics_.downstream_notice_bytes +=
-        wire::trigger_notice_size(store_.alarm(id).message.size());
-  }
-  return fired;
+  return evaluate_report(s, position, tick, alarms::kAcceptAll);
 }
 
 std::vector<alarms::AlarmId> Server::handle_buffered_update(
     alarms::SubscriberId s, geo::Point position, std::uint64_t stamp_tick) {
-  ++metrics_.uplink_messages;
-  metrics_.uplink_bytes += wire::encoded_size(wire::PositionUpdate{});
-  metrics_.server_alarm_ops += kOpsPerUpdateOverhead;
   // Live index, restricted to alarms already installed at the stamp.
   // Without churn the filter accepts everything and this is exactly
   // handle_position_update.
-  auto fired = charged(&Metrics::server_alarm_ops, [&] {
-    return store_.process_position(
-        s, position, stamp_tick, &trigger_log_, [&](alarms::AlarmId id) {
-          const auto it = installed_at_.find(id);
-          return it == installed_at_.end() || it->second <= stamp_tick;
-        });
-  });
+  auto fired =
+      evaluate_report(s, position, stamp_tick, [&](alarms::AlarmId id) {
+        const auto it = installed_at_.find(id);
+        return it == installed_at_.end() || it->second <= stamp_tick;
+      });
   // Removal graveyard: alarms live at the stamp but uninstalled since.
   // Spent state is shared with the live store, so an alarm that fired
   // before its removal does not fire again here (and vice versa).
@@ -58,17 +42,28 @@ std::vector<alarms::AlarmId> Server::handle_buffered_update(
     store_.mark_spent(tomb.alarm.id, s);
     trigger_log_.push_back({tomb.alarm.id, s, stamp_tick});
     fired.push_back(tomb.alarm.id);
-    metrics_.downstream_notice_bytes +=
-        wire::trigger_notice_size(tomb.alarm.message.size());
-  }
-  metrics_.triggers += fired.size();
-  for (const alarms::AlarmId id : fired) {
-    if (store_.installed(id)) {
-      metrics_.downstream_notice_bytes +=
-          wire::trigger_notice_size(store_.alarm(id).message.size());
-    }
+    notify(tomb.alarm);
   }
   return fired;
+}
+
+std::vector<alarms::AlarmId> Server::evaluate_report(
+    alarms::SubscriberId s, geo::Point position, std::uint64_t tick,
+    FunctionRef<bool(alarms::AlarmId)> filter) {
+  ++metrics_.uplink_messages;
+  metrics_.uplink_bytes += wire::encoded_size(wire::PositionUpdate{});
+  metrics_.server_alarm_ops += kOpsPerUpdateOverhead;
+  auto fired = charged(&Metrics::server_alarm_ops, [&] {
+    return store_.process_position(s, position, tick, &trigger_log_, filter);
+  });
+  for (const alarms::AlarmId id : fired) notify(store_.alarm(id));
+  return fired;
+}
+
+void Server::notify(const alarms::SpatialAlarm& alarm) {
+  ++metrics_.triggers;
+  metrics_.downstream_notice_bytes +=
+      wire::trigger_notice_size(alarm.message.size());
 }
 
 saferegion::RectSafeRegion Server::compute_rect_region(
@@ -80,40 +75,29 @@ saferegion::RectSafeRegion Server::compute_rect_region(
   const auto region = saferegion::compute_mwpsr(position, heading, cell,
                                                 regions_, model, options);
   metrics_.server_region_ops += region.ops;
-  ++metrics_.safe_region_recomputes;
-  const std::size_t bytes = wire::encoded_size(wire::RectSafeRegionMsg{});
-  metrics_.downstream_region_bytes += bytes;
-  metrics_.region_payload_bytes.add(static_cast<double>(bytes));
-  record_grant(s, dynamics::GrantKind::kRect, region.rect);
+  book_grant(s, dynamics::GrantKind::kRect, region.rect,
+             wire::encoded_size(wire::RectSafeRegionMsg{}));
   return region;
-}
-
-void Server::enable_public_bitmap_cache(
-    const saferegion::PyramidConfig& config) {
-  cache_config_ = config;
-  public_cache_.assign(grid_.cell_count(), std::nullopt);
 }
 
 saferegion::PyramidBitmap Server::compute_pyramid_region(
     alarms::SubscriberId s, geo::Point position,
-    const saferegion::PyramidConfig& config) {
+    const saferegion::PyramidConfig& config, bool public_cache) {
   const grid::CellId cell_id = grid_.cell_of(position);
   const geo::Rect cell = grid_.cell_rect(cell_id);
-
-  auto finish = [&](saferegion::PyramidBitmap bitmap) {
-    ++metrics_.safe_region_recomputes;
-    const std::size_t bytes = wire::pyramid_message_size(bitmap.bit_size());
-    metrics_.downstream_region_bytes += bytes;
-    metrics_.region_payload_bytes.add(static_cast<double>(bytes));
-    // The client holds a bitmap of the whole base cell, so the cell is the
-    // grant footprint: any install inside it must shrink the bitmap.
-    record_grant(s, dynamics::GrantKind::kPyramid, cell);
+  const std::size_t flat = grid_.flat_index(cell_id);
+  // The client holds a bitmap of the whole base cell, so the cell is the
+  // grant footprint: any install inside it must shrink the bitmap.
+  auto grant = [&](saferegion::PyramidBitmap bitmap) {
+    book_grant(s, dynamics::GrantKind::kPyramid, cell,
+               wire::pyramid_message_size(bitmap.bit_size()));
     return bitmap;
   };
 
-  if (cache_config_ == config) {
-    auto& slot = public_cache_[grid_.flat_index(cell_id)];
-    if (!slot.has_value()) {
+  if (public_cache) {
+    if (public_cache_.empty()) public_cache_.resize(grid_.cell_count());
+    auto& slot = public_cache_[flat];
+    if (!slot.has_value() || slot->bitmap.config() != config) {
       // One-time, subscriber-independent work for this cell.
       const auto public_alarms = charged(&Metrics::server_region_ops, [&] {
         return store_.public_in_window(cell);
@@ -135,26 +119,25 @@ saferegion::PyramidBitmap Server::compute_pyramid_region(
     // conservative (the subscriber would ping from inside the spent
     // region), so fall back to the exact per-subscriber build.
     metrics_.server_region_ops += slot->public_ids.size();
-    const bool any_spent =
-        std::any_of(slot->public_ids.begin(), slot->public_ids.end(),
-                    [&](alarms::AlarmId id) { return store_.spent(id, s); });
-    if (!any_spent) {
+    if (std::ranges::none_of(slot->public_ids, [&](alarms::AlarmId id) {
+          return store_.spent(id, s);
+        })) {
       load_regions(cell, s, alarms::AlarmStore::Scopes::kNonPublic);
       if (regions_.empty()) {
         ++metrics_.server_region_ops;  // cache hand-out
-        return finish(slot->bitmap);
+        return grant(slot->bitmap);
       }
       std::uint64_t ops = 0;
-      auto private_bitmap =
+      const auto private_bitmap =
           saferegion::PyramidBitmap::build(cell, regions_, config, &ops);
       auto merged = slot->bitmap.intersect(private_bitmap, &ops);
       metrics_.server_region_ops += ops;
-      return finish(std::move(merged));
+      return grant(std::move(merged));
     }
   }
 
   load_regions(cell, s, alarms::AlarmStore::Scopes::kAll);
-  return finish(memoized_build(grid_.flat_index(cell_id), cell, config));
+  return grant(memoized_build(flat, cell, config));
 }
 
 saferegion::PyramidBitmap Server::memoized_build(
@@ -206,7 +189,6 @@ double Server::compute_safe_period(alarms::SubscriberId s,
   const double nearest = charged(&Metrics::server_region_ops, [&] {
     return store_.nearest_relevant_distance(position, s);
   });
-  ++metrics_.safe_region_recomputes;
   // Escape distance: only sides shared with a neighbouring shard count; a
   // universe edge cannot be crossed, so capping at it would over-restrict
   // the grant of an edge shard.
@@ -228,18 +210,16 @@ double Server::compute_safe_period(alarms::SubscriberId s,
   if (std::isinf(distance)) {
     // No relevant alarm in reach: the client goes silent forever, so a
     // later install *anywhere* relevant to it must revoke the grant.
-    record_grant(s, dynamics::GrantKind::kSafePeriod, grid_.universe());
+    book_grant(s, dynamics::GrantKind::kSafePeriod, universe, 0);
     return distance;
   }
-  const std::size_t bytes = wire::encoded_size(wire::SafePeriodMsg{});
-  metrics_.downstream_region_bytes += bytes;
-  metrics_.region_payload_bytes.add(static_cast<double>(bytes));
   // Everywhere the client can reach before the period expires (worst-case
   // straight-line travel at the speed bound) is the grant footprint.
-  record_grant(s, dynamics::GrantKind::kSafePeriod,
-               geo::Rect::centered_square(position, 2.0 * distance)
-                   .intersection(grid_.universe())
-                   .value_or(geo::Rect(position, position)));
+  book_grant(s, dynamics::GrantKind::kSafePeriod,
+             geo::Rect::centered_square(position, 2.0 * distance)
+                 .intersection(universe)
+                 .value_or(geo::Rect(position, position)),
+             wire::encoded_size(wire::SafePeriodMsg{}));
   return std::max(distance / max_speed_mps, tick_seconds);
 }
 
@@ -249,18 +229,14 @@ std::vector<const alarms::SpatialAlarm*> Server::push_alarms(
   auto relevant = charged(&Metrics::server_region_ops, [&] {
     return store_.relevant_in_window(cell, s);
   });
-  ++metrics_.safe_region_recomputes;
   std::size_t message_bytes = 0;
   for (const alarms::SpatialAlarm* a : relevant) {
     message_bytes += a->message.size();
   }
-  const std::size_t bytes =
-      wire::alarm_push_size(relevant.size(), message_bytes);
-  metrics_.downstream_region_bytes += bytes;
-  metrics_.region_payload_bytes.add(static_cast<double>(bytes));
   // The client evaluates this cell's alarm list locally until it leaves
   // the cell: installs inside the cell must be push-appended to the list.
-  record_grant(s, dynamics::GrantKind::kAlarmList, cell);
+  book_grant(s, dynamics::GrantKind::kAlarmList, cell,
+             wire::alarm_push_size(relevant.size(), message_bytes));
   return relevant;
 }
 
@@ -278,8 +254,13 @@ void Server::enable_dynamics(std::size_t subscriber_count) {
   mailboxes_.assign(subscriber_count, {});
 }
 
-void Server::record_grant(alarms::SubscriberId s, dynamics::GrantKind kind,
-                          const geo::Rect& bounds) {
+void Server::book_grant(alarms::SubscriberId s, dynamics::GrantKind kind,
+                        const geo::Rect& bounds, std::size_t bytes) {
+  ++metrics_.safe_region_recomputes;
+  if (bytes > 0) {
+    metrics_.downstream_region_bytes += bytes;
+    metrics_.region_payload_bytes.add(static_cast<double>(bytes));
+  }
   if (!dynamics_enabled_) return;
   const std::uint64_t before = sessions_.node_accesses();
   sessions_.record(s, kind, bounds);
@@ -335,7 +316,7 @@ void Server::install_alarm(const alarms::SpatialAlarm& alarm,
   // A cached public bitmap that predates a public install would mask the
   // new alarm for every future hand-out: drop the affected cells.
   if (installed.scope == alarms::AlarmScope::kPublic &&
-      cache_config_.has_value()) {
+      !public_cache_.empty()) {
     for (const grid::CellId cell :
          grid_.cells_intersecting(installed.region)) {
       public_cache_[grid_.flat_index(cell)].reset();
@@ -394,9 +375,7 @@ void Server::crash() {
   // ticks; clear each slot (never the vector itself — the pre-sized shape
   // is what keeps the parallel path allocation-free).
   for (auto& box : mailboxes_) box.clear();
-  if (cache_config_.has_value()) {
-    public_cache_.assign(grid_.cell_count(), std::nullopt);
-  }
+  public_cache_.clear();
   pyramid_memo_.clear();
 }
 

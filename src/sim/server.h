@@ -83,23 +83,19 @@ class Server {
       const saferegion::MwpsrOptions& options);
 
   /// Computes a pyramid bitmap over the subscriber's current base cell and
-  /// charges its wire size downstream. With the public-bitmap cache
-  /// enabled (paper §4.2), the subscriber-independent public-alarm bitmap
-  /// is computed once per cell and intersected with the subscriber's
-  /// private-alarm bitmap; the full rebuild runs only when the subscriber
-  /// has already spent a public alarm in the cell (the cached bitmap would
-  /// be needlessly conservative there). The full rebuild is served from a
+  /// charges its wire size downstream. The full build is served from a
   /// per-cell memo of exact builds (pyramid_memo_): a build whose cell,
   /// ordered relevant regions and configuration all match returns a copy
   /// of the stored bitmap and charges the stored build ops, so grants and
-  /// counted ops are those of a server that rebuilds every time.
+  /// counted ops are those of a server that rebuilds every time. With
+  /// `public_cache` (paper §4.2), the subscriber-independent public-alarm
+  /// bitmap is built once per cell and configuration and intersected with
+  /// the subscriber's private-alarm bitmap; the full build runs only when
+  /// the subscriber has already spent a public alarm in the cell (the
+  /// cached bitmap would be needlessly conservative there).
   saferegion::PyramidBitmap compute_pyramid_region(
       alarms::SubscriberId s, geo::Point position,
-      const saferegion::PyramidConfig& config);
-
-  /// Enables the precomputed public-alarm bitmap cache for the given
-  /// pyramid configuration (one configuration per run).
-  void enable_public_bitmap_cache(const saferegion::PyramidConfig& config);
+      const saferegion::PyramidConfig& config, bool public_cache = false);
 
   /// Computes the safe-period grant: distance to the nearest relevant
   /// alarm region, capped at the escape distance, over the worst-case
@@ -148,11 +144,10 @@ class Server {
   /// Simulates a process crash: everything a real shard process keeps in
   /// memory is dropped — the alarm index (spent state included), the
   /// install-tick map, the removal graveyard, the outstanding-grant table,
-  /// the invalidation mailboxes, the public-bitmap cache (reset cold; its
-  /// configuration survives in the restarted binary) and the pyramid build
-  /// memo. Metrics and the trigger log survive on purpose: they are the
-  /// run's *measurements* (delivered notices live with the clients), not
-  /// server state.
+  /// the invalidation mailboxes, the public-bitmap cache and the pyramid
+  /// build memo. Metrics and the trigger log survive on purpose: they are
+  /// the run's *measurements* (delivered notices live with the clients),
+  /// not server state.
   void crash();
 
   /// The server's durable state as of `tick`: the installed alarms in
@@ -217,10 +212,22 @@ class Server {
   void load_regions(const geo::Rect& cell, alarms::SubscriberId s,
                     alarms::AlarmStore::Scopes scopes);
 
-  /// Records the grant just issued to s (no-op unless dynamics is on);
-  /// SessionIndex node accesses are charged like any other region work.
-  void record_grant(alarms::SubscriberId s, dynamics::GrantKind kind,
-                    const geo::Rect& bounds);
+  /// Evaluates one position report: counts the uplink message and its
+  /// handling overhead, probes the index through `filter` and charges the
+  /// fired alarms' trigger notices.
+  std::vector<alarms::AlarmId> evaluate_report(
+      alarms::SubscriberId s, geo::Point position, std::uint64_t tick,
+      FunctionRef<bool(alarms::AlarmId)> filter);
+
+  /// Counts one fired alarm and charges its trigger notice.
+  void notify(const alarms::SpatialAlarm& alarm);
+
+  /// Books the grant just computed for s: counts the recompute, charges
+  /// `bytes` downstream (0: the grant ships nothing) and, with dynamics
+  /// on, records its footprint in the SessionIndex, whose node accesses
+  /// are charged like any other region work.
+  void book_grant(alarms::SubscriberId s, dynamics::GrantKind kind,
+                  const geo::Rect& bounds, std::size_t bytes);
 
   /// Moves installed alarm `id` to the graveyard with its lifetime, ending
   /// at `tick`, and uninstalls it: the step online removal and replayed
@@ -258,11 +265,13 @@ class Server {
   std::unordered_map<alarms::AlarmId, std::uint64_t> installed_at_;
   std::vector<Tomb> graveyard_;
 
+  /// The public-alarm bitmap of each cell (its configuration is the
+  /// bitmap's own; a call under another one rebuilds) and the public
+  /// alarms it covers. Sized to the grid on the first cached grant.
   struct PublicCacheEntry {
     saferegion::PyramidBitmap bitmap;
     std::vector<alarms::AlarmId> public_ids;
   };
-  std::optional<saferegion::PyramidConfig> cache_config_;
   std::vector<std::optional<PublicCacheEntry>> public_cache_;
 
   /// One stored exact build: its key (the ordered regions; the

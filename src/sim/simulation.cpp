@@ -94,7 +94,7 @@ RunResult Simulation::run_sharded(const StrategyFactory& factory,
   cluster::ShardedServer server(store_, grid_, options.shards,
                                 source_.vehicle_count());
   if (scheduler_.has_value()) {
-    server.enable_dynamics(source_.vehicle_count());
+    server.enable_dynamics();
     scheduler_->reset();
   }
   // Crash-recovery: the plan is drawn fresh per run from the armed seed —
@@ -107,8 +107,7 @@ RunResult Simulation::run_sharded(const StrategyFactory& factory,
         failover::CrashPlan(*failover_config_, server.shard_count(), ticks_,
                             failover_seed_));
   }
-  net::ClientLink link(server, channel_config_, channel_seed_,
-                       source_.vehicle_count());
+  net::ClientLink link(server, channel_config_, channel_seed_);
   const auto strategy = factory(link);
   result.strategy = std::string(strategy->name());
 

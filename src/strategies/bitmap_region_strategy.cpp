@@ -5,17 +5,18 @@
 namespace salarm::strategies {
 
 BitmapRegionStrategy::BitmapRegionStrategy(net::ClientLink& link,
-                                           std::size_t subscriber_count,
                                            saferegion::PyramidConfig config,
                                            bool use_public_cache)
-    : link_(link), config_(config), bitmaps_(subscriber_count) {
-  if (use_public_cache) link_.enable_public_bitmap_cache(config);
-}
+    : link_(link),
+      config_(config),
+      use_public_cache_(use_public_cache),
+      bitmaps_(link.subscriber_count()) {}
 
 void BitmapRegionStrategy::refresh(alarms::SubscriberId s,
                                    geo::Point position) {
   auto bitmap = link_.request(s, position, [&](sim::Server& server) {
-    return server.compute_pyramid_region(s, position, config_);
+    return server.compute_pyramid_region(s, position, config_,
+                                         use_public_cache_);
   });
   // nullopt: the response was lost or the client is in an outage. The
   // previous (still sound) bitmap — or none — stays in place, and the

@@ -30,9 +30,9 @@ namespace salarm::strategies {
 
 class BitmapRegionStrategy final : public ProcessingStrategy {
  public:
-  /// `use_public_cache` enables the server's precomputed public-alarm
-  /// bitmap path (paper §4.2).
-  BitmapRegionStrategy(net::ClientLink& link, std::size_t subscriber_count,
+  /// `use_public_cache` builds every grant from the server's precomputed
+  /// public-alarm bitmaps (paper §4.2).
+  BitmapRegionStrategy(net::ClientLink& link,
                        saferegion::PyramidConfig config,
                        bool use_public_cache = false);
 
@@ -50,6 +50,7 @@ class BitmapRegionStrategy final : public ProcessingStrategy {
 
   net::ClientLink& link_;
   saferegion::PyramidConfig config_;
+  bool use_public_cache_;
   std::vector<std::optional<saferegion::PyramidBitmap>> bitmaps_;
 };
 

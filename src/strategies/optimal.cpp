@@ -4,9 +4,8 @@
 
 namespace salarm::strategies {
 
-OptimalStrategy::OptimalStrategy(net::ClientLink& link,
-                                 std::size_t subscriber_count)
-    : link_(link), clients_(subscriber_count) {}
+OptimalStrategy::OptimalStrategy(net::ClientLink& link)
+    : link_(link), clients_(link.subscriber_count()) {}
 
 void OptimalStrategy::fetch_cell(alarms::SubscriberId s,
                                  geo::Point position) {

@@ -18,7 +18,7 @@ namespace salarm::strategies {
 
 class OptimalStrategy final : public ProcessingStrategy {
  public:
-  OptimalStrategy(net::ClientLink& link, std::size_t subscriber_count);
+  explicit OptimalStrategy(net::ClientLink& link);
 
   std::string_view name() const override { return "OPT"; }
 

@@ -5,11 +5,10 @@
 namespace salarm::strategies {
 
 RectRegionStrategy::RectRegionStrategy(net::ClientLink& link,
-                                       std::size_t subscriber_count,
                                        saferegion::MotionModel model,
                                        saferegion::MwpsrOptions options)
     : link_(link), model_(model), options_(options),
-      regions_(subscriber_count) {}
+      regions_(link.subscriber_count()) {}
 
 void RectRegionStrategy::report_and_refresh(
     alarms::SubscriberId s, const mobility::VehicleSample& sample,

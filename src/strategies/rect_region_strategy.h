@@ -27,8 +27,7 @@ namespace salarm::strategies {
 
 class RectRegionStrategy final : public ProcessingStrategy {
  public:
-  RectRegionStrategy(net::ClientLink& link, std::size_t subscriber_count,
-                     saferegion::MotionModel model,
+  RectRegionStrategy(net::ClientLink& link, saferegion::MotionModel model,
                      saferegion::MwpsrOptions options = {});
 
   std::string_view name() const override {

@@ -6,13 +6,12 @@
 namespace salarm::strategies {
 
 SafePeriodStrategy::SafePeriodStrategy(net::ClientLink& link,
-                                       std::size_t subscriber_count,
                                        double max_speed_mps,
                                        double tick_seconds)
     : link_(link),
       max_speed_mps_(max_speed_mps),
       tick_seconds_(tick_seconds),
-      next_report_s_(subscriber_count, 0.0) {}
+      next_report_s_(link.subscriber_count(), 0.0) {}
 
 void SafePeriodStrategy::report(alarms::SubscriberId s, geo::Point position,
                                 std::uint64_t tick) {

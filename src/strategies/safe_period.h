@@ -21,8 +21,8 @@ class SafePeriodStrategy final : public ProcessingStrategy {
  public:
   /// `max_speed_mps` must be a hard bound on any subscriber's speed
   /// (see mobility::max_speed_bound) for the approach to be accurate.
-  SafePeriodStrategy(net::ClientLink& link, std::size_t subscriber_count,
-                     double max_speed_mps, double tick_seconds);
+  SafePeriodStrategy(net::ClientLink& link, double max_speed_mps,
+                     double tick_seconds);
 
   std::string_view name() const override { return "SP"; }
 

@@ -7,8 +7,9 @@
 // thread and server are warm: the safe-period nearest-neighbour search
 // allocates nothing, an MWPSR contact allocates nothing, and a pyramid
 // build or a PBSR contact allocates only the returned bitmap's node array,
-// whether the server's build memo hits or overwrites a way. A malformed
-// pyramid stream is rejected without any large request.
+// whether the server's build memo hits or overwrites a way; a contact
+// served from the public-bitmap cache allocates a pinned count. A
+// malformed pyramid stream is rejected without any large request.
 // Nor may the ground-truth oracle's ticks: once its table and
 // buffers are built, a tick that fires nothing allocates nothing, so a run
 // of 10N ticks allocates exactly what a run of N does. The same holds for
@@ -352,6 +353,33 @@ TEST(AllocationTest, WarmPyramidContactAllocatesOnlyTheBitmap) {
   const std::size_t before = allocations();
   const std::size_t bits = contacts();
   EXPECT_EQ(allocations() - before, points.size());
+  EXPECT_EQ(bits, warm_bits);
+}
+
+TEST(AllocationTest, WarmCachedPyramidContactAllocatesAsPinned) {
+  // Public-cache grants (paper §4.2) once every cell's public bitmap is
+  // built: a contact without private regions copies the cached bitmap; one
+  // with them builds the private bitmap and intersects it with the cached
+  // one, which grows its work queue and node array as it goes. So the
+  // count depends on each bitmap's shape and is pinned, not derived.
+  ServerFixture f;
+  const std::vector<Point> points = random_points(8);
+  const saferegion::PyramidConfig config;
+  const auto contacts = [&] {
+    std::size_t bits = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      bits += f.server
+                  .compute_pyramid_region(
+                      static_cast<alarms::SubscriberId>(i % 50), points[i],
+                      config, /*public_cache=*/true)
+                  .bit_size();
+    }
+    return bits;
+  };
+  const std::size_t warm_bits = contacts();
+  const std::size_t before = allocations();
+  const std::size_t bits = contacts();
+  EXPECT_EQ(allocations() - before, 15438u);
   EXPECT_EQ(bits, warm_bits);
 }
 

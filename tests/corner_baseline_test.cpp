@@ -121,7 +121,7 @@ TEST(StrategyTrendTest, CornerBaselineMissesTriggers) {
   cfg.seed = 7;
   core::Experiment experiment(cfg);
   const auto run = experiment.simulation().run(
-      bench::corner_baseline(cfg.vehicles, MotionModel(1.0, 32)));
+      bench::corner_baseline(MotionModel(1.0, 32)));
   EXPECT_EQ(run.strategy, "RECT[10]");
   EXPECT_GT(run.accuracy.missed + run.accuracy.late, 0u);
 }

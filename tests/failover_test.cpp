@@ -323,7 +323,7 @@ struct CrashWorld {
              std::uint64_t ticks, bool journal) {
     store.install(crash_world_alarm(0, Rect(2500, 2500, 2800, 2800)));
     server = std::make_unique<cluster::ShardedServer>(store, grid, 2, 1);
-    server->enable_dynamics(1);
+    server->enable_dynamics();
     config.crash_per_tick = 0.0;  // schedule is explicit, not drawn
     config.checkpoint_interval_ticks = 1000;  // only the tick-0 baseline
     config.journal = journal;
@@ -333,8 +333,7 @@ struct CrashWorld {
         ticks);
     server->enable_failover(config, *plan);
     link = std::make_unique<net::ClientLink>(*server, net::ChannelConfig{},
-                                             /*seed=*/1,
-                                             /*subscriber_count=*/1);
+                                             /*seed=*/1);
   }
 
   /// One serial-phase tick for the single subscriber at `pos`, mirroring
@@ -790,7 +789,7 @@ TEST(ClientLinkBackoffTest, BackoffDoublesPerRoundAndResetsAfterEveryAck) {
   const double base_rto = 2.0 * c.latency_base_ms + 1.0;
   for (const std::uint64_t seed : {3u, 17u, 29u}) {
     LinkWorld w;
-    net::ClientLink link(w.server, c, seed, 1);
+    net::ClientLink link(w.server, c, seed);
     std::size_t multi_round_exchanges = 0;
     for (std::uint64_t t = 0; t < 400; ++t) {
       (void)link.report(0, {100, 100}, t);

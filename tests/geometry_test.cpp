@@ -158,14 +158,6 @@ TEST(RectTest, DistanceToPoint) {
   EXPECT_DOUBLE_EQ(r.squared_distance({13, 14}), 25.0);
 }
 
-TEST(RectTest, BoundaryDistance) {
-  const Rect r(0, 0, 10, 10);
-  EXPECT_DOUBLE_EQ(r.boundary_distance({5, 5}), 5.0);   // center
-  EXPECT_DOUBLE_EQ(r.boundary_distance({1, 5}), 1.0);   // near left edge
-  EXPECT_DOUBLE_EQ(r.boundary_distance({0, 5}), 0.0);   // on the edge
-  EXPECT_DOUBLE_EQ(r.boundary_distance({15, 5}), 5.0);  // outside
-}
-
 TEST(RectTest, OverlapArea) {
   EXPECT_DOUBLE_EQ(overlap_area(Rect(0, 0, 10, 10), Rect(5, 5, 15, 15)), 25.0);
   EXPECT_DOUBLE_EQ(overlap_area(Rect(0, 0, 10, 10), Rect(10, 0, 20, 10)), 0.0);
@@ -214,13 +206,6 @@ TEST_P(RectPropertyTest, DistanceConsistency) {
     EXPECT_GE(d, 0.0);
     EXPECT_EQ(d == 0.0, r.contains(p));
     EXPECT_NEAR(d * d, r.squared_distance(p), 1e-9);
-    if (r.contains(p)) {
-      // boundary distance bounded by half the smaller side
-      EXPECT_LE(r.boundary_distance(p),
-                std::min(r.width(), r.height()) / 2 + 1e-12);
-    } else {
-      EXPECT_DOUBLE_EQ(r.boundary_distance(p), d);
-    }
   }
 }
 

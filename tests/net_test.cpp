@@ -162,7 +162,7 @@ struct NetWorld {
 
   grid::GridOverlay grid{Rect(0, 0, 4000, 4000), 4, 4};
   cluster::ShardedServer server{one_alarm_store(), grid, /*shard_count=*/1,
-                                /*subscriber_count=*/2};
+                                /*subscriber_count=*/1};
   const sim::Metrics& metrics = server.shard_metrics(0);
 };
 
@@ -177,7 +177,7 @@ struct EngineWorld {
 
 TEST(ClientLinkTest, PerfectChannelIsPurePassThrough) {
   NetWorld w;
-  net::ClientLink link(w.server, net::ChannelConfig{}, 5, 2);
+  net::ClientLink link(w.server, net::ChannelConfig{}, 5);
   EXPECT_FALSE(link.faulty());
   for (std::uint64_t t = 0; t < 10; ++t) {
     (void)link.report(0, {100, 100}, t);
@@ -194,7 +194,7 @@ TEST(ClientLinkTest, LossForcesRetransmissionsAndInflatesBandwidth) {
   NetWorld w;
   net::ChannelConfig c;
   c.uplink_loss = 0.4;
-  net::ClientLink link(w.server, c, 11, 1);
+  net::ClientLink link(w.server, c, 11);
   for (std::uint64_t t = 0; t < 400; ++t) {
     (void)link.report(0, {100, 100}, t);
   }
@@ -211,7 +211,7 @@ TEST(ClientLinkTest, CertainDuplicationIsFullySuppressedAndCounted) {
   NetWorld w;
   net::ChannelConfig c;
   c.duplicate_rate = 1.0;  // the network copies every delivered payload
-  net::ClientLink link(w.server, c, 13, 1);
+  net::ClientLink link(w.server, c, 13);
   for (std::uint64_t t = 0; t < 50; ++t) {
     (void)link.report(0, {100, 100}, t);
   }
@@ -228,7 +228,7 @@ TEST(ClientLinkTest, PureDelayChannelRecordsTheLatencyDistribution) {
   NetWorld w;
   net::ChannelConfig c;
   c.latency_base_ms = 50.0;  // no jitter: every delivery takes exactly 50 ms
-  net::ClientLink link(w.server, c, 17, 1);
+  net::ClientLink link(w.server, c, 17);
   for (std::uint64_t t = 0; t < 25; ++t) {
     (void)link.report(0, {100, 100}, t);
   }
@@ -242,7 +242,7 @@ TEST(ClientLinkTest, OutageBuffersReportsAndFlushFiresAtStampTicks) {
   net::ChannelConfig c;
   c.outage_start_per_tick = 0.9;
   c.outage_mean_ticks = 50.0;  // long outages: stays down while we probe
-  net::ClientLink link(w.server, c, 19, 1);
+  net::ClientLink link(w.server, c, 19);
 
   // Drive ticks until the carrier drops (p=0.9 per tick; bounded search).
   std::uint64_t t = 1;
@@ -355,7 +355,7 @@ TEST_P(RequestGateTest, ChannelOutageReturnsNullopt) {
   net::ChannelConfig c;
   c.outage_start_per_tick = 0.9;
   c.outage_mean_ticks = 50.0;
-  net::ClientLink link(w.server, c, 19, 1);
+  net::ClientLink link(w.server, c, 19);
   for (std::uint64_t t = 1; t < 100 && !link.in_outage(0); ++t) {
     link.begin_tick(t, {});
   }
@@ -368,7 +368,7 @@ TEST_P(RequestGateTest, DownShardReturnsNulloptAndChargesNoServerWork) {
   const failover::CrashPlan plan(
       std::vector<std::vector<failover::CrashWindow>>{{{2, 5}}}, 10);
   w.server.enable_failover(failover::FailoverConfig{}, plan);
-  net::ClientLink link(w.server, net::ChannelConfig{}, 1, 1);
+  net::ClientLink link(w.server, net::ChannelConfig{}, 1);
   w.server.begin_failover_tick(2);
   ASSERT_TRUE(w.server.shard_down(0));
   const std::vector<mobility::VehicleSample> samples{{kGatePos, 0.0, 0.0}};
@@ -382,7 +382,7 @@ TEST_P(RequestGateTest, DownShardReturnsNulloptAndChargesNoServerWork) {
 TEST_P(RequestGateTest, PerfectChannelReturnsExactlyTheDirectCall) {
   NetWorld via_link;
   NetWorld direct;
-  net::ClientLink link(via_link.server, net::ChannelConfig{}, 1, 1);
+  net::ClientLink link(via_link.server, net::ChannelConfig{}, 1);
   const Response got = request_through(link, GetParam());
   const Response want = request_direct(direct.server, GetParam());
   ASSERT_TRUE(got.has_value());
@@ -517,7 +517,7 @@ ChannelPhaseRun run_channel_phase(std::size_t n, std::size_t threads) {
       alarms::generate_alarm_workload(workload, universe, alarm_rng));
 
   cluster::ShardedServer server(store, grid, /*shard_count=*/4, n);
-  server.enable_dynamics(n);
+  server.enable_dynamics();
   failover::FailoverConfig crashes;
   crashes.crash_per_tick = 0.04;
   crashes.crash_mean_down_ticks = 3.0;
@@ -532,7 +532,7 @@ ChannelPhaseRun run_channel_phase(std::size_t n, std::size_t threads) {
   channel.latency_jitter_ms = 30.0;
   channel.outage_start_per_tick = 0.05;
   channel.outage_mean_ticks = 3.0;
-  net::ClientLink link(server, channel, 37, n);
+  net::ClientLink link(server, channel, 37);
 
   Rng walk(43);
   std::vector<mobility::VehicleSample> samples(n);

@@ -74,8 +74,7 @@ struct GoldenWorkload {
   sim::Simulation::StrategyFactory rect() const {
     return [](net::ClientLink& link) {
       return std::make_unique<strategies::RectRegionStrategy>(
-          link, kVehicles, saferegion::MotionModel(1.0, 32),
-          saferegion::MwpsrOptions{});
+          link, saferegion::MotionModel(1.0, 32), saferegion::MwpsrOptions{});
     };
   }
 
@@ -83,7 +82,7 @@ struct GoldenWorkload {
     const double bound = source.max_speed_bound();
     return [bound](net::ClientLink& link) {
       return std::make_unique<strategies::SafePeriodStrategy>(
-          link, kVehicles, bound, /*tick_seconds=*/1.0);
+          link, bound, /*tick_seconds=*/1.0);
     };
   }
 
@@ -115,11 +114,10 @@ sim::RunResult reference_monolithic_run(
                                 source.vehicle_count());
   server.set_active_shard(0);
   if (churn != nullptr) {
-    server.enable_dynamics(source.vehicle_count());
+    server.enable_dynamics();
     churn->reset();
   }
-  net::ClientLink link(server, channel, channel_seed,
-                       source.vehicle_count());
+  net::ClientLink link(server, channel, channel_seed);
   const auto strategy = factory(link);
   result.strategy = std::string(strategy->name());
 
@@ -437,8 +435,7 @@ TEST(PipelineSkewTest, SkewedGroupsAreBitIdenticalAcrossThreadCounts) {
   w.sim.set_failover(crashes, 61);
   const auto factory = [](net::ClientLink& link) {
     return std::make_unique<strategies::RectRegionStrategy>(
-        link, SkewedWorkload::kSkewVehicles, saferegion::MotionModel(1.0, 32),
-        saferegion::MwpsrOptions{});
+        link, saferegion::MotionModel(1.0, 32), saferegion::MwpsrOptions{});
   };
   const auto ref = w.sim.run_sharded(factory, {.shards = 4, .threads = 1});
   EXPECT_EQ(ref.accuracy.missed, 0u);

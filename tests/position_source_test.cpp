@@ -139,7 +139,7 @@ TEST(RecordedTraceSourceTest, DrivesAFullSimulation) {
   sim::Simulation simulation(source, store, grid, trace.tick_count());
   const auto run = simulation.run([&](net::ClientLink& link) {
     return std::make_unique<strategies::RectRegionStrategy>(
-        link, 50, saferegion::MotionModel(1.0, 32));
+        link, saferegion::MotionModel(1.0, 32));
   });
   EXPECT_EQ(run.accuracy.missed, 0u);
   EXPECT_EQ(run.accuracy.late, 0u);

@@ -908,6 +908,20 @@ TEST(RStarTreePinTest, ReplaceTrafficDigestsArePinned) {
   }
 }
 
+TEST(RStarTreePinTest, ReplaceTrafficSurvivesNanCosts) {
+  // Past 2^501 the grown areas of a leaf-parent's children overflow to
+  // infinity and their overlap sums become inf - inf: no cost compares,
+  // and ChooseSubtree falls back to the first candidate. The replay checks
+  // the tree's invariants as it goes.
+  const std::pair<std::size_t, double> kRuns[] = {
+      {4, 501.25}, {8, 501.25}, {4, 502.0}, {8, 502.0}, {16, 502.0}};
+  for (const auto& [capacity, scale_exponent] : kRuns) {
+    EXPECT_NO_THROW(
+        (void)pinned_replace_replay(capacity, std::exp2(scale_exponent)))
+        << "capacity=" << capacity << " scale=2^" << scale_exponent;
+  }
+}
+
 TEST(RStarTreeTest, ChooseSubtreeKeepsItsChoiceWhenAreasOverflow) {
   // Two leaves under the root: one of three boxes whose area overflows to
   // infinity, one of two small boxes left of them. A point on the big

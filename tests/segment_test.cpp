@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "bench/segment.h"
 #include "common/rng.h"
-#include "geometry/segment.h"
 
 namespace salarm::geo {
 namespace {

@@ -11,6 +11,7 @@
 //
 // The server also writes and restores its own shard checkpoint (DESIGN.md
 // §10); the ServerCheckpointTest cases pin that round trip.
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <string>
@@ -46,16 +47,26 @@ saferegion::PyramidConfig pyramid(int height) {
   return config;
 }
 
+/// 900 alarms over six subscribers, 30% of them public.
+std::vector<alarms::SpatialAlarm> alarm_workload() {
+  alarms::AlarmWorkloadConfig cfg;
+  cfg.alarm_count = 900;
+  cfg.subscriber_count = kSubscribers;
+  cfg.public_fraction = 0.3;
+  Rng rng(5);
+  return alarms::generate_alarm_workload(cfg, kUniverse, rng);
+}
+
+/// A position inside one of kCells, drawn from rng.
+Point random_position(Rng& rng) {
+  const Point corner = kCells[rng.index(std::size(kCells))];
+  return {corner.x + rng.uniform(1.0, 999.0),
+          corner.y + rng.uniform(1.0, 999.0)};
+}
+
 class PyramidGrantMemoTest : public ::testing::Test {
  protected:
-  PyramidGrantMemoTest() {
-    alarms::AlarmWorkloadConfig cfg;
-    cfg.alarm_count = 900;
-    cfg.subscriber_count = kSubscribers;
-    cfg.public_fraction = 0.3;
-    Rng rng(5);
-    store.install_bulk(alarms::generate_alarm_workload(cfg, kUniverse, rng));
-  }
+  PyramidGrantMemoTest() { store.install_bulk(alarm_workload()); }
 
   /// The grant of the long-lived server against a cold one's.
   void contact(SubscriberId s, Point p, const saferegion::PyramidConfig& c) {
@@ -78,9 +89,7 @@ class PyramidGrantMemoTest : public ::testing::Test {
 
   void random_contacts(Rng& rng, int count) {
     for (int i = 0; i < count; ++i) {
-      const Point corner = kCells[rng.index(std::size(kCells))];
-      const Point p{corner.x + rng.uniform(1.0, 999.0),
-                    corner.y + rng.uniform(1.0, 999.0)};
+      const Point p = random_position(rng);
       const auto s = static_cast<SubscriberId>(rng.index(kSubscribers));
       contact(s, p, pyramid(rng.chance(0.5) ? 3 : 5));
     }
@@ -146,6 +155,210 @@ TEST_F(PyramidGrantMemoTest, WarmServerGrantsWhatAColdServerBuilds) {
   warm.crash();
   warm.restore(saved);
   random_contacts(rng, 300);
+}
+
+// ---------------------------------------------------------------------------
+// The public-bitmap cache (paper §4.2), asked for per grant: a cached grant
+// intersects the cell's subscriber-independent public bitmap with the
+// subscriber's private one. It must never be finer than the exact build,
+// must rebuild a cell's public bitmap after a public install there, must
+// fall back to the exact build for a subscriber who has spent a public
+// alarm in the cell, must restart cold after a crash, and must leave the
+// uncached grants of the same server untouched.
+// ---------------------------------------------------------------------------
+
+/// One pyramid grant and the server_region_ops it charged.
+struct Grant {
+  saferegion::PyramidBitmap bitmap;
+  std::uint64_t ops = 0;
+};
+
+Grant take_grant(sim::Server& server, const sim::Metrics& metrics,
+                 SubscriberId s, Point p, bool cached, int height = 5) {
+  const std::uint64_t before = metrics.server_region_ops;
+  auto bitmap = server.compute_pyramid_region(s, p, pyramid(height), cached);
+  return {std::move(bitmap), metrics.server_region_ops - before};
+}
+
+void expect_same_grant(const Grant& got, const Grant& want) {
+  EXPECT_TRUE(got.bitmap == want.bitmap);
+  EXPECT_EQ(got.bitmap.serialize(), want.bitmap.serialize());
+  EXPECT_EQ(got.ops, want.ops);
+}
+
+/// A uniform draw from the interior of r.
+Point random_interior(Rng& rng, const Rect& r) {
+  return {rng.uniform(r.lo().x, r.hi().x), rng.uniform(r.lo().y, r.hi().y)};
+}
+
+/// One server over alarm_workload(), with dynamics on when asked.
+struct CacheWorld {
+  explicit CacheWorld(bool dynamics = false) {
+    store.install_bulk(alarm_workload());
+    if (dynamics) server.enable_dynamics(kSubscribers);
+  }
+
+  Grant grant(SubscriberId s, Point p, bool cached, int height = 5) {
+    return take_grant(server, metrics, s, p, cached, height);
+  }
+
+  alarms::AlarmStore store;
+  grid::GridOverlay grid = grid::GridOverlay::with_cell_area(kUniverse, 1.0e6);
+  sim::Metrics metrics;
+  sim::Server server{store, grid, metrics};
+};
+
+TEST(PublicBitmapCacheTest, CachedSafePointsAreSafeInTheExactBuild) {
+  // A cached safe point lies in no relevant alarm's interior. Without a
+  // bit budget it is also safe in the exact build; under one it need not
+  // be, since the exact build over all regions may stop refining a level
+  // sooner than the builds over either half.
+  saferegion::PyramidConfig unbudgeted = pyramid(5);
+  unbudgeted.max_bits = 0;
+  CacheWorld w;
+  Rng rng(23);
+  std::size_t safe_samples = 0;
+  for (int i = 0; i < 400; ++i) {
+    const Point p = random_position(rng);
+    const auto s = static_cast<SubscriberId>(rng.index(kSubscribers));
+    const auto config = i % 2 == 0 ? unbudgeted : pyramid(5);
+    const auto cached = w.server.compute_pyramid_region(s, p, config, true);
+    sim::Metrics cold_metrics;
+    sim::Server cold(w.store, w.grid, cold_metrics);
+    const auto exact = cold.compute_pyramid_region(s, p, config);
+    const auto relevant = w.store.relevant_in_window(exact.cell(), s);
+    for (int k = 0; k < 100; ++k) {
+      const Point q = random_interior(rng, exact.cell());
+      if (!cached.locate(q).safe) continue;
+      ++safe_samples;
+      SCOPED_TRACE(::testing::Message() << "subscriber " << s << " at ("
+                                        << q.x << ", " << q.y << ")");
+      EXPECT_TRUE(std::ranges::none_of(relevant, [&](const auto* a) {
+        return a->region.interior_contains(q);
+      }));
+      if (config == unbudgeted) {
+        EXPECT_TRUE(exact.locate(q).safe);
+      }
+    }
+  }
+  EXPECT_GT(safe_samples, 2000u);
+}
+
+TEST(PublicBitmapCacheTest, PublicInstallRebuildsTheCellsPublicBitmap) {
+  // Equal stores and equal grant histories, except that only `warm` has
+  // built the cell's public bitmap before the install. A pyramid grant
+  // records the cell either way, so the install costs both the same.
+  CacheWorld warm(/*dynamics=*/true);
+  CacheWorld reference(/*dynamics=*/true);
+  const Point p{420.0, 610.0};
+  const SubscriberId s = 1;
+  const Grant before = warm.grant(s, p, /*cached=*/true);
+  (void)reference.grant(s, p, /*cached=*/false);
+
+  alarms::SpatialAlarm added;
+  added.id = 100000;
+  added.scope = alarms::AlarmScope::kPublic;
+  added.region = Rect(610.0, 180.0, 790.0, 330.0);
+  Rng rng(29);
+  std::vector<Point> inside;
+  for (int k = 0; k < 200; ++k) {
+    inside.push_back(random_interior(rng, added.region));
+  }
+  ASSERT_TRUE(std::ranges::any_of(
+      inside, [&](Point q) { return before.bitmap.locate(q).safe; }));
+  warm.server.install_alarm(added, 1);
+  reference.server.install_alarm(added, 1);
+
+  const Grant after = warm.grant(s, p, /*cached=*/true);
+  expect_same_grant(after, reference.grant(s, p, /*cached=*/true));
+  for (const Point q : inside) EXPECT_FALSE(after.bitmap.locate(q).safe);
+}
+
+TEST(PublicBitmapCacheTest, SpentPublicAlarmGetsTheExactBuild) {
+  CacheWorld w;
+  const Point p{1500.0, 500.0};
+  const Rect cell = w.grid.cell_rect(w.grid.cell_of(p));
+  const auto publics = w.store.public_in_window(cell);
+  ASSERT_FALSE(publics.empty());
+  const std::size_t public_count = publics.size();
+  const alarms::SpatialAlarm& spent = *publics.front();
+  const SubscriberId s = 2;
+  (void)w.grant(s, p, /*cached=*/true);  // builds the cell's public bitmap
+  (void)w.server.handle_position_update(s, spent.region.center(), 1);
+  ASSERT_TRUE(w.store.spent(spent.id, s));
+
+  const Grant cached = w.grant(s, p, /*cached=*/true);
+  sim::Metrics cold_metrics;
+  sim::Server cold(w.store, w.grid, cold_metrics);
+  const Grant exact = take_grant(cold, cold_metrics, s, p, /*cached=*/false);
+  EXPECT_TRUE(cached.bitmap == exact.bitmap);
+  EXPECT_EQ(cached.bitmap.serialize(), exact.bitmap.serialize());
+  // Plus one op per public alarm of the cell: the scan that found the
+  // spent one.
+  EXPECT_EQ(cached.ops, exact.ops + public_count);
+}
+
+TEST(PublicBitmapCacheTest, CrashRestartsTheCacheCold) {
+  CacheWorld w(/*dynamics=*/true);
+  Rng rng(31);
+  for (int i = 0; i < 60; ++i) {
+    const auto s = static_cast<SubscriberId>(rng.index(kSubscribers));
+    (void)w.grant(s, random_position(rng), /*cached=*/true);
+  }
+  const auto publics = w.store.public_in_window(Rect(0, 0, 1000, 1000));
+  ASSERT_FALSE(publics.empty());
+  (void)w.server.handle_position_update(3, publics.front()->region.center(),
+                                        2);
+  const wire::ShardCheckpointMsg saved = w.server.checkpoint(2);
+  w.server.crash();
+  w.server.restore(saved);
+
+  alarms::AlarmStore fresh_store;
+  sim::Metrics fresh_metrics;
+  sim::Server fresh(fresh_store, w.grid, fresh_metrics);
+  fresh.enable_dynamics(kSubscribers);
+  fresh.restore(saved);
+  for (int i = 0; i < 60; ++i) {
+    const auto s = static_cast<SubscriberId>(rng.index(kSubscribers));
+    const Point p = random_position(rng);
+    SCOPED_TRACE(::testing::Message() << "contact " << i);
+    expect_same_grant(w.grant(s, p, /*cached=*/true),
+                      take_grant(fresh, fresh_metrics, s, p, /*cached=*/true));
+  }
+}
+
+TEST(PublicBitmapCacheTest, InterleavedKindsMatchServersOfOneKind) {
+  // Three servers over one store: `mixed` serves both kinds of call, the
+  // others one kind each. Both heights alternate, so the cache also meets
+  // entries built under the other configuration.
+  CacheWorld w;
+  sim::Metrics uncached_metrics;
+  sim::Server uncached(w.store, w.grid, uncached_metrics);
+  sim::Metrics cached_metrics;
+  sim::Server cached(w.store, w.grid, cached_metrics);
+  Rng rng(37);
+  for (int i = 0; i < 400; ++i) {
+    const auto s = static_cast<SubscriberId>(rng.index(kSubscribers));
+    const Point p = random_position(rng);
+    const bool use_cache = rng.chance(0.5);
+    const int height = rng.chance(0.5) ? 3 : 5;
+    SCOPED_TRACE(::testing::Message() << "contact " << i);
+    const Grant got = w.grant(s, p, use_cache, height);
+    expect_same_grant(
+        got, use_cache
+                 ? take_grant(cached, cached_metrics, s, p, true, height)
+                 : take_grant(uncached, uncached_metrics, s, p, false, height));
+    if (i % 40 == 20) {
+      // Spend a public alarm of this cell for s, so later cached grants
+      // there take the exact build.
+      const auto publics =
+          w.store.public_in_window(w.grid.cell_rect(w.grid.cell_of(p)));
+      if (!publics.empty()) {
+        (void)w.server.handle_position_update(
+            s, publics.front()->region.center(), static_cast<std::uint64_t>(i));
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ struct World {
   /// Perfect pass-through link (all-zero ChannelConfig): these tests pin
   /// down strategy behaviour; the faulty-channel behaviour lives in
   /// net_test.cpp.
-  net::ClientLink link{server, net::ChannelConfig{}, 0, 8};
+  net::ClientLink link{server, net::ChannelConfig{}, 0};
 };
 
 TEST(PeriodicStrategyTest, SendsEverySample) {
@@ -72,7 +72,7 @@ TEST(SafePeriodStrategyTest, StaysSilentUntilExpiry) {
   World w;
   // True speed 15 m/s; subscriber starts 900+ m from the alarm region, so
   // the first grant is tens of seconds long.
-  SafePeriodStrategy sp(w.link, 1, /*max_speed=*/20.0, /*tick=*/1.0);
+  SafePeriodStrategy sp(w.link, /*max_speed=*/20.0, /*tick=*/1.0);
   sp.initialize(0, w.at(100, 550));
   EXPECT_EQ(w.metrics.uplink_messages, 1u);
   const double distance = Rect(1400, 400, 1700, 700).distance({100, 550});
@@ -90,7 +90,7 @@ TEST(SafePeriodStrategyTest, StaysSilentUntilExpiry) {
 
 TEST(SafePeriodStrategyTest, NoRelevantAlarmsMeansOneMessageEver) {
   World w{alarms::AlarmStore{}};  // no alarm relevant to subscriber 0
-  SafePeriodStrategy sp(w.link, 1, 20.0, 1.0);
+  SafePeriodStrategy sp(w.link, 20.0, 1.0);
   sp.initialize(0, w.at(100, 100));
   for (std::uint64_t t = 1; t <= 500; ++t) {
     sp.on_tick(0, w.at(100 + static_cast<double>(t), 100), t);
@@ -100,7 +100,7 @@ TEST(SafePeriodStrategyTest, NoRelevantAlarmsMeansOneMessageEver) {
 
 TEST(RectRegionStrategyTest, OneCheckPerTickAndReportOnExit) {
   World w;
-  RectRegionStrategy rect(w.link, 1, saferegion::MotionModel::uniform());
+  RectRegionStrategy rect(w.link, saferegion::MotionModel::uniform());
   rect.initialize(0, w.at(500, 550));
   EXPECT_EQ(w.metrics.uplink_messages, 1u);
   EXPECT_EQ(w.metrics.safe_region_recomputes, 1u);
@@ -125,7 +125,7 @@ TEST(RectRegionStrategyTest, OneCheckPerTickAndReportOnExit) {
 
 TEST(RectRegionStrategyTest, TriggersWhenEnteringAlarm) {
   World w;
-  RectRegionStrategy rect(w.link, 1, saferegion::MotionModel::uniform());
+  RectRegionStrategy rect(w.link, saferegion::MotionModel::uniform());
   rect.initialize(0, w.at(1100, 550));
   // Step into the alarm region; the region must have excluded it, so the
   // client reports and the server fires the alarm.
@@ -146,7 +146,7 @@ TEST(BitmapRegionStrategyTest, RefreshOnCellExitOnly) {
   World w;
   saferegion::PyramidConfig cfg;
   cfg.height = 3;
-  BitmapRegionStrategy pbsr(w.link, 1, cfg);
+  BitmapRegionStrategy pbsr(w.link, cfg);
   pbsr.initialize(0, w.at(500, 550));
   EXPECT_EQ(w.metrics.safe_region_recomputes, 1u);
 
@@ -177,7 +177,7 @@ TEST(BitmapRegionStrategyTest, TriggerRefreshesBitmap) {
   World w;
   saferegion::PyramidConfig cfg;
   cfg.height = 4;
-  BitmapRegionStrategy pbsr(w.link, 1, cfg);
+  BitmapRegionStrategy pbsr(w.link, cfg);
   pbsr.initialize(0, w.at(1100, 550));
   const auto recomputes = w.metrics.safe_region_recomputes;
   // Step into the alarm: report fires the alarm, and per §4.2 the bitmap
@@ -195,7 +195,7 @@ TEST(BitmapRegionStrategyTest, TriggerRefreshesBitmap) {
 
 TEST(OptimalStrategyTest, PushesOnCellChangeAndReportsOnlyTriggers) {
   World w;
-  OptimalStrategy opt(w.link, 1);
+  OptimalStrategy opt(w.link);
   opt.initialize(0, w.at(1100, 550));  // the alarm's cell
   EXPECT_EQ(w.metrics.uplink_messages, 1u);
   const auto push_bytes = w.metrics.downstream_region_bytes;
@@ -223,25 +223,25 @@ TEST(OptimalStrategyTest, PushesOnCellChangeAndReportsOnlyTriggers) {
 TEST(StrategyNamesTest, ReportCorrectly) {
   World w;
   EXPECT_EQ(PeriodicStrategy(w.link).name(), "PRD");
-  EXPECT_EQ(SafePeriodStrategy(w.link, 1, 20, 1).name(), "SP");
-  EXPECT_EQ(RectRegionStrategy(w.link, 1,
+  EXPECT_EQ(SafePeriodStrategy(w.link, 20, 1).name(), "SP");
+  EXPECT_EQ(RectRegionStrategy(w.link,
                                saferegion::MotionModel::uniform())
                 .name(),
             "MWPSR");
   saferegion::MwpsrOptions non_weighted;
   non_weighted.weighted = false;
-  EXPECT_EQ(RectRegionStrategy(w.link, 1,
+  EXPECT_EQ(RectRegionStrategy(w.link,
                                saferegion::MotionModel::uniform(),
                                non_weighted)
                 .name(),
             "RECT");
   saferegion::PyramidConfig gbsr;
   gbsr.height = 1;
-  EXPECT_EQ(BitmapRegionStrategy(w.link, 1, gbsr).name(), "GBSR");
+  EXPECT_EQ(BitmapRegionStrategy(w.link, gbsr).name(), "GBSR");
   saferegion::PyramidConfig pbsr;
   pbsr.height = 5;
-  EXPECT_EQ(BitmapRegionStrategy(w.link, 1, pbsr).name(), "PBSR");
-  EXPECT_EQ(OptimalStrategy(w.link, 1).name(), "OPT");
+  EXPECT_EQ(BitmapRegionStrategy(w.link, pbsr).name(), "PBSR");
+  EXPECT_EQ(OptimalStrategy(w.link).name(), "OPT");
 }
 
 }  // namespace
