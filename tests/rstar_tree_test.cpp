@@ -753,6 +753,86 @@ TEST(RStarTreePinTest, ReplayDigestsArePinned) {
 }
 
 // ---------------------------------------------------------------------------
+// Pinned bulk loads: the STR layout at entry counts around one and two
+// nodes' worth, where the tail balancing of a slab changes branch, and at
+// counts deep enough for three and four levels. Half the boxes sit on a
+// coarse lattice so their centres tie and the stable sorts decide the
+// order. The digest covers height(), node_accesses(), every probe's hits
+// and returned accesses, window-visit order and nearest_distance.
+// ---------------------------------------------------------------------------
+
+std::uint64_t pinned_bulk_load(std::size_t capacity, std::size_t count) {
+  Rng rng(capacity * 7919 + count);
+  std::vector<Entry> entries;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (i % 2 == 0) {
+      entries.push_back({random_rect(rng, 400.0, 30.0), i});
+    } else {
+      const Point lo{20.0 * static_cast<double>(rng.index(20)),
+                     20.0 * static_cast<double>(rng.index(20))};
+      const double side = 10.0 * static_cast<double>(1 + rng.index(3));
+      entries.push_back({Rect(lo, {lo.x + side, lo.y + side}), i});
+    }
+  }
+  RStarTree tree = RStarTree::bulk_load(std::move(entries), capacity);
+  tree.check_invariants();
+  Digest digest;
+  digest.add(static_cast<std::uint64_t>(tree.height()));
+  for (int q = 0; q < 48; ++q) {
+    const Point p{rng.uniform(-20.0, 420.0), rng.uniform(-20.0, 420.0)};
+    digest.add(tree.probe(p, [&](const Entry& e) {
+      digest.add(e);
+      return true;
+    }));
+    tree.visit(random_rect(rng, 400.0, 80.0), [&](const Entry& e) {
+      digest.add(e);
+      return true;
+    });
+    digest.add(tree.node_accesses());
+    digest.add(tree.nearest_distance(p));
+    digest.add(tree.node_accesses());
+  }
+  return digest.value();
+}
+
+TEST(RStarTreePinTest, BulkLoadDigestsArePinned) {
+  struct Pinned {
+    std::size_t capacity;
+    std::uint64_t digests[10];
+  };
+  const Pinned kPinned[] = {
+      {4,
+       {0x7918fe9246a7c45cull, 0xb180170664635c30ull,
+        0x9feb7df374346f97ull, 0x6801a6ca42bf00a4ull,
+        0x2f93140551c5fdd0ull, 0x982c9520dcc75cabull,
+        0x2ec3e454140590dfull, 0xb01eb9b1c95241a3ull,
+        0xe184b7c99887f2d5ull, 0x2653f99f14aab8full}},
+      {8,
+       {0xf9695be6fc33462aull, 0x611e97a010ac99bcull,
+        0x82790fe9b73127beull, 0x74279bf01c2d4c34ull,
+        0x7a9daa800183df88ull, 0xaaf70a54be1902ddull,
+        0x1f5a230e4284e0e5ull, 0x8afa5f0f18f75d19ull,
+        0x33525369b25a8051ull, 0x1ad3e342e4fd2377ull}},
+      {16,
+       {0xceecfad90e41701aull, 0x45bce1cc2399329eull,
+        0x23db7eb35dea4a44ull, 0xdc5ec3a817ca32c0ull,
+        0xf77ee6cd1c0eb66cull, 0x9dfea7a728c6426full,
+        0xe4a604a203716aefull, 0x4e130fa6c73136fcull,
+        0x3835b1f01d435b2bull, 0x6fe79b24b95931cull}}};
+  for (const auto& [capacity, digests] : kPinned) {
+    const std::size_t counts[] = {
+        1, 2, capacity - 1, capacity, capacity + 1, 2 * capacity - 1,
+        2 * capacity + 1, 202, 1000, 5000};
+    for (std::size_t i = 0; i < std::size(counts); ++i) {
+      const std::uint64_t loaded = pinned_bulk_load(capacity, counts[i]);
+      EXPECT_EQ(loaded, digests[i])
+          << "capacity=" << capacity << " count=" << counts[i]
+          << " digest=0x" << std::hex << loaded;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Pinned replace traffic: the write pattern of dynamics::SessionIndex, where
 // each grant erases its id's old box and inserts the new one near it. The
 // boxes are chosen to hit every tie ChooseSubtree can meet: points and
