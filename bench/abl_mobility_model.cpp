@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "mobility/random_waypoint.h"
+#include "random_waypoint.h"
 #include "strategies/rect_region_strategy.h"
 
 using namespace salarm;

@@ -1,4 +1,4 @@
-#include "mobility/random_waypoint.h"
+#include "random_waypoint.h"
 
 #include <algorithm>
 #include <cmath>

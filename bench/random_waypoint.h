@@ -5,7 +5,9 @@
 // straight line at a per-trip uniform speed, pauses, and repeats. Useful
 // to separate which results depend on road-network structure (heading
 // persistence along roads is what the paper's weighted perimeter exploits)
-// from those that hold for any motion — see bench/abl_mobility_model.
+// from those that hold for any motion — see abl_mobility_model. Only that
+// ablation runs it, so it lives with the bench (salarm_tests compiles it
+// too, as a second PositionSource).
 #pragma once
 
 #include <cstdint>

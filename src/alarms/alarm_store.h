@@ -127,20 +127,11 @@ class AlarmStore {
   std::vector<const SpatialAlarm*> public_in_window(
       const geo::Rect& window) const;
 
-  /// The read-only half of process_position: appends to `fired` the id of
-  /// every alarm relevant to s whose region interior contains p, in index
-  /// visit order, and returns the R*-tree node accesses the probe made.
-  /// Neither the trigger state nor index_node_accesses() changes, so
-  /// threads may probe a store that no thread mutates concurrently.
-  /// Allocates only when `fired` must grow. (The ground-truth oracle,
-  /// sim/oracle.h, deliberately does not use it: it matches positions
-  /// against a table of its own.)
-  std::uint64_t probe_position(SubscriberId s, geo::Point p,
-                               std::vector<AlarmId>& fired) const;
-
-  /// Server-side alarm processing of one position update: probe_position,
-  /// then marks the fired pairs spent and returns their alarm ids (empty
-  /// in the common case, which allocates nothing). `filter` restricts
+  /// Server-side alarm processing of one position update: probes the
+  /// index for every alarm relevant to s whose region interior contains p,
+  /// marks the fired pairs spent and returns their alarm ids in index
+  /// visit order (empty in the common case, which allocates nothing). The
+  /// probe's node accesses go to index_node_accesses(). `filter` restricts
   /// evaluation to alarms it accepts — the buffered-report path
   /// (sim/server.h handle_buffered_update) uses it to evaluate a late
   /// report only against alarms already installed at its original tick.

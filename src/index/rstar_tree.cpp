@@ -665,83 +665,48 @@ RStarTree RStarTree::bulk_load(std::vector<Entry> entries,
   }
   tree.ref_.reserve(nodes * tree.stride_);
 
-  // Level 0: tile the entries into leaves. A level is its nodes' parent
-  // slots: (MBR, node id).
+  // A level is its items' slots: the entries, then each level's nodes as
+  // (MBR, node id). Every level is tiled the same way.
   std::vector<Slot> level;
-  {
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const Entry& a, const Entry& b) {
-                       return a.rect.center().x < b.rect.center().x;
-                     });
-    const auto slab_groups = str_slabs(entries.size(), node_capacity);
-    std::size_t cursor = 0;
-    for (const std::size_t slab_size : slab_groups) {
-      std::stable_sort(entries.begin() + static_cast<std::ptrdiff_t>(cursor),
-                       entries.begin() +
-                           static_cast<std::ptrdiff_t>(cursor + slab_size),
-                       [](const Entry& a, const Entry& b) {
-                         return a.rect.center().y < b.rect.center().y;
-                       });
-      std::size_t offset = cursor;
-      const std::size_t slab_end = cursor + slab_size;
-      while (offset < slab_end) {
-        const std::size_t take =
-            std::min(node_capacity, slab_end - offset);
-        // Balance the tail: if what would remain is underfull, split the
-        // remainder of the slab evenly instead.
-        const std::size_t remaining = slab_end - offset;
-        std::size_t count = take;
-        if (remaining > node_capacity &&
-            remaining - take < tree.min_fill_) {
-          count = remaining / 2;
-        }
-        const NodeId leaf = tree.alloc_node(0);
-        for (std::size_t i = offset; i < offset + count; ++i) {
-          tree.append(leaf, {entries[i].rect, entries[i].id});
-        }
-        level.push_back({tree.node_box(leaf), leaf});
-        offset += count;
-      }
-      cursor = slab_end;
-    }
-  }
-
-  // Upper levels: tile the nodes of the previous level the same way.
+  level.reserve(entries.size());
+  for (const Entry& e : entries) level.push_back({e.rect, e.id});
+  std::vector<Entry>().swap(entries);  // only the slots are read from here
   std::vector<Slot> parents;
-  while (level.size() > 1) {
+  std::uint32_t height = 0;
+  do {
     std::stable_sort(level.begin(), level.end(),
                      [](const Slot& a, const Slot& b) {
                        return a.box.center().x < b.box.center().x;
                      });
-    const auto slab_groups = str_slabs(level.size(), node_capacity);
     parents.clear();
     std::size_t cursor = 0;
-    for (const std::size_t slab_size : slab_groups) {
+    for (const std::size_t slab_size :
+         str_slabs(level.size(), node_capacity)) {
+      const std::size_t slab_end = cursor + slab_size;
       std::stable_sort(level.begin() + static_cast<std::ptrdiff_t>(cursor),
-                       level.begin() +
-                           static_cast<std::ptrdiff_t>(cursor + slab_size),
+                       level.begin() + static_cast<std::ptrdiff_t>(slab_end),
                        [](const Slot& a, const Slot& b) {
                          return a.box.center().y < b.box.center().y;
                        });
-      std::size_t offset = cursor;
-      const std::size_t slab_end = cursor + slab_size;
-      while (offset < slab_end) {
+      for (std::size_t offset = cursor; offset < slab_end;) {
+        // Balance the tail: if what would remain is underfull, split the
+        // remainder of the slab evenly instead.
         const std::size_t remaining = slab_end - offset;
         std::size_t count = std::min(node_capacity, remaining);
         if (remaining > node_capacity &&
             remaining - count < tree.min_fill_) {
           count = remaining / 2;
         }
-        const NodeId parent = tree.alloc_node(
-            tree.meta_[static_cast<NodeId>(level[offset].ref)].level + 1);
-        tree.append_slots(parent, level, offset, offset + count);
-        parents.push_back({tree.node_box(parent), parent});
+        const NodeId node = tree.alloc_node(height);
+        tree.append_slots(node, level, offset, offset + count);
+        parents.push_back({tree.node_box(node), node});
         offset += count;
       }
       cursor = slab_end;
     }
     std::swap(level, parents);
-  }
+    ++height;
+  } while (level.size() > 1);
 
   SALARM_ASSERT(tree.meta_.size() == nodes, "STR node count mismatch");
   tree.root_ = static_cast<NodeId>(level.front().ref);

@@ -2,11 +2,11 @@
 //
 // Anything that can replay a deterministic per-tick stream of vehicle
 // samples can drive the simulator: the road-network trace generator (the
-// paper's workload), the random-waypoint model (the classic synthetic
-// alternative), or a recorded/imported trace. Determinism contract:
-// after reset(), the sequence of samples() produced by successive step()
-// calls is identical on every replay — the simulator runs every strategy
-// against the identical motion pattern.
+// paper's workload) or a recorded/imported trace here, and the bench's
+// random-waypoint model (the classic synthetic alternative). Determinism
+// contract: after reset(), the sequence of samples() produced by
+// successive step() calls is identical on every replay — the simulator
+// runs every strategy against the identical motion pattern.
 #pragma once
 
 #include <vector>

@@ -58,8 +58,8 @@ class Simulation {
  public:
   /// The source, store and grid must outlive the simulation. `ticks`
   /// counts the initial positions as tick 0 and must be >= 2. Any
-  /// PositionSource works: the road-network trace generator, the
-  /// random-waypoint model, or a recorded/imported trace. The simulation
+  /// PositionSource works: the road-network trace generator, a
+  /// recorded/imported trace, or a synthetic model. The simulation
   /// never writes the store: each run slices its alarm set into fresh
   /// shard stores, and the oracle replays churn into a private copy.
   Simulation(mobility::PositionSource& source,

@@ -11,9 +11,9 @@
 #include <gtest/gtest.h>
 
 #include "alarms/alarm_store.h"
+#include "bench/random_waypoint.h"
 #include "common/rng.h"
 #include "dynamics/churn.h"
-#include "mobility/random_waypoint.h"
 #include "mobility/trace_generator.h"
 #include "roadnet/network_builder.h"
 

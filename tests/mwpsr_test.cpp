@@ -1,4 +1,5 @@
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,11 +172,16 @@ TEST(MwpsrTest, AutoAssemblyAvoidsNeedleCollapse) {
 // Property sweep: soundness on random workloads, and greedy vs exhaustive.
 // ---------------------------------------------------------------------------
 
+// gtest names each case by its parameter's bytes, so the struct has no
+// padding: padding bytes print whatever the build left in them, and the
+// same case would get a different name in another build.
 struct MwpsrSweep {
   std::uint64_t seed;
   int alarm_count;
   bool weighted;
+  char zero[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<MwpsrSweep>);
 
 class MwpsrPropertyTest : public ::testing::TestWithParam<MwpsrSweep> {};
 

@@ -25,10 +25,10 @@
 #include <gtest/gtest.h>
 
 #include "alarms/alarm_store.h"
+#include "bench/random_waypoint.h"
 #include "common/rng.h"
 #include "geometry/rect.h"
 #include "dynamics/churn.h"
-#include "mobility/random_waypoint.h"
 #include "sim/oracle.h"
 
 namespace salarm {

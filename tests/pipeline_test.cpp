@@ -21,13 +21,13 @@
 #include <gtest/gtest.h>
 
 #include "alarms/alarm_store.h"
+#include "bench/random_waypoint.h"
 #include "cluster/shard_map.h"
 #include "cluster/sharded_server.h"
 #include "core/experiment.h"
 #include "dynamics/churn.h"
 #include "failover/crash_plan.h"
 #include "grid/grid_overlay.h"
-#include "mobility/random_waypoint.h"
 #include "net/link.h"
 #include "sim/server.h"
 #include "sim/simulation.h"

@@ -3,9 +3,9 @@
 // including driving a full metered simulation from a recorded trace.
 #include <gtest/gtest.h>
 
+#include "bench/random_waypoint.h"
 #include "core/experiment.h"
 #include "mobility/position_source.h"
-#include "mobility/random_waypoint.h"
 #include "mobility/trace_generator.h"
 #include "roadnet/network_builder.h"
 #include "strategies/rect_region_strategy.h"
